@@ -6,6 +6,7 @@ import numpy as np
 
 from kkt import tensor as T
 from kkt.attention import EncoderParams, MhaParams, encode, mha, self_attention
+from kkt.keyturns import pool
 from kkt.tokenizer import Tokenizer
 
 # With identity projections and a zero query, attention is a plain average
@@ -36,5 +37,8 @@ vocab = Tokenizer.build(["the bike is on the street", "where is my bike"])
 enc = EncoderParams.init(len(vocab), 8, 2, 1, 32, 32, np.random.default_rng(1))
 ids = [vocab.bos_id] + vocab.encode("where is my bike") + [vocab.eos_id]
 result = encode(enc, ids)
-print("hidden rows:", result.hidden.shape, " pooled sentence vector:", result.pooled.shape)
-print("pooled values stay in (-1, 1):", np.round(result.pooled.data, 3))
+print("hidden rows:", result.hidden.shape)
+
+# The turn scorer pools the first row into one sentence vector.
+pooled = pool(enc, result.hidden)
+print("pooled sentence vector:", pooled.shape, "values stay in (-1, 1):", np.round(pooled.data, 3))

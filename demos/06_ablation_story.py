@@ -10,7 +10,7 @@
 import tempfile
 
 from kkt.data import gen_synthetic, write_bundle
-from kkt.training import RunConfig, evaluate_pipeline, pipeline_from_checkpoint, train
+from kkt.training import RunConfig, evaluate_pipeline, train
 
 SEED = 5
 
@@ -32,9 +32,7 @@ with tempfile.TemporaryDirectory() as td:
             dev_dataset=dev_bundle.dataset,
             surfaces_path=paths["surfaces"], lexicon_path=paths["lexicon"],
         )
-        pipe = pipeline_from_checkpoint(result.best_blob(), cfg, result.vocab)
-        pipe.store = result.store
-        pipe.provider = result.pipeline.provider
+        pipe = result.eval_pipeline(result.best_blob(), cfg)
         acc = evaluate_pipeline(pipe, dev_bundle.dataset).accuracy
         print(f"  {mode:5s}: best dev {acc:.3f} (chance is 0.333)")
 

@@ -12,7 +12,6 @@ from .knowledge import (
     PosTagger,
     load_kg,
     rank_triples,
-    retrieve,
     rewrite_triple,
     tag_content_words,
 )

@@ -1,9 +1,11 @@
 """Multi-head attention and a small trainable transformer encoder.
 
 The encoder stands in for a large pre-trained language model: token plus
-learned position embeddings, a stack of post-norm blocks (attention, then a
-tanh feed-forward, each with a residual and layer norm), and a tanh pooler
-over the first position.
+learned position embeddings and a stack of post-norm blocks (attention, then
+a tanh feed-forward, each with a residual and layer norm). `encode` returns
+the hidden rows only. Every encoder also carries tanh pooler weights for the
+first position; only the NLI turn scorer reads them, and it does its own
+pooling (`keyturns`).
 
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
@@ -172,7 +174,6 @@ class EncoderParams:
 @dataclass
 class EncodeResult:
     hidden: Tensor
-    pooled: Tensor
     truncated: bool
 
 
@@ -186,7 +187,7 @@ def encode(params: EncoderParams, token_ids) -> EncodeResult:
     """Run the encoder over a sequence of token ids.
 
     Sequences longer than the position table are truncated to max_len and
-    flagged. The pooled vector is tanh(affine(h[0])).
+    flagged.
     """
     ids = list(token_ids)
     if not ids:
@@ -201,6 +202,4 @@ def encode(params: EncoderParams, token_ids) -> EncodeResult:
     x = T.add(T.take_rows(params.tok_emb, ids), T.take_rows(params.pos_emb, range(len(ids))))
     for block in params.blocks:
         x = _block_forward(block, x)
-    first = T.take_rows(x, [0])
-    pooled = T.tanh(T.affine(T.reshape(first, (params.d_model,)), params.pooler_w, params.pooler_b))
-    return EncodeResult(hidden=x, pooled=pooled, truncated=truncated)
+    return EncodeResult(hidden=x, truncated=truncated)

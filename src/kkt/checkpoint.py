@@ -7,7 +7,8 @@ Layout (all integers little-endian):
     name length u16 | name UTF-8 | rank u8 | dims u32 each | fp32 payload
 
 Payloads are always float32 row-major regardless of the in-memory training
-dtype; write -> read -> write reproduces the file byte for byte.
+dtype; write -> read -> write reproduces the file byte for byte. Readers
+accept only FORMAT_VERSION; any other version is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def _tensor_data(value) -> np.ndarray:
     return np.asarray(data, dtype=np.float32)
 
 
-def checkpoint_bytes(named: dict, ablation: str, version: int = FORMAT_VERSION) -> bytes:
+def checkpoint_bytes(named: dict, ablation: str) -> bytes:
     if ablation not in ABLATION_TAGS:
         raise CheckpointError(f"unknown ablation {ablation!r}")
-    parts = [MAGIC, struct.pack("<I", version), struct.pack("<B", ABLATION_TAGS[ablation]), struct.pack("<I", len(named))]
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<B", ABLATION_TAGS[ablation]), struct.pack("<I", len(named))]
     for name in sorted(named):
         arr = _tensor_data(named[name])
         encoded = name.encode("utf-8")
@@ -60,8 +61,8 @@ def checkpoint_bytes(named: dict, ablation: str, version: int = FORMAT_VERSION) 
     return b"".join(parts)
 
 
-def save_checkpoint(path, named: dict, ablation: str, version: int = FORMAT_VERSION):
-    Path(path).write_bytes(checkpoint_bytes(named, ablation, version))
+def save_checkpoint(path, named: dict, ablation: str):
+    Path(path).write_bytes(checkpoint_bytes(named, ablation))
 
 
 class _Reader:
@@ -86,6 +87,8 @@ def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{label}: bad magic bytes, not a checkpoint")
     version = r.u("<I")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{label}: format version {version}, this reader supports only {FORMAT_VERSION}")
     tag = r.u("<B")
     if tag not in TAG_ABLATIONS:
         raise CheckpointError(f"{label}: unknown ablation tag {tag}")

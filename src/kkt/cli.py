@@ -13,12 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import CheckpointError, assign_named, parse_checkpoint
+from .checkpoint import CheckpointError
 from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, write_bundle
-from .keyturns import NliHead, RelevanceScore, score_turn, select_key_turns
-from .knowledge import KgFormatError, PosTagger, iter_kg_triples, load_kg, load_surfaces, rank_triples, rewrite_triple
+from .keyturns import RelevanceScore, score_turn, select_key_turns
+from .knowledge import KgFormatError, iter_kg_triples, load_surfaces, rank_triples, rewrite_triple
 from .model import ABLATIONS
 from .tokenizer import Tokenizer
 from .training import (
@@ -26,6 +24,8 @@ from .training import (
     RunConfig,
     ablation_sweep,
     evaluate,
+    load_store,
+    restore_checkpoint,
     train,
 )
 
@@ -41,12 +41,25 @@ def _load_config(path) -> RunConfig:
         return RunConfig.from_dict(json.load(fh))
 
 
-def _bundle_paths(data_arg: Path) -> dict:
-    """Resolve --data given either a dataset file or a generated bundle dir."""
-    if data_arg.is_dir():
-        paths = {k: data_arg / v for k, v in BUNDLE_FILES.items()}
-        return {k: (p if p.exists() else None) for k, p in paths.items()}
-    return {"data": data_arg, "kg": None, "surfaces": None, "lexicon": None, "nli": None, "meta": None}
+# Bundle entry -> the flag that overrides it, on the subcommands that have one.
+_OVERRIDE_FLAGS = {"kg": "kg", "surfaces": "relations", "lexicon": "lexicon", "nli": "nli", "meta": "meta"}
+
+
+def _bundle_paths(args) -> dict:
+    """Resolve --data, a dataset file or a generated bundle dir, into input paths.
+
+    Bundle files that are missing resolve to None; an override flag, where
+    the subcommand has it, replaces the bundle's file.
+    """
+    data = args.data
+    if data.is_dir():
+        paths = {k: data / v for k, v in BUNDLE_FILES.items()}
+        paths = {k: (p if p.exists() else None) for k, p in paths.items()}
+    else:
+        paths = {**dict.fromkeys(BUNDLE_FILES), "data": data}
+    for key, flag in _OVERRIDE_FLAGS.items():
+        paths[key] = getattr(args, flag, None) or paths[key]
+    return paths
 
 
 def _planted_from_meta(meta_path):
@@ -58,26 +71,20 @@ def _planted_from_meta(meta_path):
 
 
 def _cmd_train(args):
-    paths = _bundle_paths(args.data)
-    kg = args.kg or paths["kg"]
-    surfaces = args.relations or paths["surfaces"]
-    lexicon = args.lexicon or paths["lexicon"]
-    nli_path = args.nli or paths["nli"]
-    meta = args.meta or paths["meta"]
+    paths = _bundle_paths(args)
     config = _load_config(args.config)
     dataset = load_dataset(paths["data"])
     dev = load_dataset(args.dev) if args.dev else None
-    nli_corpus = load_nli_corpus(nli_path) if nli_path else None
     result = train(
         config,
         dataset,
-        kg_path=kg,
+        kg_path=paths["kg"],
         dev_dataset=dev,
         out_dir=args.out,
-        nli_corpus=nli_corpus,
-        surfaces_path=surfaces,
-        lexicon_path=lexicon,
-        planted=_planted_from_meta(meta),
+        nli_corpus=load_nli_corpus(paths["nli"]) if paths["nli"] else None,
+        surfaces_path=paths["surfaces"],
+        lexicon_path=paths["lexicon"],
+        planted=_planted_from_meta(paths["meta"]),
     )
     _emit(
         {
@@ -105,19 +112,18 @@ def _cmd_eval(args):
     ckpt = args.ckpt
     config = _load_config(_sidecar(ckpt, "config.json", args.config))
     vocab = Tokenizer.load(_sidecar(ckpt, "vocab.txt", args.vocab))
-    paths = _bundle_paths(args.data)
+    paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])
-    kg = args.kg or paths["kg"]
     report = evaluate(
         ckpt,
         config,
         vocab,
         dataset,
-        kg_path=kg,
+        kg_path=paths["kg"],
         ablation=args.ablation,
         surfaces_path=paths["surfaces"],
         lexicon_path=paths["lexicon"],
-        planted=_planted_from_meta(args.meta or paths["meta"]),
+        planted=_planted_from_meta(paths["meta"]),
     )
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
@@ -126,8 +132,7 @@ def _cmd_eval(args):
 
 def _cmd_retrieve(args):
     texts = list(args.text)
-    surfaces = load_surfaces(args.relations) if args.relations else {}
-    tagger = PosTagger.load(args.lexicon) if args.lexicon else PosTagger()
+    surfaces = load_surfaces(args.relations)
     if args.vocab:
         vocab = Tokenizer.load(args.vocab)
     else:
@@ -135,7 +140,7 @@ def _cmd_retrieve(args):
         vocab = Tokenizer.build(
             [rewrite_triple(t, surfaces).text for t in iter_kg_triples(args.kg)] + texts
         )
-    store = load_kg(args.kg, args.threshold, vocab, surfaces, tagger)
+    store = load_store(args.kg, args.threshold, vocab, surfaces, args.lexicon)
     ids = rank_triples(store, texts, args.top_p)
     _emit(
         {
@@ -161,16 +166,10 @@ def _cmd_score_turns(args):
     ckpt = args.ckpt
     config = _load_config(_sidecar(ckpt, "config.json", args.config))
     vocab = Tokenizer.load(_sidecar(ckpt, "vocab.txt", args.vocab))
-    blob = parse_checkpoint(ckpt.read_bytes(), label=str(ckpt))
-    nli_arrays = {k: v for k, v in blob.tensors.items() if k.startswith("nli.")}
-    if not nli_arrays:
+    _, head = restore_checkpoint(ckpt, config, vocab)
+    if head is None:
         raise ConfigurationError(f"{ckpt} holds no NLI scorer tensors; train with an NLI corpus first")
-    head = NliHead.init(
-        len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length,
-        np.random.default_rng(0), dtype=config.np_dtype,
-    )
-    assign_named(head.named_parameters(), nli_arrays, dtype=config.np_dtype)
-    paths = _bundle_paths(args.data)
+    paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])
     wanted = args.example_id if "#" in args.example_id else f"{args.example_id}#0"
     matches = [ex for ex in dataset.examples if ex.example_id == wanted]
@@ -218,15 +217,14 @@ def _cmd_sweep(args):
         grid_text = Path(grid_text[1:]).read_text(encoding="utf-8")
     grid = json.loads(grid_text)
     config = _load_config(args.config)
-    paths = _bundle_paths(args.data)
+    paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])
     eval_dataset = load_dataset(args.dev) if args.dev else dataset
-    kg = args.kg or paths["kg"]
     rows = ablation_sweep(
         config,
         dataset,
         eval_dataset,
-        kg_path=kg,
+        kg_path=paths["kg"],
         grid=grid,
         train_per_cell=args.train_per_cell,
         nli_corpus=load_nli_corpus(paths["nli"]) if paths["nli"] else None,

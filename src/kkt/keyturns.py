@@ -58,6 +58,12 @@ class KeyTurnSet:
     k: int
 
 
+def pool(enc: EncoderParams, hidden: T.Tensor) -> T.Tensor:
+    """Sentence vector tanh(affine(h[0])) over the encoder's pooler weights."""
+    first = T.reshape(T.take_rows(hidden, [0]), (enc.d_model,))
+    return T.tanh(T.affine(first, enc.pooler_w, enc.pooler_b))
+
+
 def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> T.Tensor:
     ids = (
         [tokenizer.bos_id]
@@ -66,8 +72,7 @@ def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: s
         + tokenizer.encode(hypothesis)
         + [tokenizer.eos_id]
     )
-    pooled = encode(head.enc, ids).pooled
-    return T.affine(pooled, head.out_w, head.out_b)
+    return T.affine(pool(head.enc, encode(head.enc, ids).hidden), head.out_w, head.out_b)
 
 
 def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str) -> float:
@@ -133,24 +138,26 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
 
 
 class NliProvider:
-    """Key-turn provider that scores every turn against the QA text."""
+    """Key-turn provider that scores every turn against the QA text.
 
-    def __init__(self, head: NliHead, tokenizer: Tokenizer, cache=True):
+    Selections are cached by content (turns, QA text, k): the head is frozen
+    while the provider serves, so equal inputs always select equal turns.
+    """
+
+    def __init__(self, head: NliHead, tokenizer: Tokenizer):
         self.head = head
         self.tokenizer = tokenizer
-        self._cache = {} if cache else None
+        self._cache = {}
 
     def select(self, example, qa_text: str, k: int) -> tuple:
-        key = (example.example_id, qa_text, k)
-        if self._cache is not None and key in self._cache:
-            return self._cache[key]
-        scores = [
-            RelevanceScore(turn_index=i, qa_index=example.qa_index, score=score_turn(self.head, self.tokenizer, turn, qa_text))
-            for i, turn in enumerate(example.turns)
-        ]
-        chosen = select_key_turns(scores, k).turn_indices
-        if self._cache is not None:
-            self._cache[key] = chosen
+        key = (tuple(example.turns), qa_text, k)
+        chosen = self._cache.get(key)
+        if chosen is None:
+            scores = [
+                RelevanceScore(turn_index=i, qa_index=example.qa_index, score=score_turn(self.head, self.tokenizer, turn, qa_text))
+                for i, turn in enumerate(example.turns)
+            ]
+            chosen = self._cache[key] = select_key_turns(scores, k).turn_indices
         return chosen
 
 

@@ -154,8 +154,10 @@ def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> Fact:
 
 
 def load_surfaces(path) -> dict:
-    """Read a relation surface TSV `relation<TAB>surface phrase`."""
+    """Read a relation surface TSV `relation<TAB>surface phrase`; no path gives an empty table."""
     table = {}
+    if path is None:
+        return table
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -250,30 +252,25 @@ class FactEmbedding:
 
 
 class FactEncoder:
-    """Encodes fact sentences to vectors, caching per parameter version.
+    """Encodes fact sentences to vectors, caching by fact text.
 
-    The cache key is (fact text, version); bump `version` whenever the
-    underlying encoder or self-attention weights change (one optimizer step
-    in practice). Stale entries are discarded wholesale on version change.
+    Call `invalidate` whenever the underlying encoder or self-attention
+    weights change (one optimizer step in practice); it drops every entry.
     """
 
     def __init__(self, tokenizer: Tokenizer, enc: EncoderParams, sa: MhaParams, cache=True):
         self.tokenizer = tokenizer
         self.enc = enc
         self.sa = sa
-        self.version = 0
         self._cache = {} if cache else None
-        self._cache_version = 0
 
-    def bump_version(self):
-        self.version += 1
+    def invalidate(self):
+        if self._cache is not None:
+            self._cache.clear()
 
     def encode_fact(self, fact: Fact) -> T.Tensor:
         """r = mean over tokens of self-attended last hidden states of the fact."""
         if self._cache is not None:
-            if self._cache_version != self.version:
-                self._cache.clear()
-                self._cache_version = self.version
             hit = self._cache.get(fact.text)
             if hit is not None:
                 return hit
@@ -307,11 +304,3 @@ def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:
         key=lambda tid: (-store.triples[tid].weight, -matches[tid], store.facts[tid].text, tid),
     )
     return order[:p]
-
-
-def retrieve(store: KnowledgeStore, texts, p: int, fact_encoder: FactEncoder) -> list[FactEmbedding]:
-    """Embeddings of the top-p facts relevant to the texts (possibly empty)."""
-    return [
-        FactEmbedding(r_k=fact_encoder.encode_fact(store.facts[tid]), fact=store.facts[tid], triple_id=tid)
-        for tid in rank_triples(store, texts, p)
-    ]

@@ -297,14 +297,15 @@ class PredictResult:
 class KktPipeline:
     """Bundles parameters, tokenizer, knowledge store and key-turn provider.
 
-    Owns the caches: ranked fact ids per dialogue (context knowledge is
-    shared across a dialogue's questions) and per QA pair, plus the fact
-    encoder's per-parameter-version embedding cache. All caches are keyed by
-    content, so results are independent of call order.
+    Owns the caches: ranked fact ids per dialogue text (context knowledge is
+    shared across a dialogue's questions) and per QA text, plus the fact
+    encoder's embedding cache, which training invalidates after every
+    optimizer step. All caches are keyed by content, not by ids, so results
+    are independent of call order and of how examples are named.
     """
 
     def __init__(self, params: KktParams, tokenizer: Tokenizer, store: KnowledgeStore | None = None,
-                 provider=None, k: int = 6, p: int = 5, max_len: int = 256, cache: bool = True):
+                 provider=None, k: int = 6, p: int = 5, max_len: int = 256):
         self.params = params
         self.tokenizer = tokenizer
         self.store = store
@@ -312,7 +313,7 @@ class KktPipeline:
         self.k = k
         self.p = p
         self.max_len = max_len
-        self.fact_encoder = FactEncoder(tokenizer, params.enc, params.fact_sa, cache=cache)
+        self.fact_encoder = FactEncoder(tokenizer, params.enc, params.fact_sa)
         self._ck_ids: dict = {}
         self._qak_ids: dict = {}
 
@@ -328,18 +329,18 @@ class KktPipeline:
 
     def context_knowledge(self, example: DialogueExample):
         """Top-p fact embeddings for the dialogue turns (cached ranking)."""
-        ids = self._ck_ids.get(example.dialogue_id)
+        key = tuple(example.turns)
+        ids = self._ck_ids.get(key)
         if ids is None:
-            ids = rank_triples(self.store, example.turns, self.p)
-            self._ck_ids[example.dialogue_id] = ids
+            ids = self._ck_ids[key] = rank_triples(self.store, example.turns, self.p)
         return self._embed(ids)
 
     def qa_knowledge(self, example: DialogueExample, option_index: int):
-        key = (example.example_id, option_index)
-        ids = self._qak_ids.get(key)
+        """Top-p fact embeddings for one question+option text (cached ranking)."""
+        qa = example.qa_text(option_index)
+        ids = self._qak_ids.get(qa)
         if ids is None:
-            ids = rank_triples(self.store, [example.qa_text(option_index)], self.p)
-            self._qak_ids[key] = ids
+            ids = self._qak_ids[qa] = rank_triples(self.store, [qa], self.p)
         return self._embed(ids)
 
     def _embed(self, triple_ids):

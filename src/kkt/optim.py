@@ -12,8 +12,7 @@ class Adam:
 
     ``warmup_steps`` scales the learning rate linearly from lr/warmup up to
     the full lr over the first ``warmup_steps`` updates, then holds it flat.
-    ``version`` counts applied steps; callers use it to invalidate caches of
-    activations computed from stale parameter values.
+    ``t`` counts applied steps.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, warmup_steps=0):
@@ -26,10 +25,6 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-
-    @property
-    def version(self) -> int:
-        return self.t
 
     def current_lr(self) -> float:
         if self.warmup_steps > 0 and self.t < self.warmup_steps:

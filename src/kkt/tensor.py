@@ -95,7 +95,7 @@ class Tensor:
 
         Seeds with ones (for a scalar this is d(self)/d(self) = 1). Interior
         node gradients are reset first, so repeated calls add the same leaf
-        contribution each time; call ``zero_grads`` to start over.
+        contribution each time; set a leaf's ``grad`` to None to start over.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no graph attached")
@@ -129,12 +129,6 @@ def _topo_order(root):
             stack.pop()
             order.append(node)
     return order
-
-
-def zero_grads(tensors):
-    """Drop accumulated gradients on the given tensors."""
-    for t in tensors:
-        t.grad = None
 
 
 def _result(data, parents, backward_fn):
@@ -312,9 +306,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
             np.add.at(x.grad, idx, g)
 
     return _result(data, (x,), backward)
-
-
-embedding_lookup = take_rows
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -3,7 +3,9 @@
 Accuracy is always the exact ratio of two integer counters, never an
 average of per-batch floats. Every run resolves its seed (the KKT_SEED
 environment variable overrides the config), and reports carry a fingerprint
-hashing the resolved config together with the data, so identical
+hashing the resolved config together with every input that changes the
+result (datasets, graph, relation surfaces, lexicon, NLI corpus, planted
+turns and, for evaluations, the checkpoint bytes), so identical
 fingerprints imply byte-identical reports.
 """
 
@@ -99,8 +101,20 @@ def effective_seed(config: RunConfig) -> int:
     return int(env) if env else int(config.seed)
 
 
-def _file_sha(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digest(value) -> str:
+    """SHA-256 of a run input: a dataset's dialogues, a file's bytes, a
+    checkpoint blob, or the canonical JSON of NLI records or planted turns."""
+    if isinstance(value, Dataset):
+        return dataset_hash(value)
+    if isinstance(value, (str, Path)):
+        value = Path(value).read_bytes()
+    elif not isinstance(value, (bytes, bytearray)):
+        value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(value).hexdigest()
+
+
+def _input_hashes(**inputs) -> dict:
+    return {name: _digest(value) for name, value in inputs.items() if value is not None}
 
 
 def fingerprint(config: RunConfig, seed: int, data_hashes: dict) -> str:
@@ -118,10 +132,9 @@ def build_vocab(dataset: Dataset, kg_path=None, weight_threshold: float = 0.0, s
     """
     texts = list(dataset.texts())
     if kg_path is not None:
-        table = surfaces or {}
         for triple in iter_kg_triples(kg_path):
             if triple.weight >= weight_threshold:
-                texts.append(rewrite_triple(triple, table).text)
+                texts.append(rewrite_triple(triple, surfaces).text)
     return Tokenizer.build(texts)
 
 
@@ -180,22 +193,59 @@ def evaluate_pipeline(pipeline: KktPipeline, dataset: Dataset, fingerprint_str: 
     )
 
 
-def _resolve_provider(config: RunConfig, vocab: Tokenizer, rng, nli_corpus=None, planted=None, dtype=np.float64):
-    """Build the key-turn provider; returns (provider, nli_head, nli_report)."""
-    choice = config.key_turn_provider
-    if choice == "auto":
-        choice = "nli" if nli_corpus else "leading"
-    if choice == "leading":
-        return LeadingProvider(), None, None
-    if choice == "oracle":
-        return OracleProvider(planted or {}), None, None
-    head = NliHead.init(
-        len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length, rng, dtype=dtype
-    )
-    report = None
-    if nli_corpus:
-        report = train_nli_head(head, vocab, nli_corpus, epochs=config.nli_epochs, seed=effective_seed(config) + 1)
-    return NliProvider(head, vocab), head, report
+def _dims(config: RunConfig, vocab: Tokenizer) -> tuple:
+    """Encoder dimensions shared by the model and the NLI head."""
+    return len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length
+
+
+def load_store(kg_path, threshold: float, vocab: Tokenizer, surfaces: dict, lexicon_path=None) -> KnowledgeStore | None:
+    """The run's knowledge store, or None without a graph.
+
+    `surfaces` is the relation surface table (see `load_surfaces`); the POS
+    tagger reads the lexicon when one is given.
+    """
+    if kg_path is None:
+        return None
+    tagger = PosTagger.load(lexicon_path) if lexicon_path else PosTagger()
+    return load_kg(kg_path, threshold, vocab, surfaces, tagger)
+
+
+def key_turn_provider(config: RunConfig, vocab: Tokenizer, nli_head: NliHead | None, planted=None):
+    """`oracle` reads the planted turns, `leading` takes the first k turns;
+    otherwise the NLI head scores turns when there is one, else leading."""
+    if config.key_turn_provider == "oracle":
+        return OracleProvider(planted or {})
+    if config.key_turn_provider == "leading" or nli_head is None:
+        return LeadingProvider()
+    return NliProvider(nli_head, vocab)
+
+
+def restore_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer,
+                       ablation: str | None = None) -> tuple[KktParams, NliHead | None]:
+    """Model parameters and, when the checkpoint holds `nli.` tensors, the NLI head.
+
+    The requested ablation must match the checkpoint's tag; `None` adopts
+    the tag.
+    """
+    if isinstance(blob_or_path, (bytes, bytearray)):
+        ckpt = parse_checkpoint(bytes(blob_or_path))
+    else:
+        ckpt = parse_checkpoint(Path(blob_or_path).read_bytes(), label=str(blob_or_path))
+    if ablation is not None and ablation != ckpt.ablation:
+        raise ConfigurationError(
+            f"checkpoint carries ablation {ckpt.ablation!r} but {ablation!r} was requested"
+        )
+    dtype = config.np_dtype
+    rng = np.random.default_rng(0)
+    params = KktParams.init(*_dims(config, vocab), ckpt.ablation, rng, dtype=dtype)
+    nli_arrays = {k: v for k, v in ckpt.tensors.items() if k.startswith("nli.")}
+    main_arrays = {k: v for k, v in ckpt.tensors.items() if k not in nli_arrays}
+    assign_named(params.named_parameters(), main_arrays, dtype=dtype)
+    nli_head = None
+    if nli_arrays:
+        nli_head = NliHead.init(*_dims(config, vocab), rng, dtype=dtype)
+        assign_named(nli_head.named_parameters(), nli_arrays, dtype=dtype)
+    return params, nli_head
 
 
 @dataclass
@@ -213,6 +263,13 @@ class TrainResult:
 
     def best_blob(self) -> bytes:
         return self.best["blob"]
+
+    def eval_pipeline(self, blob: bytes, config: RunConfig) -> KktPipeline:
+        """Pipeline over the weights in `blob` that reuses this run's vocab,
+        knowledge store and key-turn provider."""
+        params, _ = restore_checkpoint(blob, config, self.vocab)
+        return KktPipeline(params, self.vocab, self.store, self.pipeline.provider,
+                           k=config.k, p=config.p, max_len=config.max_length)
 
 
 def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
@@ -234,23 +291,20 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     if not train_dataset.examples:
         raise ValueError("train: empty dataset")
     seed = effective_seed(config)
-    dtype = config.np_dtype
-    surfaces = load_surfaces(surfaces_path) if surfaces_path else {}
-    tagger = PosTagger.load(lexicon_path) if lexicon_path else PosTagger()
+    surfaces = load_surfaces(surfaces_path)
     vocab = build_vocab(train_dataset, kg_path, config.weight_threshold, surfaces)
-    store = load_kg(kg_path, config.weight_threshold, vocab, surfaces, tagger) if kg_path else None
+    store = load_store(kg_path, config.weight_threshold, vocab, surfaces, lexicon_path)
     init_rng = np.random.default_rng([seed, 1])
-    params = KktParams.init(
-        len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length,
-        config.ablation, init_rng, dtype=dtype,
-    )
-    provider, nli_head, nli_report = _resolve_provider(config, vocab, init_rng, nli_corpus, planted, dtype)
+    params = KktParams.init(*_dims(config, vocab), config.ablation, init_rng, dtype=config.np_dtype)
+    nli_head = nli_report = None
+    if config.key_turn_provider == "nli" or (config.key_turn_provider == "auto" and nli_corpus):
+        nli_head = NliHead.init(*_dims(config, vocab), init_rng, dtype=config.np_dtype)
+        if nli_corpus:
+            nli_report = train_nli_head(nli_head, vocab, nli_corpus, epochs=config.nli_epochs, seed=seed + 1)
+    provider = key_turn_provider(config, vocab, nli_head, planted)
     pipeline = KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
-    hashes = {"train": dataset_hash(train_dataset)}
-    if dev_dataset is not None:
-        hashes["dev"] = dataset_hash(dev_dataset)
-    if kg_path is not None:
-        hashes["kg"] = _file_sha(kg_path)
+    hashes = _input_hashes(train=train_dataset, dev=dev_dataset, kg=kg_path, surfaces=surfaces_path,
+                           lexicon=lexicon_path, nli=nli_corpus, planted=planted)
     run_fp = fingerprint(config, seed, hashes)
 
     # The NLI head trains once up front (if at all) and stays frozen here.
@@ -284,7 +338,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
                 loss_sum += loss.item()
                 n_correct += int(res.predicted == ex.gold)
             opt.step()
-            pipeline.fact_encoder.bump_version()
+            pipeline.fact_encoder.invalidate()
             step += 1
         train_acc = n_correct / len(examples)
         record = {"epoch": epoch, "train_loss": loss_sum / len(examples), "train_accuracy": train_acc}
@@ -337,41 +391,12 @@ def pipeline_from_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer, 
                              ablation: str | None = None) -> KktPipeline:
     """Rebuild an inference pipeline from a serialized checkpoint.
 
-    The requested ablation must match the checkpoint's tag; `None` adopts
-    the tag. NLI scorer tensors, when present, restore the NLI provider.
+    See `restore_checkpoint` for the ablation rule; NLI scorer tensors, when
+    present, restore the NLI provider.
     """
-    if isinstance(blob_or_path, (bytes, bytearray)):
-        ckpt = parse_checkpoint(bytes(blob_or_path))
-    else:
-        ckpt = parse_checkpoint(Path(blob_or_path).read_bytes(), label=str(blob_or_path))
-    if ablation is not None and ablation != ckpt.ablation:
-        raise ConfigurationError(
-            f"checkpoint carries ablation {ckpt.ablation!r} but {ablation!r} was requested"
-        )
-    mode = ckpt.ablation
-    dtype = config.np_dtype
-    rng = np.random.default_rng(0)
-    params = KktParams.init(
-        len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length, mode, rng, dtype=dtype
-    )
-    main_arrays = {k: v for k, v in ckpt.tensors.items() if not k.startswith("nli.")}
-    nli_arrays = {k: v for k, v in ckpt.tensors.items() if k.startswith("nli.")}
-    assign_named(params.named_parameters(), main_arrays, dtype=dtype)
-    nli_head = None
-    if nli_arrays:
-        nli_head = NliHead.init(
-            len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length, rng, dtype=dtype
-        )
-        assign_named(nli_head.named_parameters(), nli_arrays, dtype=dtype)
-    surfaces = load_surfaces(surfaces_path) if surfaces_path else {}
-    tagger = PosTagger.load(lexicon_path) if lexicon_path else PosTagger()
-    store = load_kg(kg_path, config.weight_threshold, vocab, surfaces, tagger) if kg_path else None
-    if config.key_turn_provider == "oracle":
-        provider = OracleProvider(planted or {})
-    elif nli_head is not None and config.key_turn_provider in ("auto", "nli"):
-        provider = NliProvider(nli_head, vocab)
-    else:
-        provider = LeadingProvider()
+    params, nli_head = restore_checkpoint(blob_or_path, config, vocab, ablation)
+    store = load_store(kg_path, config.weight_threshold, vocab, load_surfaces(surfaces_path), lexicon_path)
+    provider = key_turn_provider(config, vocab, nli_head, planted)
     return KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
 
 
@@ -381,12 +406,9 @@ def evaluate(blob_or_path, config: RunConfig, vocab: Tokenizer, dataset: Dataset
     pipeline = pipeline_from_checkpoint(
         blob_or_path, config, vocab, kg_path, surfaces_path, lexicon_path, planted, ablation
     )
-    seed = effective_seed(config)
-    hashes = {"eval": dataset_hash(dataset)}
-    if kg_path is not None:
-        hashes["kg"] = _file_sha(kg_path)
-    fp = fingerprint(config, seed, hashes)
-    return evaluate_pipeline(pipeline, dataset, fp)
+    hashes = _input_hashes(eval=dataset, kg=kg_path, surfaces=surfaces_path, lexicon=lexicon_path,
+                           planted=planted, checkpoint=blob_or_path)
+    return evaluate_pipeline(pipeline, dataset, fingerprint(config, effective_seed(config), hashes))
 
 
 def ablation_sweep(config: RunConfig, train_dataset: Dataset, eval_dataset: Dataset, kg_path=None,
@@ -411,13 +433,10 @@ def ablation_sweep(config: RunConfig, train_dataset: Dataset, eval_dataset: Data
                 result = train(cell_cfg, train_dataset, kg_path, dev_dataset=None, **train_kwargs)
             else:
                 result = shared
-            pipeline = pipeline_from_checkpoint(result.best_blob(), cell_cfg, result.vocab)
-            # Reuse the trained run's store and provider; both are read-only here.
-            pipeline.store = result.store
-            pipeline.provider = result.pipeline.provider
-            seed = effective_seed(cell_cfg)
-            fp = fingerprint(cell_cfg, seed, {"eval": dataset_hash(eval_dataset)})
-            report = evaluate_pipeline(pipeline, eval_dataset, fp)
+            blob = result.best_blob()
+            hashes = {**_input_hashes(eval=eval_dataset, checkpoint=blob), "run": result.fingerprint}
+            fp = fingerprint(cell_cfg, effective_seed(cell_cfg), hashes)
+            report = evaluate_pipeline(result.eval_pipeline(blob, cell_cfg), eval_dataset, fp)
             rows.append({"k": int(k), "p": int(p), "n": report.n, "n_plus": report.n_plus,
                          "accuracy": report.accuracy, "fingerprint": fp})
     return rows

@@ -113,7 +113,7 @@ def test_criterion_1_gradient_suite(capsys, tmp_path):
     assert not flags["ck_identity"] and not flags["qak_identity"] and not flags["kt_identity"]
 
     def loss_fn():
-        pipeline.fact_encoder.bump_version()
+        pipeline.fact_encoder.invalidate()
         return pipeline.predict(ex).loss
 
     named = pipeline.params.named_parameters()
@@ -319,9 +319,7 @@ def test_criterion_6_knowledge_ablation(capsys):
                     cfg, tr.dataset, kg_path=paths["kg"], dev_dataset=sel.dataset,
                     surfaces_path=paths["surfaces"], lexicon_path=paths["lexicon"],
                 )
-                pipe = pipeline_from_checkpoint(res.best_blob(), cfg, res.vocab)
-                pipe.store = res.store
-                pipe.provider = res.pipeline.provider
+                pipe = res.eval_pipeline(res.best_blob(), cfg)
                 accs[mode].append(evaluate_pipeline(pipe, rep.dataset).accuracy)
     means = {m: float(np.mean(v)) for m, v in accs.items()}
     margin_base = means["full"] - means["base"]
@@ -459,7 +457,6 @@ def test_criterion_10_option_permutation(capsys):
             ex,
             options=[ex.options[j] for j in perm],
             gold=int(np.where(perm == ex.gold)[0][0]),
-            dialogue_id=ex.dialogue_id + "~p",
         )
         base = pipeline.predict(ex)
         other = pipeline.predict(permuted)

@@ -14,6 +14,7 @@ from kkt.attention import (
     mha,
     self_attention,
 )
+from kkt.keyturns import pool
 
 
 def tens(x):
@@ -140,7 +141,7 @@ def test_encode_minimal_sequence_shapes():
     enc = tiny_encoder()
     res = encode(enc, [2, 4])  # [BOS, EOS]
     assert res.hidden.shape == (2, 8)
-    assert res.pooled.shape == (8,)
+    assert pool(enc, res.hidden).shape == (8,)
     assert not res.truncated
 
 
@@ -149,7 +150,7 @@ def test_encode_deterministic():
     a = encode(enc, [2, 7, 9, 4])
     b = encode(enc, [2, 7, 9, 4])
     assert np.array_equal(a.hidden.data, b.hidden.data)
-    assert np.array_equal(a.pooled.data, b.pooled.data)
+    assert np.array_equal(pool(enc, a.hidden).data, pool(enc, b.hidden).data)
 
 
 def test_encode_pooled_within_tanh_range():
@@ -158,7 +159,7 @@ def test_encode_pooled_within_tanh_range():
     for _ in range(100):
         n = int(rng.integers(1, 16))
         ids = rng.integers(0, 12, size=n).tolist()
-        pooled = encode(enc, ids).pooled.data
+        pooled = pool(enc, encode(enc, ids).hidden).data
         assert np.all(pooled > -1.0) and np.all(pooled < 1.0)
 
 

@@ -99,6 +99,14 @@ def test_trailing_bytes_rejected():
     assert "trailing" in str(err.value)
 
 
+def test_other_format_version_rejected():
+    blob = bytearray(checkpoint_bytes(sample_named(), "full"))
+    blob[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
+    with pytest.raises(CheckpointError) as err:
+        parse_checkpoint(bytes(blob))
+    assert "version" in str(err.value)
+
+
 def test_unknown_tag_byte_rejected():
     blob = bytearray(checkpoint_bytes({}, "full"))
     blob[8] = 250

@@ -3,12 +3,13 @@
 import io
 import json
 import re
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from kkt.checkpoint import checkpoint_bytes
+from kkt.checkpoint import FORMAT_VERSION, checkpoint_bytes, parse_checkpoint
 from kkt.cli import main
 
 
@@ -105,6 +106,18 @@ def test_eval_requires_sidecars(ws, tmp_path):
     assert "config.json" in err
 
 
+def test_eval_rejects_other_format_version(ws, tmp_path):
+    blob = bytearray((ws["run"] / "model.kkt").read_bytes())
+    blob[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
+    patched = tmp_path / "model.kkt"
+    patched.write_bytes(bytes(blob))
+    for name in ("config.json", "vocab.txt"):
+        (tmp_path / name).write_bytes((ws["run"] / name).read_bytes())
+    rc, _, err = run_cli(["eval", "--ckpt", str(patched), "--data", str(ws["bundle"])])
+    assert rc == 2
+    assert "version" in err
+
+
 def test_eval_ablation_mismatch(ws):
     rc, _, err = run_cli([
         "eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
@@ -172,17 +185,23 @@ def test_score_turns_unknown_example(ws):
 
 
 def test_score_turns_needs_nli_tensors(ws, tmp_path):
-    blob = checkpoint_bytes({"enc.tok_emb": np.zeros((4, 2), dtype=np.float32)}, "full")
+    # A model checkpoint without the scorer names the missing NLI tensors.
+    trained = parse_checkpoint((ws["run"] / "model.kkt").read_bytes())
+    main = {k: v for k, v in trained.tensors.items() if not k.startswith("nli.")}
+    assert len(main) < len(trained.tensors)
     bare = tmp_path / "model.kkt"
-    bare.write_bytes(blob)
+    bare.write_bytes(checkpoint_bytes(main, trained.ablation))
     for name in ("config.json", "vocab.txt"):
         (tmp_path / name).write_bytes((ws["run"] / name).read_bytes())
-    rc, _, err = run_cli([
-        "score-turns", "--ckpt", str(bare), "--data", str(ws["bundle"]),
-        "--example-id", "mixed-train-00000",
-    ])
+    argv = ["score-turns", "--ckpt", str(bare), "--data", str(ws["bundle"]), "--example-id", "mixed-train-00000"]
+    rc, _, err = run_cli(argv)
     assert rc == 2
     assert "NLI" in err
+    # A blob that is not a model checkpoint at all also exits 2.
+    bare.write_bytes(checkpoint_bytes({"enc.tok_emb": np.zeros((4, 2), dtype=np.float32)}, "full"))
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 # -------------------------------------------------------------------- sweep

@@ -15,6 +15,7 @@ from kkt.keyturns import (
     OracleProvider,
     RelevanceScore,
     score_turn,
+    pool,
     select_key_turns,
     train_nli_head,
 )
@@ -238,3 +239,18 @@ def test_nli_provider_matches_direct_scoring():
     assert provider.select(ex, qa, 2) == want
     # Second call is served from the cache and stays identical.
     assert provider.select(ex, qa, 2) == want
+
+
+def test_nli_provider_cache_is_keyed_by_content():
+    # Two dialogues that share an id must not share a cached selection.
+    turns = ["m : the lamp turned green", "w : dinner was quiet"]
+    qa = "what turned ? green"
+    tk = Tokenizer.build(turns + [qa])
+    head = make_head(tk, seed=6)
+    examples = [make_example(turns), make_example(turns[::-1])]
+    assert examples[0].example_id == examples[1].example_id
+    shared = NliProvider(head, tk)
+    together = [shared.select(ex, qa, 1) for ex in examples]
+    apart = [NliProvider(head, tk).select(ex, qa, 1) for ex in examples]
+    assert together == apart
+    assert apart[0] != apart[1]

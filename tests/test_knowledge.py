@@ -18,11 +18,12 @@ from kkt.knowledge import (
     load_kg,
     load_surfaces,
     rank_triples,
-    retrieve,
     rewrite_triple,
     serialize_kg,
     tag_content_words,
 )
+from kkt.keyturns import LeadingProvider
+from kkt.model import DialogueExample, KktParams, KktPipeline
 from kkt.tokenizer import Tokenizer
 from test_attention import tiny_encoder
 
@@ -266,7 +267,7 @@ def test_fact_cache_serves_until_version_bump():
     # Mutate weights; a cached encoder must still serve the stale vector.
     enc.tok_emb.data += 0.1
     assert fe.encode_fact(fact) is before
-    fe.bump_version()
+    fe.invalidate()
     after = fe.encode_fact(fact)
     assert not np.array_equal(after.data, before.data)
 
@@ -362,18 +363,20 @@ def test_retrieve_matches_brute_force_oracle():
 
 def test_retrieve_returns_embeddings_with_ids():
     texts = ["bike is found on street", "cat is a animal"]
-    tk = Tokenizer.build(texts + ["a red bike"])
-    enc = tiny_encoder(vocab=len(tk))
-    sa = MhaParams.init(8, 2, np.random.default_rng(1))
+    tk = Tokenizer.build(texts + ["a red bike", "which ? yes no"])
+    params = KktParams.init(len(tk), 8, 2, 1, 32, 32, "full", np.random.default_rng(1))
     store = build_store(
         [("atlocation", "bike", "street", 2.0)],
         "bike street cat animal red",
         surfaces={"atlocation": "is found on"},
     )
-    out = retrieve(store, ["a red bike"], 3, FactEncoder(tk, enc, sa))
+    pipeline = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=3, max_len=32)
+    ex = DialogueExample(turns=["a red bike"], question="which ?", options=["yes", "no"], gold=0)
+    out = pipeline.context_knowledge(ex)
     assert len(out) == 1
     assert out[0].triple_id == 0
     assert out[0].r_k.shape == (8,)
+    assert np.array_equal(out[0].r_k.data, pipeline.fact_encoder.encode_fact(store.facts[0]).data)
 
 
 def test_store_invariants_after_load(tmp_path):

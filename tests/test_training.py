@@ -1,5 +1,6 @@
 """Training harness: config, optimizer, train loop, evaluation, sweep."""
 
+import dataclasses
 import json
 import math
 import re
@@ -136,7 +137,7 @@ def test_adam_first_step_moves_by_lr():
     p.grad = np.array([0.5, -0.25])
     opt.step()
     np.testing.assert_allclose(p.data, [0.9, -1.9], atol=1e-6)
-    assert opt.version == 1
+    assert opt.t == 1
 
 
 def test_adam_warmup_schedule():
@@ -384,6 +385,52 @@ def test_predictions_reproduce_training_pipeline(run, corpus):
     assert [p["predicted"] for p in again.predictions] == [p["predicted"] for p in live.predictions]
 
 
+def _kg_pipeline(blob, cfg, vocab, paths):
+    return pipeline_from_checkpoint(blob, cfg, vocab, paths["kg"], paths["surfaces"], paths["lexicon"])
+
+
+def test_caches_are_keyed_by_content(run, corpus):
+    # Two examples that share an id must not share cached facts.
+    a, b = corpus["dev"].examples[0], corpus["dev"].examples[-1]
+    b = dataclasses.replace(b, dialogue_id=a.dialogue_id, qa_index=a.qa_index)
+    assert a.example_id == b.example_id and a.turns != b.turns
+    blob, vocab = run["result"].final_blob, run["result"].vocab
+    shared = _kg_pipeline(blob, run["cfg"], vocab, corpus["paths"])
+    together = [shared.predict(ex).logits for ex in (a, b)]
+    apart = [_kg_pipeline(blob, run["cfg"], vocab, corpus["paths"]).predict(ex).logits for ex in (a, b)]
+    assert all(np.array_equal(x, y) for x, y in zip(together, apart))
+
+
+def test_eval_fingerprint_hashes_checkpoint(run, corpus):
+    cfg, result = run["cfg"], run["result"]
+    untrained = train(dataclasses.replace(cfg, epochs=0), corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"],
+                      surfaces_path=corpus["paths"]["surfaces"], lexicon_path=corpus["paths"]["lexicon"])
+    assert untrained.final_blob != result.best_blob()
+    fps = [evaluate(blob, cfg, result.vocab, corpus["dev"]).fingerprint
+           for blob in (result.best_blob(), result.best_blob(), untrained.final_blob)]
+    assert fps[0] == fps[1]
+    assert fps[0] != fps[2]
+
+
+def test_train_fingerprint_hashes_every_input(corpus):
+    paths = corpus["paths"]
+    dataset = corpus["bundle"].dataset
+    cfg = _small_cfg(epochs=0)
+    inputs = {
+        "surfaces_path": paths["surfaces"],
+        "lexicon_path": paths["lexicon"],
+        "nli_corpus": [{"premise": "a", "hypothesis": "b", "label": 1}],
+        "planted": corpus["bundle"].planted_turns(),
+    }
+    plain = train(cfg, dataset, kg_path=paths["kg"]).fingerprint
+    seen = {plain}
+    for name, value in inputs.items():
+        fp = train(cfg, dataset, kg_path=paths["kg"], **{name: value}).fingerprint
+        assert fp not in seen, name
+        seen.add(fp)
+    assert train(cfg, dataset, kg_path=paths["kg"]).fingerprint == plain
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -426,6 +473,16 @@ def test_sweep_can_retrain_per_cell(corpus, monkeypatch):
     )
     assert len(calls) == 2
     assert len(rows) == 2
+
+
+def test_sweep_fingerprint_hashes_checkpoint(corpus):
+    # Same config, seed and eval set; only the training data differs.
+    dataset = corpus["bundle"].dataset
+    half = dataset.__class__(dialogues=dataset.dialogues[:6], examples=dataset.examples[:6])
+    cfg = _small_cfg(epochs=1)
+    rows = [ablation_sweep(cfg, data, corpus["dev"])[0] for data in (dataset, half, dataset)]
+    assert rows[0]["fingerprint"] == rows[2]["fingerprint"]
+    assert rows[0]["fingerprint"] != rows[1]["fingerprint"]
 
 
 def test_sweep_rejects_empty_grid(corpus):
