@@ -34,7 +34,6 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     ablation: str
     tensors: dict
 
@@ -103,7 +102,7 @@ def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if r.pos != len(blob):
         raise CheckpointError(f"{label}: {len(blob) - r.pos} trailing bytes")
-    return Checkpoint(version=version, ablation=TAG_ABLATIONS[tag], tensors=tensors)
+    return Checkpoint(ablation=TAG_ABLATIONS[tag], tensors=tensors)
 
 
 def load_checkpoint(path) -> Checkpoint:

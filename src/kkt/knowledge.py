@@ -76,6 +76,20 @@ _SUFFIX_RULES = (
 )
 
 
+def _read_pairs(path, layout: str) -> dict:
+    """Two-column TSV as a dict; blank and `#` lines are skipped."""
+    pairs = {}
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise KgFormatError(f"{path}:{lineno}: expected `{layout}`, got {raw!r}")
+        pairs[parts[0]] = parts[1]
+    return pairs
+
+
 class PosTagger:
     """Lexicon-first tagger with suffix fallback; see the rule table in the README."""
 
@@ -89,16 +103,7 @@ class PosTagger:
     @classmethod
     def load(cls, path) -> "PosTagger":
         """Read a TSV lexicon `word<TAB>tag`, tag in {NOUN, VERB, ADJ}."""
-        lex = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise KgFormatError(f"{path}:{lineno}: expected `word<TAB>tag`, got {raw!r}")
-            lex[parts[0]] = parts[1]
-        return cls(lex)
+        return cls(_read_pairs(path, "word<TAB>tag"))
 
     def tag(self, token: str) -> str:
         tag = self.lexicon.get(token)
@@ -155,18 +160,7 @@ def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> Fact:
 
 def load_surfaces(path) -> dict:
     """Read a relation surface TSV `relation<TAB>surface phrase`; no path gives an empty table."""
-    table = {}
-    if path is None:
-        return table
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise KgFormatError(f"{path}:{lineno}: expected `relation<TAB>surface`, got {raw!r}")
-        table[parts[0]] = parts[1]
-    return table
+    return {} if path is None else _read_pairs(path, "relation<TAB>surface")
 
 
 @dataclass

@@ -10,13 +10,18 @@ products accumulate sequentially over the inner axis, so results are
 bit-identical to a naive triple loop. float32 (the training default)
 delegates to BLAS for speed and carries no bitwise guarantee.
 
-Gradient semantics: ``backward()`` may be called repeatedly; leaf gradients
-accumulate deterministically (each call adds the exact gradient of that
-graph), interior gradients are scratch space reset on every call.
+Gradient semantics: each op's backward function is pure. It maps the
+output gradient to one gradient per parent and touches no ``.grad``.
+``Tensor.backward`` alone sums those contributions and decides which
+parents receive them, so only leaves (tensors created with
+``requires_grad=True``) keep a ``.grad``; interior nodes never hold one.
+``backward()`` may be called repeatedly: each call adds the exact gradient
+of that graph to every leaf's ``.grad``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -58,9 +63,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -91,24 +93,33 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self):
-        """Accumulate gradients of this tensor w.r.t. every reachable leaf.
+        """Add the gradient of this tensor to ``.grad`` of every reachable leaf.
 
-        Seeds with ones (for a scalar this is d(self)/d(self) = 1). Interior
-        node gradients are reset first, so repeated calls add the same leaf
-        contribution each time; set a leaf's ``grad`` to None to start over.
+        Seeds with ones (for a scalar this is d(self)/d(self) = 1). In reverse
+        topological order, each node's summed gradient goes through its op's
+        backward function, and every parent that requires a gradient gets its
+        share, in parent order. The sums live in a table local to this call,
+        so interior nodes never get a ``.grad``. A leaf's sum is copied into
+        a new ``.grad`` or added to the one it has, so repeated calls
+        accumulate; set a leaf's ``grad`` to None to start over.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no graph attached")
-        order = _topo_order(self)
-        for node in order:
+        grads = {self: np.ones_like(self.data)}
+        for node in reversed(_topo_order(self)):
             if not node.requires_grad:
                 continue
-            if node._parents or node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            g = grads.pop(node)
+            if node._backward is None:
+                # A copy: contributions may be views of one shared array.
+                if node.grad is None:
+                    node.grad = np.array(g)
+                else:
+                    node.grad += g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if parent.requires_grad:
+                    grads[parent] = grads[parent] + pg if parent in grads else pg
 
 
 def _topo_order(root):
@@ -167,10 +178,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = _matmul_data(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ g
+        return g @ b.data.T, a.data.T @ g
 
     return _result(data, (a, b), backward)
 
@@ -183,10 +191,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += g if a.shape == g.shape else g.sum()
-        if b.requires_grad:
-            b.grad += g if b.shape == g.shape else g.sum()
+        return _fit(g, a), _fit(g, b)
 
     return _result(data, (a, b), backward)
 
@@ -199,14 +204,14 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g * b.data
-            a.grad += ga if a.shape == ga.shape else ga.sum()
-        if b.requires_grad:
-            gb = g * a.data
-            b.grad += gb if b.shape == gb.shape else gb.sum()
+        return _fit(g * b.data, a), _fit(g * a.data, b)
 
     return _result(data, (a, b), backward)
+
+
+def _fit(g, x):
+    # A scalar operand of an elementwise op receives the summed gradient.
+    return g if x.shape == g.shape else g.sum()
 
 
 def _check_elementwise(a, b, name):
@@ -223,9 +228,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     y = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * y).sum(axis=1, keepdims=True)
-            x.grad += y * (g - inner)
+        inner = (g * y).sum(axis=1, keepdims=True)
+        return (y * (g - inner),)
 
     return _result(y, (x,), backward)
 
@@ -240,8 +244,7 @@ def mean_rows(x: Tensor) -> Tensor:
     data = x.data.mean(axis=0)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += np.repeat(g[None, :] / m, m, axis=0)
+        return (np.repeat(g[None, :] / m, m, axis=0),)
 
     return _result(data, (x,), backward)
 
@@ -258,14 +261,10 @@ def concat_last_axis(xs) -> Tensor:
                 f"concat_last_axis: incompatible shapes {[t.shape for t in xs]}"
             )
     data = np.concatenate([t.data for t in xs], axis=-1)
-    widths = [t.shape[-1] for t in xs]
 
     def backward(g):
-        offset = 0
-        for t, w in zip(xs, widths):
-            if t.requires_grad:
-                t.grad += g[..., offset : offset + w]
-            offset += w
+        edges = list(itertools.accumulate((t.shape[-1] for t in xs), initial=0))
+        return tuple(g[..., lo:hi] for lo, hi in zip(edges, edges[1:]))
 
     return _result(data, xs, backward)
 
@@ -282,9 +281,7 @@ def stack_rows(xs) -> Tensor:
     data = np.stack([t.data for t in xs], axis=0)
 
     def backward(g):
-        for i, t in enumerate(xs):
-            if t.requires_grad:
-                t.grad += g[i]
+        return tuple(g)
 
     return _result(data, xs, backward)
 
@@ -302,8 +299,9 @@ def take_rows(x: Tensor, indices) -> Tensor:
     data = x.data[idx]
 
     def backward(g):
-        if x.requires_grad:
-            np.add.at(x.grad, idx, g)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return (gx,)
 
     return _result(data, (x,), backward)
 
@@ -314,8 +312,7 @@ def transpose(x: Tensor) -> Tensor:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g.T
+        return (g.T,)
 
     return _result(x.data.T.copy(), (x,), backward)
 
@@ -327,8 +324,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g.reshape(x.shape)
+        return (g.reshape(x.shape),)
 
     return _result(x.data.reshape(shape), (x,), backward)
 
@@ -351,13 +347,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g[None, :] if vector_in else g
-        if x.requires_grad:
-            gx = g2 @ w.data.T
-            x.grad += gx[0] if vector_in else gx
-        if w.requires_grad:
-            w.grad += x2.T @ g2
-        if b.requires_grad:
-            b.grad += g2.sum(axis=0)
+        gx = g2 @ w.data.T
+        return gx[0] if vector_in else gx, x2.T @ g2, g2.sum(axis=0)
 
     return _result(data, (x, w, b), backward)
 
@@ -381,18 +372,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         g2 = g[None, :] if vector_in else g
-        if gain.requires_grad:
-            gain.grad += (g2 * xhat).sum(axis=0)
-        if bias.requires_grad:
-            bias.grad += g2.sum(axis=0)
-        if x.requires_grad:
-            gh = g2 * gain.data[None, :]
-            gx = inv * (
-                gh
-                - gh.mean(axis=1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=1, keepdims=True)
-            )
-            x.grad += gx[0] if vector_in else gx
+        gh = g2 * gain.data[None, :]
+        gx = inv * (
+            gh
+            - gh.mean(axis=1, keepdims=True)
+            - xhat * (gh * xhat).mean(axis=1, keepdims=True)
+        )
+        return gx[0] if vector_in else gx, (g2 * xhat).sum(axis=0), g2.sum(axis=0)
 
     return _result(data, (x, gain, bias), backward)
 
@@ -402,8 +388,7 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def backward(g):
-        if x.requires_grad:
-            x.grad += g * (1.0 - y * y)
+        return (g * (1.0 - y * y),)
 
     return _result(y, (x,), backward)
 
@@ -415,10 +400,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     data = _matmul_data(a.data[None, :], b.data[:, None])[0, 0]
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += g * b.data
-        if b.requires_grad:
-            b.grad += g * a.data
+        return g * b.data, g * a.data
 
     return _result(data, (a, b), backward)
 
@@ -426,8 +408,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements -> scalar."""
     def backward(g):
-        if x.requires_grad:
-            x.grad += np.full_like(x.data, float(g))
+        return (np.full_like(x.data, float(g)),)
 
     return _result(x.data.sum(), (x,), backward)
 
@@ -446,10 +427,9 @@ def cross_entropy_from_logits(logits: Tensor, gold: int) -> Tensor:
     probs = np.exp(z - lse)
 
     def backward(g):
-        if logits.requires_grad:
-            gl = probs * float(g)
-            gl[gold] -= float(g)
-            logits.grad += gl
+        gl = probs * float(g)
+        gl[gold] -= float(g)
+        return (gl,)
 
     return _result(data, (logits,), backward)
 

@@ -211,10 +211,13 @@ def load_store(kg_path, threshold: float, vocab: Tokenizer, surfaces: dict, lexi
 
 
 def key_turn_provider(config: RunConfig, vocab: Tokenizer, nli_head: NliHead | None, planted=None):
-    """`oracle` reads the planted turns, `leading` takes the first k turns;
-    otherwise the NLI head scores turns when there is one, else leading."""
+    """`oracle` reads the planted turns, `leading` takes the first k turns,
+    `nli` needs a trained NLI head; `auto` uses the head when there is one,
+    else leading."""
     if config.key_turn_provider == "oracle":
         return OracleProvider(planted or {})
+    if config.key_turn_provider == "nli" and nli_head is None:
+        raise ConfigurationError("key-turn provider 'nli' needs a trained NLI scorer: train with an NLI corpus")
     if config.key_turn_provider == "leading" or nli_head is None:
         return LeadingProvider()
     return NliProvider(nli_head, vocab)
@@ -254,7 +257,6 @@ class TrainResult:
     pipeline: KktPipeline
     vocab: Tokenizer
     store: KnowledgeStore | None
-    nli_head: NliHead | None
     history: list
     best: dict
     final_blob: bytes
@@ -297,10 +299,9 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     init_rng = np.random.default_rng([seed, 1])
     params = KktParams.init(*_dims(config, vocab), config.ablation, init_rng, dtype=config.np_dtype)
     nli_head = nli_report = None
-    if config.key_turn_provider == "nli" or (config.key_turn_provider == "auto" and nli_corpus):
+    if nli_corpus and config.key_turn_provider in ("auto", "nli"):
         nli_head = NliHead.init(*_dims(config, vocab), init_rng, dtype=config.np_dtype)
-        if nli_corpus:
-            nli_report = train_nli_head(nli_head, vocab, nli_corpus, epochs=config.nli_epochs, seed=seed + 1)
+        nli_report = train_nli_head(nli_head, vocab, nli_corpus, epochs=config.nli_epochs, seed=seed + 1)
     provider = key_turn_provider(config, vocab, nli_head, planted)
     pipeline = KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
     hashes = _input_hashes(train=train_dataset, dev=dev_dataset, kg=kg_path, surfaces=surfaces_path,
@@ -316,7 +317,8 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         vocab.save(out / "vocab.txt")
         (out / "config.json").write_text(json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
     history = []
-    best = {"epoch": 0, "dev_accuracy": None, "blob": checkpoint_bytes(_all_named(params, nli_head), config.ablation)}
+    blob = checkpoint_bytes(_all_named(params, nli_head), config.ablation)
+    best = {"epoch": 0, "dev_accuracy": None, "blob": blob}
     examples = train_dataset.examples
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -359,7 +361,6 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
             best = {"epoch": epoch, "dev_accuracy": dev_acc, "blob": blob}
         if stop_at_train_accuracy is not None and train_acc >= stop_at_train_accuracy:
             break
-    final_blob = checkpoint_bytes(_all_named(params, nli_head), config.ablation)
     if out is not None:
         (out / "model.kkt").write_bytes(best["blob"])
         report = {
@@ -377,10 +378,9 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         pipeline=pipeline,
         vocab=vocab,
         store=store,
-        nli_head=nli_head,
         history=history,
         best=best,
-        final_blob=final_blob,
+        final_blob=blob,
         fingerprint=run_fp,
         nli_report=nli_report,
     )

@@ -83,6 +83,15 @@ def test_train_rejects_malformed_dataset(tmp_path):
     assert err.startswith("error:")
 
 
+def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "key_turn_provider": "nli"}), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"] / "data.json"), "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith("error:") and "NLI" in err
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -152,6 +161,16 @@ def test_retrieve_rejects_bad_top_p(tmp_path):
     rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--top-p", "0"])
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_retrieve_rejects_malformed_lexicon(tmp_path):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2.0\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("bike\tNOUN\nstreet NOUN\n", encoding="utf-8")
+    rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--lexicon", str(lexicon)])
+    assert rc == 2
+    assert err.startswith("error:") and "lexicon.tsv:2:" in err
 
 
 # -------------------------------------------------------------- score-turns

@@ -98,6 +98,13 @@ def test_tagger_load_tsv(tmp_path):
     assert tagger.tag("rides") == "VERB"
 
 
+def test_tagger_load_malformed_line_reports_position(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("# comment\nbike\tNOUN\nrides VERB\n", encoding="utf-8")
+    with pytest.raises(KgFormatError, match=r"lexicon\.tsv:3: expected `word<TAB>tag`"):
+        PosTagger.load(path)
+
+
 def test_tag_content_words_pairs():
     pairs = tag_content_words("the red bike")
     assert ("the", "OTHER") in pairs
@@ -198,6 +205,13 @@ def test_load_surfaces(tmp_path):
     path.write_text("atlocation\tis found on\nisa\tis a\n", encoding="utf-8")
     table = load_surfaces(path)
     assert table == {"atlocation": "is found on", "isa": "is a"}
+
+
+def test_load_surfaces_malformed_line_reports_position(tmp_path):
+    path = tmp_path / "surfaces.tsv"
+    path.write_text("atlocation\tis found on\n\nisa\tis\ta\n", encoding="utf-8")
+    with pytest.raises(KgFormatError, match=r"surfaces\.tsv:3: expected `relation<TAB>surface`"):
+        load_surfaces(path)
 
 
 def test_serialize_round_trip(tmp_path):

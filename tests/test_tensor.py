@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from kkt import tensor as T
@@ -279,6 +280,45 @@ def test_constant_parents_get_no_grad():
     assert np.array_equal(x.grad, [3.0, 4.0])
 
 
+def _interior_nodes(root):
+    return [node for node in T._topo_order(root) if node._parents]
+
+
+def test_interior_nodes_keep_no_grad():
+    rng = np.random.default_rng(13)
+    x = make(rng.standard_normal((3, 4)))
+    w = make(rng.standard_normal((4, 4)))
+    h = T.tanh(T.matmul(x, w))
+    loss = T.sum_all(T.add(T.softmax_rows(h), h))
+    loss.backward()
+    interior = _interior_nodes(loss)
+    assert len(interior) == 5
+    assert all(node.grad is None for node in interior)
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_add_leaves_do_not_share_a_gradient_array():
+    # add passes one output gradient to both parents; each leaf needs its own.
+    x = make([1.0, 2.0])
+    y = make([3.0, 4.0])
+    T.sum_all(T.add(x, y)).backward()
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad += 5.0
+    assert np.array_equal(y.grad, [1.0, 1.0])
+
+
+def test_scalar_operand_gets_summed_gradient():
+    rng = np.random.default_rng(14)
+    x = make(rng.standard_normal((2, 3)))
+    w = T.Tensor(rng.standard_normal((2, 3)))
+    s_add = make(0.5)
+    s_mul = make(-1.5)
+    T.sum_all(T.mul(T.add(x, s_add), w)).backward()
+    assert s_add.grad.shape == () and s_add.grad == w.data.sum()
+    T.sum_all(T.mul(T.mul(s_mul, x), w)).backward()
+    assert s_mul.grad.shape == () and s_mul.grad == (w.data * x.data).sum()
+
+
 def test_elementwise_broadcasting_rejected():
     with pytest.raises(T.ShapeError):
         T.add(make(np.zeros((2, 3))), make(np.zeros(3)))
@@ -328,3 +368,59 @@ def test_const_param():
     t = T.const_param(1.0, (5,))
     assert np.array_equal(t.data, np.ones(5))
     assert t.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# property tests: every op against central differences on random inputs
+
+# Each case maps the dims (m, n, k), each 1..4, to the input shapes and the op.
+OP_CASES = {
+    "matmul": lambda m, n, k: ([(m, k), (k, n)], T.matmul),
+    "add": lambda m, n, k: ([(m, n), (m, n)], T.add),
+    "add_scalar": lambda m, n, k: ([(m, n), ()], T.add),
+    "mul": lambda m, n, k: ([(m, n), (m, n)], T.mul),
+    "mul_scalar": lambda m, n, k: ([(), (m, n)], T.mul),
+    "mul_same_leaf": lambda m, n, k: ([(m, n)], lambda x: T.mul(x, x)),
+    "softmax_rows": lambda m, n, k: ([(m, n)], T.softmax_rows),
+    "mean_rows": lambda m, n, k: ([(m, n)], T.mean_rows),
+    "concat_last_axis": lambda m, n, k: ([(m, n), (m, k)], lambda a, b: T.concat_last_axis([a, b, a])),
+    "stack_rows": lambda m, n, k: ([(n,), (n,), (n,)], lambda *xs: T.stack_rows(xs)),
+    "take_rows": lambda m, n, k: ([(m, n)], lambda x: T.take_rows(x, [m - 1, 0, k % m, m - 1])),
+    "transpose": lambda m, n, k: ([(m, n)], T.transpose),
+    "reshape": lambda m, n, k: ([(m, n)], lambda x: T.reshape(x, (m * n,))),
+    "affine": lambda m, n, k: ([(m, k), (k, n), (n,)], T.affine),
+    "affine_vector": lambda m, n, k: ([(k,), (k, n), (n,)], T.affine),
+    "layer_norm": lambda m, n, k: ([(m, n + 2), (n + 2,), (n + 2,)], T.layer_norm),
+    "layer_norm_vector": lambda m, n, k: ([(n + 2,), (n + 2,), (n + 2,)], T.layer_norm),
+    "tanh": lambda m, n, k: ([(m, n)], T.tanh),
+    "dot": lambda m, n, k: ([(n,), (n,)], T.dot),
+    "sum_all": lambda m, n, k: ([(m, n)], T.sum_all),
+    "cross_entropy_from_logits": lambda m, n, k: ([(n,)], lambda z: T.cross_entropy_from_logits(z, k % n)),
+}
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(m=dims, n=dims, k=dims, seed=st.integers(min_value=0, max_value=2**32 - 1),
+       frozen=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_op_gradients_match_central_differences(name, m, n, k, seed, frozen):
+    rng = np.random.default_rng(seed)
+    shapes, op = OP_CASES[name](m, n, k)
+    frozen = frozen[: len(shapes)]
+    frozen[0] = frozen[0] and not all(frozen)
+    inputs = [make(rng.standard_normal(shape), grad=not f) for shape, f in zip(shapes, frozen)]
+    # A random weighting of the output probes the whole Jacobian.
+    weight = T.Tensor(rng.standard_normal(op(*inputs).shape))
+
+    def loss_fn():
+        return T.sum_all(T.mul(op(*inputs), weight))
+
+    leaves = [x for x in inputs if x.requires_grad]
+    assert helpers.gradcheck(loss_fn, leaves) < 1e-5
+    constants = [x for x in inputs if not x.requires_grad]
+    assert all(x.grad is None for x in constants)
+    loss = loss_fn()
+    loss.backward()
+    assert all(node.grad is None for node in _interior_nodes(loss))

@@ -10,7 +10,7 @@ import pytest
 
 import kkt.training as training
 from kkt.data import gen_synthetic, write_bundle
-from kkt.keyturns import LeadingProvider, OracleProvider
+from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
 from kkt.optim import Adam
 from kkt.tensor import Tensor
 from kkt.training import (
@@ -279,6 +279,28 @@ def test_zero_epochs_leaves_initialization(corpus):
     assert result.history == []
     assert result.best["epoch"] == 0 and result.best["dev_accuracy"] is None
     assert result.final_blob == result.best_blob()
+
+
+def test_each_epoch_is_serialized_once(corpus, tmp_path, monkeypatch):
+    calls = []
+    real = training.checkpoint_bytes
+    monkeypatch.setattr(training, "checkpoint_bytes", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    result = train(_small_cfg(epochs=2), corpus["bundle"].dataset, out_dir=tmp_path)
+    # The initial weights, then one blob per epoch; the last one is final.
+    assert len(calls) == 1 + 2
+    assert result.final_blob == (tmp_path / "epoch_002.kkt").read_bytes()
+
+
+def test_nli_provider_needs_a_trained_scorer(run, corpus):
+    nli_cfg = _small_cfg(epochs=0, key_turn_provider="nli", nli_epochs=1)
+    with pytest.raises(ConfigurationError, match="NLI"):
+        train(nli_cfg, corpus["bundle"].dataset)
+    # A checkpoint without NLI tensors cannot serve the `nli` provider either.
+    with pytest.raises(ConfigurationError, match="NLI"):
+        pipeline_from_checkpoint(run["result"].best_blob(), nli_cfg, run["result"].vocab)
+    fitted = train(nli_cfg, corpus["bundle"].dataset, nli_corpus=corpus["bundle"].nli_records)
+    assert isinstance(fitted.pipeline.provider, NliProvider)
+    assert fitted.nli_report["n"] == len(corpus["bundle"].nli_records)
 
 
 def test_without_dev_final_epoch_is_best(corpus):
