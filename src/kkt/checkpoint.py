@@ -8,11 +8,14 @@ Layout (all integers little-endian):
 
 Payloads are always float32 row-major regardless of the in-memory training
 dtype; write -> read -> write reproduces the file byte for byte. Readers
-accept only FORMAT_VERSION; any other version is a CheckpointError.
+accept only FORMAT_VERSION. Any defect (another version, a truncated or
+undecodable field, a duplicate name, trailing bytes) is a CheckpointError
+that names the file and the byte offset.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +26,8 @@ from .tensor import Tensor
 
 MAGIC = b"KKTC"
 FORMAT_VERSION = 1
+# The dimension limit of NumPy 1.x; kkt's own tensors have rank <= 2.
+MAX_RANK = 32
 
 ABLATION_TAGS = {"full": 0, "kt": 1, "k": 2, "base": 3, "keyturns-only": 4}
 TAG_ABLATIONS = {v: k for k, v in ABLATION_TAGS.items()}
@@ -51,6 +56,8 @@ def checkpoint_bytes(named: dict, ablation: str) -> bytes:
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<B", ABLATION_TAGS[ablation]), struct.pack("<I", len(named))]
     for name in sorted(named):
         arr = _tensor_data(named[name])
+        if arr.ndim > MAX_RANK:
+            raise CheckpointError(f"tensor {name!r} has rank {arr.ndim}, above the limit of {MAX_RANK}")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
@@ -70,9 +77,12 @@ class _Reader:
         self.pos = 0
         self.label = label
 
+    def error(self, what: str, at: int) -> CheckpointError:
+        return CheckpointError(f"{self.label}, offset {at}: {what}")
+
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError(f"{self.label}: truncated (wanted {n} bytes at offset {self.pos})")
+            raise self.error(f"truncated (wanted {n} bytes)", self.pos)
         out = self.blob[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -82,26 +92,36 @@ class _Reader:
 
 
 def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
+    """Read a checkpoint blob; every defect is a CheckpointError naming
+    `label` and the byte offset where it was found."""
     r = _Reader(blob, label)
     if r.take(4) != MAGIC:
-        raise CheckpointError(f"{label}: bad magic bytes, not a checkpoint")
+        raise r.error("bad magic bytes, not a checkpoint", 0)
     version = r.u("<I")
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"{label}: format version {version}, this reader supports only {FORMAT_VERSION}")
+        raise r.error(f"format version {version}, this reader supports only {FORMAT_VERSION}", 4)
     tag = r.u("<B")
     if tag not in TAG_ABLATIONS:
-        raise CheckpointError(f"{label}: unknown ablation tag {tag}")
+        raise r.error(f"unknown ablation tag {tag}", 8)
     count = r.u("<I")
     tensors = {}
     for _ in range(count):
-        name = r.take(r.u("<H")).decode("utf-8")
+        at = r.pos
+        raw = r.take(r.u("<H"))
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise r.error(f"tensor name {raw!r} is not UTF-8", at) from None
+        if name in tensors:
+            raise r.error(f"duplicate tensor name {name!r}", at)
         rank = r.u("<B")
+        if rank > MAX_RANK:
+            raise r.error(f"tensor {name!r} has rank {rank}, above the limit of {MAX_RANK}", r.pos - 1)
         dims = tuple(r.u("<I") for _ in range(rank))
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = r.take(4 * size)
+        payload = r.take(4 * math.prod(dims))
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if r.pos != len(blob):
-        raise CheckpointError(f"{label}: {len(blob) - r.pos} trailing bytes")
+        raise r.error(f"{len(blob) - r.pos} trailing bytes", r.pos)
     return Checkpoint(ablation=TAG_ABLATIONS[tag], tensors=tensors)
 
 

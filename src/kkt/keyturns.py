@@ -76,12 +76,16 @@ def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: s
 
 
 def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str) -> float:
-    """Entailment log-probability of the (turn, question+option) pair."""
+    """Entailment log-probability of the (turn, question+option) pair.
+
+    A plain float, computed under `T.no_grad()`: scoring builds no graph.
+    """
     if not turn_text.strip() or not qa_text.strip():
         raise ValueError("score_turn: turn and QA text must be non-empty")
-    logits = _nli_logits(head, tokenizer, turn_text, qa_text)
-    # log softmax(logits)[ENTAILMENT] is exactly minus the cross entropy.
-    return -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
+    with T.no_grad():
+        logits = _nli_logits(head, tokenizer, turn_text, qa_text)
+        # log softmax(logits)[ENTAILMENT] is exactly minus the cross entropy.
+        return -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
 
 
 def select_key_turns(scores, k: int) -> KeyTurnSet:
@@ -129,10 +133,11 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
             total += loss.item()
         losses.append(total / max(len(records), 1))
     correct = 0
-    for rec in records:
-        logits = _nli_logits(head, tokenizer, rec["premise"], rec["hypothesis"])
-        if int(np.argmax(logits.data)) == rec["label"]:
-            correct += 1
+    with T.no_grad():
+        for rec in records:
+            logits = _nli_logits(head, tokenizer, rec["premise"], rec["hypothesis"])
+            if int(np.argmax(logits.data)) == rec["label"]:
+                correct += 1
     accuracy = correct / len(records) if records else 0.0
     return {"epochs": epochs, "loss_curve": losses, "train_accuracy": accuracy, "n": len(records)}
 

@@ -246,10 +246,13 @@ class FactEmbedding:
 
 
 class FactEncoder:
-    """Encodes fact sentences to vectors, caching by fact text.
+    """Encodes fact sentences to vectors, caching by fact text and grad mode.
 
-    Call `invalidate` whenever the underlying encoder or self-attention
-    weights change (one optimizer step in practice); it drops every entry.
+    An embedding built inside `T.no_grad()` carries no graph, so it is served
+    only inside `no_grad` again; graph-building callers get one with a graph,
+    and gradients keep reaching the encoder and self-attention weights after
+    an evaluation. Call `invalidate` whenever those weights change (one
+    optimizer step in practice); it drops every entry.
     """
 
     def __init__(self, tokenizer: Tokenizer, enc: EncoderParams, sa: MhaParams, cache=True):
@@ -264,8 +267,9 @@ class FactEncoder:
 
     def encode_fact(self, fact: Fact) -> T.Tensor:
         """r = mean over tokens of self-attended last hidden states of the fact."""
+        key = (fact.text, T.is_grad_enabled())
         if self._cache is not None:
-            hit = self._cache.get(fact.text)
+            hit = self._cache.get(key)
             if hit is not None:
                 return hit
         ids = self.tokenizer.encode(fact.text)
@@ -274,7 +278,7 @@ class FactEncoder:
         hidden = encode(self.enc, ids).hidden
         r = T.mean_rows(self_attention(self.sa, hidden))
         if self._cache is not None:
-            self._cache[fact.text] = r
+            self._cache[key] = r
         return r
 
 

@@ -16,11 +16,23 @@ output gradient to one gradient per parent and touches no ``.grad``.
 parents receive them, so only leaves (tensors created with
 ``requires_grad=True``) keep a ``.grad``; interior nodes never hold one.
 ``backward()`` may be called repeatedly: each call adds the exact gradient
-of that graph to every leaf's ``.grad``.
+of that graph to every leaf's ``.grad``. A Python number or numpy array
+passed to ``add`` or ``mul`` is a constant: it is cast to the tensor
+operand's dtype and joins the data, never the graph.
+
+Grad mode: inside ``with no_grad():`` ops compute the same values but
+attach no parents and no backward function, so their outputs have
+``requires_grad=False`` and ``backward()`` on them raises ``ValueError``.
+Forward-only code (evaluation, turn scoring) runs there to skip building a
+graph nobody differentiates. The scope nests and restores the previous mode
+on exit, exceptions included. Anything that caches op outputs across calls
+must not serve a graph-free output to graph-building code; see
+``FactEncoder``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -142,20 +154,35 @@ def _topo_order(root):
     return order
 
 
+_grad_enabled = True
+
+
+def is_grad_enabled() -> bool:
+    """True unless the caller is inside a ``no_grad`` scope."""
+    return _grad_enabled
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which ops build no graph; nests, and restores the previous
+    mode on exit, exceptions included. The mode is process-wide, not per
+    thread."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data, parents, backward_fn):
+    # The one choke point of every op: the graph is attached here or not at all.
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
-
-
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else DEFAULT_DTYPE
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _matmul_data(a, b):
@@ -183,11 +210,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
+def _operands(a, b, name):
+    """Tensor operand first (IEEE + and * commute exactly), then the other
+    operand: a Tensor, or a constant cast to the first one's dtype."""
+    if not isinstance(a, Tensor):
+        a, b = b, a
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=DEFAULT_DTYPE))
+    if not isinstance(b, Tensor):
+        b = np.asarray(b, dtype=a.dtype)
+    _check_elementwise(a, b, name)
+    return a, b
+
+
 def add(a, b) -> Tensor:
     """Elementwise sum; shapes must match exactly, or one side is a scalar."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_elementwise(a, b, "add")
+    a, b = _operands(a, b, "add")
+    if not isinstance(b, Tensor):
+        return _result(a.data + b, (a,), lambda g: (_fit(g, a),))
     data = a.data + b.data
 
     def backward(g):
@@ -198,9 +238,9 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise product; shapes must match exactly, or one side is a scalar."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _check_elementwise(a, b, "mul")
+    a, b = _operands(a, b, "mul")
+    if not isinstance(b, Tensor):
+        return _result(a.data * b, (a,), lambda g: (_fit(g * b, a),))
     data = a.data * b.data
 
     def backward(g):

@@ -167,20 +167,25 @@ class EvalReport:
 
 
 def evaluate_pipeline(pipeline: KktPipeline, dataset: Dataset, fingerprint_str: str = "") -> EvalReport:
-    """Exact N+/N accuracy of the pipeline over the dataset."""
+    """Exact N+/N accuracy of the pipeline over the dataset.
+
+    Predictions run under `T.no_grad()`: they build no autodiff graph, so a
+    `PredictResult.loss` from an evaluation cannot be back-propagated.
+    """
     n = 0
     n_plus = 0
     loss_total = 0.0
     predictions = []
-    for ex in dataset.examples:
-        res = pipeline.predict(ex)
-        n += 1
-        correct = res.predicted == ex.gold
-        n_plus += int(correct)
-        loss_total += res.loss.item()
-        predictions.append(
-            {"example_id": ex.example_id, "predicted": res.predicted, "gold": ex.gold, "correct": correct}
-        )
+    with T.no_grad():
+        for ex in dataset.examples:
+            res = pipeline.predict(ex)
+            n += 1
+            correct = res.predicted == ex.gold
+            n_plus += int(correct)
+            loss_total += res.loss.item()
+            predictions.append(
+                {"example_id": ex.example_id, "predicted": res.predicted, "gold": ex.gold, "correct": correct}
+            )
     if n == 0:
         raise ValueError("evaluate: empty dataset")
     return EvalReport(

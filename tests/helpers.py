@@ -8,8 +8,10 @@ not the other way around.
 """
 
 import math
+import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from kkt.knowledge import content_words
 from kkt.tokenizer import tokenize
@@ -208,3 +210,40 @@ def rule_reader(example, planted_turn=None, kg_facts=None):
                     if opt == f"in the {loc}":
                         return j
     return 0
+
+
+# ---------------------------------------------------------------------------
+# checkpoint corruption
+
+def checkpoint_header_offsets(blob):
+    """Offsets of every byte of a well-formed KKTC blob that is not tensor
+    payload, found by walking the documented layout with struct."""
+    offsets = list(range(13))
+    pos = 13
+    for _ in range(struct.unpack_from("<I", blob, 9)[0]):
+        name_len = struct.unpack_from("<H", blob, pos)[0]
+        rank = blob[pos + 2 + name_len]
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 3 + name_len)
+        head = 3 + name_len + 4 * rank
+        offsets.extend(range(pos, pos + head))
+        pos += head + 4 * math.prod(dims)
+    assert pos == len(blob)
+    return offsets
+
+
+def corrupted(blob):
+    """Strategy: a strict prefix of `blob`, or `blob` with one to four bytes
+    overwritten, each drawn as often from the headers as from anywhere."""
+    anywhere = st.integers(0, len(blob) - 1)
+    position = st.one_of(st.sampled_from(checkpoint_header_offsets(blob)), anywhere)
+
+    def overwrite(edits):
+        out = bytearray(blob)
+        for pos, value in edits:
+            out[pos] = value
+        return bytes(out)
+
+    return st.one_of(
+        anywhere.map(lambda n: blob[:n]),
+        st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=4).map(overwrite),
+    )

@@ -1,14 +1,18 @@
 """Checkpoint container: byte layout, round trips, assignment guards."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import helpers
 from kkt import tensor as T
 from kkt.checkpoint import (
     ABLATION_TAGS,
     FORMAT_VERSION,
+    MAX_RANK,
     CheckpointError,
     assign_named,
     checkpoint_bytes,
@@ -16,6 +20,7 @@ from kkt.checkpoint import (
     parse_checkpoint,
     save_checkpoint,
 )
+from kkt.model import KktParams
 
 
 def sample_named(seed=0):
@@ -151,3 +156,57 @@ def test_unicode_tensor_name_round_trip():
     named = {"κεφαλή.w": np.ones(2, dtype=np.float32)}
     ck = parse_checkpoint(checkpoint_bytes(named, "full"))
     assert "κεφαλή.w" in ck.tensors
+
+
+# ------------------------------------------------------------ hostile input
+
+
+def _tensor_record(name: bytes, dims, payload=b""):
+    head = struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    return head + payload
+
+
+def _blob(*records):
+    return b"KKTC" + struct.pack("<IBI", FORMAT_VERSION, ABLATION_TAGS["full"], len(records)) + b"".join(records)
+
+
+def test_undecodable_name_rejected_with_offset():
+    with pytest.raises(CheckpointError, match=r"^m\.kkt, offset 13: tensor name b'\\xff\\xfe' is not UTF-8"):
+        parse_checkpoint(_blob(_tensor_record(b"\xff\xfe", ())), label="m.kkt")
+
+
+def test_duplicate_name_rejected_with_offset():
+    one = _tensor_record(b"w", (1,), struct.pack("<f", 1.0))
+    with pytest.raises(CheckpointError, match=rf"^m\.kkt, offset {13 + len(one)}: duplicate tensor name 'w'"):
+        parse_checkpoint(_blob(one, one), label="m.kkt")
+
+
+def test_rank_above_limit_rejected():
+    # Rank 250 with every dimension 1 needs only four payload bytes.
+    record = _tensor_record(b"w", (1,) * 250, struct.pack("<f", 1.0))
+    with pytest.raises(CheckpointError, match=rf"offset 16: tensor 'w' has rank 250, above the limit of {MAX_RANK}"):
+        parse_checkpoint(_blob(record))
+    with pytest.raises(CheckpointError, match="rank"):
+        checkpoint_bytes({"w": np.zeros((1,) * (MAX_RANK + 1), dtype=np.float32)}, "full")
+
+
+def test_oversized_dimensions_are_truncation_not_overflow():
+    # The product of these dims overflows int64; it must read as a size, not wrap.
+    record = _tensor_record(b"w", (2**32 - 1,) * 3)
+    with pytest.raises(CheckpointError, match="truncated"):
+        parse_checkpoint(_blob(record))
+
+
+MODEL_BLOB = checkpoint_bytes(
+    KktParams.init(20, 4, 2, 1, 8, 16, "full", np.random.default_rng(0)).named_parameters(), "full"
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(blob=helpers.corrupted(MODEL_BLOB))
+def test_corrupt_model_blob_parses_or_raises_checkpoint_error(blob):
+    # Any other exception escapes and fails the test.
+    try:
+        parse_checkpoint(blob, label="fuzz.kkt")
+    except CheckpointError as err:
+        assert re.match(r"fuzz\.kkt, offset \d+: ", str(err))

@@ -8,8 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from kkt.checkpoint import FORMAT_VERSION, checkpoint_bytes, parse_checkpoint
+import helpers
+from kkt.checkpoint import FORMAT_VERSION, CheckpointError, checkpoint_bytes, parse_checkpoint
 from kkt.cli import main
 
 
@@ -125,6 +127,26 @@ def test_eval_rejects_other_format_version(ws, tmp_path):
     rc, _, err = run_cli(["eval", "--ckpt", str(patched), "--data", str(ws["bundle"])])
     assert rc == 2
     assert "version" in err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_eval_on_a_corrupt_checkpoint_exits_2(ws, data):
+    blob = data.draw(helpers.corrupted((ws["run"] / "model.kkt").read_bytes()))
+    try:
+        parse_checkpoint(blob)
+    except CheckpointError:
+        pass
+    else:
+        assume(False)  # intact enough to parse; not this test's subject
+    bad = ws["root"] / "corrupt"
+    bad.mkdir(exist_ok=True)
+    for name in ("config.json", "vocab.txt"):
+        (bad / name).write_bytes((ws["run"] / name).read_bytes())
+    (bad / "model.kkt").write_bytes(blob)
+    rc, out, err = run_cli(["eval", "--ckpt", str(bad / "model.kkt"), "--data", str(ws["bundle"])])
+    assert rc == 2 and out == ""
+    assert re.match(r"error: \S+model\.kkt, offset \d+: ", err)
 
 
 def test_eval_ablation_mismatch(ws):

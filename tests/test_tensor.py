@@ -319,6 +319,27 @@ def test_scalar_operand_gets_summed_gradient():
     assert s_mul.grad.shape == () and s_mul.grad == (w.data * x.data).sum()
 
 
+@pytest.mark.parametrize("op, np_op, d_dx", [(T.add, np.add, 1.0), (T.mul, np.multiply, 0.1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_number_operand_is_a_constant_not_a_parent(op, np_op, d_dx, dtype):
+    # The number is cast to the tensor's dtype: float32 stays float32.
+    x = T.Tensor(np.array([[0.3, -1.1], [2.0, 0.7]], dtype=dtype), requires_grad=True)
+    want = np_op(x.data, dtype(0.1))
+    for out in (op(x, 0.1), op(0.1, x)):
+        assert out._parents == (x,)
+        assert out.dtype == dtype and np.array_equal(out.data, want)
+    T.sum_all(op(0.1, x)).backward()
+    assert x.grad.dtype == dtype and np.array_equal(x.grad, np.full(x.shape, d_dx, dtype=dtype))
+
+
+def test_number_operand_against_a_rank_zero_tensor_sums_its_gradient():
+    s = make(2.0)
+    out = T.mul(s, np.array([1.0, 3.0]))
+    assert out._parents == (s,) and np.array_equal(out.data, [2.0, 6.0])
+    T.sum_all(out).backward()
+    assert s.grad == 4.0
+
+
 def test_elementwise_broadcasting_rejected():
     with pytest.raises(T.ShapeError):
         T.add(make(np.zeros((2, 3))), make(np.zeros(3)))
@@ -343,6 +364,56 @@ def test_finite_outputs_on_finite_inputs():
     x = make(rng.standard_normal((4, 4)) * 1e3, grad=False)
     for out in (T.softmax_rows(x), T.tanh(x), T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)))):
         assert np.all(np.isfinite(out.data))
+
+
+# ---------------------------------------------------------------------------
+# grad mode
+
+def _every_op(x, w):
+    h = T.tanh(T.affine(x, w, T.Tensor(np.zeros(3))))
+    return T.sum_all(T.mul(T.softmax_rows(T.matmul(h, T.transpose(h))), 2.0))
+
+
+def test_no_grad_builds_no_graph():
+    rng = np.random.default_rng(21)
+    x = make(rng.standard_normal((2, 3)))
+    w = make(rng.standard_normal((3, 3)))
+    with_graph = _every_op(x, w)
+    with T.no_grad():
+        assert not T.is_grad_enabled()
+        without = _every_op(x, w)
+        h = T.matmul(x, w)
+    assert T.is_grad_enabled()
+    assert np.array_equal(without.data, with_graph.data)
+    for out in (without, h):
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        with pytest.raises(ValueError, match="no graph"):
+            out.backward()
+    # Leaves keep requires_grad; only op outputs lose their graph.
+    assert x.requires_grad and x.grad is None
+
+
+def test_no_grad_nests_and_restores_the_mode():
+    x = make([1.0, 2.0])
+    with T.no_grad():
+        with T.no_grad():
+            assert not T.is_grad_enabled()
+        assert not T.is_grad_enabled()
+        assert not T.mul(x, x).requires_grad
+    assert T.is_grad_enabled() and T.mul(x, x).requires_grad
+
+
+def test_no_grad_restores_the_mode_after_an_exception():
+    with pytest.raises(T.ShapeError):
+        with T.no_grad():
+            T.matmul(make(np.zeros((2, 3))), make(np.zeros((2, 3))))
+    assert T.is_grad_enabled()
+    with T.no_grad():
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inner")
+        assert not T.is_grad_enabled()
+    assert T.is_grad_enabled()
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,81 @@ def test_train_fingerprint_hashes_every_input(corpus):
     assert train(cfg, dataset, kg_path=paths["kg"]).fingerprint == plain
 
 
+# ----------------------------------------------------- graph-free evaluation
+
+
+def _kg_args(corpus):
+    paths = corpus["paths"]
+    return dict(kg_path=paths["kg"], surfaces_path=paths["surfaces"], lexicon_path=paths["lexicon"])
+
+
+@pytest.fixture(scope="module")
+def f64_init(corpus):
+    """An untrained float64 knowledge model and a way to wrap it in fresh pipelines."""
+    cfg = _small_cfg(dtype="float64", epochs=0)
+    init = train(cfg, corpus["bundle"].dataset, **_kg_args(corpus))
+
+    def fresh():
+        return _kg_pipeline(init.final_blob, cfg, init.vocab, corpus["paths"])
+
+    return fresh
+
+
+def test_eval_report_matches_a_graph_building_predict_loop(f64_init, corpus):
+    report = evaluate_pipeline(f64_init(), corpus["dev"], "fp")
+    pipe = f64_init()
+    results = [pipe.predict(ex) for ex in corpus["dev"].examples]
+    assert all(res.loss.requires_grad for res in results)
+    examples = corpus["dev"].examples
+    by_hand = EvalReport(
+        n=len(results),
+        n_plus=sum(res.predicted == ex.gold for res, ex in zip(results, examples)),
+        mean_loss=sum(res.loss.item() for res in results) / len(results),
+        predictions=[{"example_id": ex.example_id, "predicted": res.predicted, "gold": ex.gold,
+                      "correct": res.predicted == ex.gold} for res, ex in zip(results, examples)],
+        fingerprint="fp",
+        ablation=pipe.ablation,
+    )
+    assert report.to_json() == by_hand.to_json()
+
+
+def _grads_of(pipe, example):
+    named = pipe.params.named_parameters()
+    for p in named.values():
+        p.grad = None
+    res = pipe.predict(example)
+    assert not any(flags["ck_identity"] for flags in res.flags)  # the fact encoder is on the path
+    res.loss.backward()
+    return {name: p.grad for name, p in named.items()}
+
+
+def test_evaluation_leaves_training_gradients_intact(f64_init, corpus):
+    # Evaluation caches graph-free fact embeddings; a later graph-building
+    # predict must not reuse them, or the fact encoder loses its gradient.
+    pipe = f64_init()
+    evaluate_pipeline(pipe, corpus["dev"])
+    example = corpus["dev"].examples[1]
+    after_eval = _grads_of(pipe, example)
+    fresh = _grads_of(f64_init(), example)
+    assert sorted(after_eval) == sorted(fresh)
+    for name, g in fresh.items():
+        assert (g is None) == (after_eval[name] is None), name
+        if g is not None:
+            np.testing.assert_array_equal(after_eval[name], g, err_msg=name)
+    assert fresh["fact_sa.wq0"] is not None
+
+
+def test_train_with_dev_keeps_the_loss_history(corpus):
+    # Dev evaluation between epochs must not change what training computes.
+    cfg = _small_cfg(dtype="float64", epochs=3)
+    with_dev = train(cfg, corpus["bundle"].dataset, dev_dataset=corpus["dev"], **_kg_args(corpus))
+    without = train(cfg, corpus["bundle"].dataset, **_kg_args(corpus))
+    dev_accuracies = [h.pop("dev_accuracy") for h in with_dev.history]
+    assert len(dev_accuracies) == 3 and None not in dev_accuracies
+    assert with_dev.history == without.history
+    assert with_dev.final_blob == without.final_blob
+
+
 # -------------------------------------------------------------------- sweep
 
 
