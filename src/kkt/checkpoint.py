@@ -25,7 +25,8 @@ import numpy as np
 from .tensor import Tensor
 
 MAGIC = b"KKTC"
-FORMAT_VERSION = 1
+# Version 2: each ablation stores only the tensors its wiring reads.
+FORMAT_VERSION = 2
 # The dimension limit of NumPy 1.x; kkt's own tensors have rank <= 2.
 MAX_RANK = 32
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError
 from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, write_bundle
-from .keyturns import RelevanceScore, score_turn, select_key_turns
+from .keyturns import NliProvider, select_key_turns
 from .knowledge import KgFormatError, iter_kg_triples, load_surfaces, rank_triples, rewrite_triple
 from .model import ABLATIONS
 from .tokenizer import Tokenizer
@@ -177,13 +177,10 @@ def _cmd_score_turns(args):
         raise SchemaError(f"no example with id {wanted!r} in {paths['data']}")
     ex = matches[0]
     k = args.k or config.k
+    provider = NliProvider(head, vocab)
     options_out = []
     for j, option in enumerate(ex.options):
-        qa = ex.qa_text(j)
-        scores = [
-            RelevanceScore(i, ex.qa_index, score_turn(head, vocab, turn, qa))
-            for i, turn in enumerate(ex.turns)
-        ]
+        scores = provider.scores(ex, ex.qa_text(j))
         selected = select_key_turns(scores, k).turn_indices
         options_out.append(
             {

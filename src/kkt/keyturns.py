@@ -154,15 +154,18 @@ class NliProvider:
         self.tokenizer = tokenizer
         self._cache = {}
 
+    def scores(self, example, qa_text: str) -> list:
+        """One RelevanceScore per turn of the example, in turn order."""
+        return [
+            RelevanceScore(turn_index=i, qa_index=example.qa_index, score=score_turn(self.head, self.tokenizer, turn, qa_text))
+            for i, turn in enumerate(example.turns)
+        ]
+
     def select(self, example, qa_text: str, k: int) -> tuple:
         key = (tuple(example.turns), qa_text, k)
         chosen = self._cache.get(key)
         if chosen is None:
-            scores = [
-                RelevanceScore(turn_index=i, qa_index=example.qa_index, score=score_turn(self.head, self.tokenizer, turn, qa_text))
-                for i, turn in enumerate(example.turns)
-            ]
-            chosen = self._cache[key] = select_key_turns(scores, k).turn_indices
+            chosen = self._cache[key] = select_key_turns(self.scores(example, qa_text), k).turn_indices
         return chosen
 
 

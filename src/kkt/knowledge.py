@@ -255,30 +255,26 @@ class FactEncoder:
     optimizer step in practice); it drops every entry.
     """
 
-    def __init__(self, tokenizer: Tokenizer, enc: EncoderParams, sa: MhaParams, cache=True):
+    def __init__(self, tokenizer: Tokenizer, enc: EncoderParams, sa: MhaParams):
         self.tokenizer = tokenizer
         self.enc = enc
         self.sa = sa
-        self._cache = {} if cache else None
+        self._cache = {}
 
     def invalidate(self):
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
 
     def encode_fact(self, fact: Fact) -> T.Tensor:
         """r = mean over tokens of self-attended last hidden states of the fact."""
         key = (fact.text, T.is_grad_enabled())
-        if self._cache is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         ids = self.tokenizer.encode(fact.text)
         if not ids:
             raise EmptyFactError(f"fact {fact.text!r} tokenizes to nothing")
         hidden = encode(self.enc, ids).hidden
-        r = T.mean_rows(self_attention(self.sa, hidden))
-        if self._cache is not None:
-            self._cache[key] = r
+        r = self._cache[key] = T.mean_rows(self_attention(self.sa, hidden))
         return r
 
 

@@ -7,10 +7,18 @@ over option-level facts), then fused by dual co-attention into fixed-width
 vectors and decoded to a scalar logit. Cross-entropy over the per-option
 logits trains the whole stack.
 
-Ablation wiring is explicit: "base" keeps only the plain co-attention path,
-"kt" drops the knowledge path, "k" drops the key-turn path, "full" keeps
-everything, and "keyturns-only" is full wiring over a context rebuilt from
-just the selected turns.
+Ablation wiring lives in one table, PATHS: each ablation names the
+refinement paths it fuses next to the plain co-attention output O_o, in
+fusion order. "k" is the knowledge path (context and QA over retrieved
+facts), "kt" the key-turn path (context over its key-turn rows).
+
+    full           ("k", "kt")
+    kt             ("kt",)
+    k              ("k",)
+    base           ()
+    keyturns-only  ("k", "kt"), over a context rebuilt from the selected turns
+
+An ablation builds, trains and saves only the parameters its paths read.
 """
 
 from __future__ import annotations
@@ -25,7 +33,14 @@ from .knowledge import FactEmbedding, FactEncoder, KnowledgeStore, rank_triples
 from .tensor import ShapeError, Tensor
 from .tokenizer import Tokenizer
 
-ABLATIONS = ("full", "kt", "k", "base", "keyturns-only")
+PATHS = {
+    "full": ("k", "kt"),
+    "kt": ("kt",),
+    "k": ("k",),
+    "base": (),
+    "keyturns-only": ("k", "kt"),
+}
+ABLATIONS = tuple(PATHS)
 
 
 @dataclass
@@ -78,18 +93,23 @@ class RefinedReprs:
 
 @dataclass
 class KktParams:
-    """Every trainable tensor of the model, grouped by role."""
+    """Every trainable tensor of the model, grouped by role.
+
+    Groups that the ablation's paths never read are None: `fact_sa`,
+    `refine_ck` and `refine_qak` exist only with path "k", `refine_kt` only
+    with "kt", and the fusion pair only when there is a path.
+    """
 
     enc: EncoderParams
-    fact_sa: MhaParams
-    refine_kt: MhaParams
-    refine_ck: MhaParams
-    refine_qak: MhaParams
     duma1: MhaParams
     duma2: MhaParams
-    fusion_w: Tensor | None
-    fusion_b: Tensor | None
     decoder_w: Tensor
+    fact_sa: MhaParams | None = None
+    refine_kt: MhaParams | None = None
+    refine_ck: MhaParams | None = None
+    refine_qak: MhaParams | None = None
+    fusion_w: Tensor | None = None
+    fusion_b: Tensor | None = None
     ablation: str = "full"
 
     @property
@@ -100,52 +120,36 @@ class KktParams:
     def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, ablation, rng, dtype=T.DEFAULT_DTYPE) -> "KktParams":
         if ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
+        paths = PATHS[ablation]
+
+        def group(path):
+            return MhaParams.init(d_model, h, rng, dtype=dtype) if path in paths else None
+
+        # Draw order: enc, fact_sa, refine_kt, refine_ck, refine_qak, duma1,
+        # duma2, fusion pair, decoder; absent groups draw nothing.
         enc = EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=dtype)
-        fact_sa = MhaParams.init(d_model, h, rng, dtype=dtype)
-        refine_kt = MhaParams.init(d_model, h, rng, dtype=dtype)
-        refine_ck = MhaParams.init(d_model, h, rng, dtype=dtype)
-        refine_qak = MhaParams.init(d_model, h, rng, dtype=dtype)
+        fact_sa, refine_kt, refine_ck, refine_qak = group("k"), group("kt"), group("k"), group("k")
         duma1 = MhaParams.init(d_model, h, rng, dtype=dtype)
         duma2 = MhaParams.init(d_model, h, rng, dtype=dtype)
-        if ablation in ("full", "keyturns-only"):
-            fusion_in = 4 * d_model
-        elif ablation in ("kt", "k"):
-            fusion_in = 2 * d_model
-        else:
-            fusion_in = 0
-        if fusion_in:
+        fusion_w = fusion_b = None
+        if paths:
+            fusion_in = 2 * d_model * len(paths)
             fusion_w = T.uniform_param((fusion_in, 2 * d_model), rng, dtype=dtype)
             fusion_b = T.uniform_param((2 * d_model,), rng, fan_in=fusion_in, dtype=dtype)
-        else:
-            fusion_w = fusion_b = None
-        decoder_dim = 2 * d_model if ablation == "base" else 4 * d_model
-        decoder_w = T.uniform_param((decoder_dim,), rng, dtype=dtype)
-        return cls(
-            enc=enc,
-            fact_sa=fact_sa,
-            refine_kt=refine_kt,
-            refine_ck=refine_ck,
-            refine_qak=refine_qak,
-            duma1=duma1,
-            duma2=duma2,
-            fusion_w=fusion_w,
-            fusion_b=fusion_b,
-            decoder_w=decoder_w,
-            ablation=ablation,
-        )
+        decoder_w = T.uniform_param((4 * d_model if paths else 2 * d_model,), rng, dtype=dtype)
+        return cls(enc=enc, duma1=duma1, duma2=duma2, decoder_w=decoder_w, fact_sa=fact_sa,
+                   refine_kt=refine_kt, refine_ck=refine_ck, refine_qak=refine_qak,
+                   fusion_w=fusion_w, fusion_b=fusion_b, ablation=ablation)
 
     def named_parameters(self) -> dict:
         out = self.enc.named_parameters("enc")
-        out.update(self.fact_sa.named_parameters("fact_sa"))
-        out.update(self.refine_kt.named_parameters("refine_kt"))
-        out.update(self.refine_ck.named_parameters("refine_ck"))
-        out.update(self.refine_qak.named_parameters("refine_qak"))
-        out.update(self.duma1.named_parameters("duma1"))
-        out.update(self.duma2.named_parameters("duma2"))
-        if self.fusion_w is not None:
-            out["fusion_w"] = self.fusion_w
-            out["fusion_b"] = self.fusion_b
-        out["decoder_w"] = self.decoder_w
+        for name in ("fact_sa", "refine_kt", "refine_ck", "refine_qak", "duma1", "duma2"):
+            group = getattr(self, name)
+            if group is not None:
+                out.update(group.named_parameters(name))
+        for name in ("fusion_w", "fusion_b", "decoder_w"):
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         return out
 
 
@@ -210,46 +214,39 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
 def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> RefinedReprs:
     """Attend the context over its key-turn rows and over retrieved facts.
 
-    Empty selections or empty fact lists fall back to identity (the
-    unrefined rows pass through) and are flagged as such.
+    Only the ablation's paths run: without "kt" the key turns are ignored,
+    without "k" the facts. Ignored inputs, empty selections and empty fact
+    lists fall back to identity (the unrefined rows pass through) and are
+    flagged as such.
     """
+    paths = PATHS[params.ablation]
+    if "kt" not in paths:
+        key_turn_indices = ()
+    if "k" not in paths:
+        ck = qak = ()
     rows = []
     for t in key_turn_indices:
         if not 0 <= t < len(enc.turn_spans):
             raise IndexError(f"key turn index {t} out of range for {len(enc.turn_spans)} turns")
         s, e = enc.turn_spans[t]
         rows.extend(range(s, e))
-    if rows:
-        h_kt = T.take_rows(enc.h_c, rows)
-        h_c_kt = mha(params.refine_kt, enc.h_c, h_kt, h_kt)
-        kt_identity = False
-    else:
-        h_kt = None
-        h_c_kt = enc.h_c
-        kt_identity = True
-    if ck:
-        ck_mat = T.stack_rows([f.r_k for f in ck])
-        h_c_k = mha(params.refine_ck, enc.h_c, ck_mat, ck_mat)
-        ck_identity = False
-    else:
-        h_c_k = enc.h_c
-        ck_identity = True
-    if qak:
-        qak_mat = T.stack_rows([f.r_k for f in qak])
-        h_qa_k = mha(params.refine_qak, enc.h_qa, qak_mat, qak_mat)
-        qak_identity = False
-    else:
-        h_qa_k = enc.h_qa
-        qak_identity = True
+    h_kt = T.take_rows(enc.h_c, rows) if rows else None
     return RefinedReprs(
         h_kt=h_kt,
-        h_c_kt=h_c_kt,
-        h_c_k=h_c_k,
-        h_qa_k=h_qa_k,
-        kt_identity=kt_identity,
-        ck_identity=ck_identity,
-        qak_identity=qak_identity,
+        h_c_kt=mha(params.refine_kt, enc.h_c, h_kt, h_kt) if rows else enc.h_c,
+        h_c_k=_attend_facts(params.refine_ck, enc.h_c, ck),
+        h_qa_k=_attend_facts(params.refine_qak, enc.h_qa, qak),
+        kt_identity=not rows,
+        ck_identity=not ck,
+        qak_identity=not qak,
     )
+
+
+def _attend_facts(p: MhaParams, h: Tensor, facts) -> Tensor:
+    if not facts:
+        return h
+    mat = T.stack_rows([f.r_k for f in facts])
+    return mha(p, h, mat, mat)
 
 
 def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor) -> Tensor:
@@ -265,23 +262,19 @@ def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor) ->
 
 
 def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
-    """Scalar logit for one option; returns (logit, RefinedReprs)."""
+    """Scalar logit for one option; returns (logit, RefinedReprs).
+
+    O_o is the co-attention of the plain rows. Each of the ablation's paths
+    adds one co-attention over its refined rows; their concatenation goes
+    through the fusion affine and is appended to O_o before the decoder.
+    """
     refined = refine(params, enc, key_turn_indices, ck, qak)
-    o_o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa)
-    mode = params.ablation
-    if mode == "base":
-        return T.dot(params.decoder_w, o_o), refined
-    if mode == "kt":
-        o_kt = dual_coattention(params.duma1, params.duma2, refined.h_c_kt, enc.h_qa)
-        o_kkt = T.affine(o_kt, params.fusion_w, params.fusion_b)
-    elif mode == "k":
-        o_k = dual_coattention(params.duma1, params.duma2, refined.h_c_k, refined.h_qa_k)
-        o_kkt = T.affine(o_k, params.fusion_w, params.fusion_b)
-    else:  # full and keyturns-only share the wiring
-        o_kt = dual_coattention(params.duma1, params.duma2, refined.h_c_kt, enc.h_qa)
-        o_k = dual_coattention(params.duma1, params.duma2, refined.h_c_k, refined.h_qa_k)
-        o_kkt = T.affine(T.concat_last_axis([o_k, o_kt]), params.fusion_w, params.fusion_b)
-    o = T.concat_last_axis([o_o, o_kkt])
+    o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa)
+    paths = PATHS[params.ablation]
+    if paths:
+        sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
+        fused = T.concat_last_axis([dual_coattention(params.duma1, params.duma2, *sides[p]) for p in paths])
+        o = T.concat_last_axis([o, T.affine(fused, params.fusion_w, params.fusion_b)])
     return T.dot(params.decoder_w, o), refined
 
 
@@ -322,10 +315,10 @@ class KktPipeline:
         return self.params.ablation
 
     def _needs_knowledge(self) -> bool:
-        return self.ablation in ("full", "k", "keyturns-only") and self.store is not None and self.p >= 1
+        return "k" in PATHS[self.ablation] and self.store is not None and self.p >= 1
 
     def _needs_key_turns(self) -> bool:
-        return self.ablation in ("full", "kt", "keyturns-only") and self.provider is not None and self.k >= 1
+        return "kt" in PATHS[self.ablation] and self.provider is not None and self.k >= 1
 
     def context_knowledge(self, example: DialogueExample):
         """Top-p fact embeddings for the dialogue turns (cached ranking)."""

@@ -111,6 +111,16 @@ def test_other_format_version_rejected():
     assert "version" in str(err.value)
 
 
+def test_format_1_blob_rejected_by_version():
+    # Format 1 stored every refinement group for every ablation; its blobs
+    # must fail on the version field, not on a tensor-name mismatch.
+    assert FORMAT_VERSION == 2
+    blob = bytearray(checkpoint_bytes(sample_named(), "kt"))
+    blob[4:8] = struct.pack("<I", 1)
+    with pytest.raises(CheckpointError, match="offset 4: format version 1, this reader supports only 2"):
+        parse_checkpoint(bytes(blob))
+
+
 def test_unknown_tag_byte_rejected():
     blob = bytearray(checkpoint_bytes({}, "full"))
     blob[8] = 250

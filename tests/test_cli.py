@@ -117,16 +117,26 @@ def test_eval_requires_sidecars(ws, tmp_path):
     assert "config.json" in err
 
 
-def test_eval_rejects_other_format_version(ws, tmp_path):
+def _eval_with_format_version(ws, tmp_path, version):
     blob = bytearray((ws["run"] / "model.kkt").read_bytes())
-    blob[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
+    blob[4:8] = struct.pack("<I", version)
     patched = tmp_path / "model.kkt"
     patched.write_bytes(bytes(blob))
     for name in ("config.json", "vocab.txt"):
         (tmp_path / name).write_bytes((ws["run"] / name).read_bytes())
-    rc, _, err = run_cli(["eval", "--ckpt", str(patched), "--data", str(ws["bundle"])])
+    return run_cli(["eval", "--ckpt", str(patched), "--data", str(ws["bundle"])])
+
+
+def test_eval_rejects_other_format_version(ws, tmp_path):
+    rc, _, err = _eval_with_format_version(ws, tmp_path, FORMAT_VERSION + 1)
     assert rc == 2
     assert "version" in err
+
+
+def test_eval_rejects_a_format_1_checkpoint(ws, tmp_path):
+    rc, _, err = _eval_with_format_version(ws, tmp_path, 1)
+    assert rc == 2
+    assert "format version 1, this reader supports only 2" in err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -11,9 +11,10 @@ from kkt import tensor as T
 from kkt.attention import MhaParams
 from kkt.data import gen_synthetic
 from kkt.keyturns import LeadingProvider
-from kkt.knowledge import FactEmbedding
+from kkt.knowledge import FactEmbedding, KnowledgeStore, KnowledgeTriple
 from kkt.model import (
     ABLATIONS,
+    PATHS,
     DialogueExample,
     EncodedPair,
     KktParams,
@@ -318,8 +319,44 @@ def test_kkt_params_named_parameters_complete():
     assert "decoder_w" in names and "fusion_w" in names
     assert "enc.tok_emb" in names and "fact_sa.wq0" in names
     assert "refine_kt.wk1" in names and "duma2.wv0" in names
-    # 1 block encoder: 2 emb + 14 block + 2 pooler; six mha groups of 6; fusion pair + decoder
-    assert len(names) == 18 + 6 * 6 + 3
+    # 1 block encoder: 2 emb + 14 block + 2 pooler = 18; mha groups of 6
+    # tensors: duma1 and duma2, plus fact_sa, refine_ck and refine_qak with
+    # "k" and refine_kt with "kt"; the fusion pair when there is a path; the
+    # decoder. full: 18 + 6 * 6 + 3, kt: 18 + 3 * 6 + 3, k: 18 + 5 * 6 + 3,
+    # base: 18 + 2 * 6 + 1.
+    counts = {"full": 57, "keyturns-only": 57, "kt": 39, "k": 51, "base": 31}
+    for ablation in ABLATIONS:
+        assert len(small_setup(ablation=ablation)[1].named_parameters()) == counts[ablation], ablation
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_every_parameter_but_the_pooler_gets_a_gradient(ablation):
+    # Facts and key turns are live for every path the ablation has, so a
+    # parameter without a gradient is one its wiring never reads.
+    ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
+    tk, params = small_setup(seed=13, ablation=ablation, texts=["bike atlocation street shed"])
+    store = KnowledgeStore()
+    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0))
+    store.add(KnowledgeTriple("atlocation", "bike", "shed", 1.0))
+    pipe = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64)
+    result = pipe.predict(ex)
+    for flags in result.flags:
+        assert flags["kt_identity"] == ("kt" not in PATHS[ablation])
+        assert flags["ck_identity"] == flags["qak_identity"] == ("k" not in PATHS[ablation])
+    result.loss.backward()
+    inert = sorted(name for name, p in params.named_parameters().items() if p.grad is None)
+    assert inert == ["enc.pooler_b", "enc.pooler_w"]
+
+
+def test_missing_path_ignores_its_inputs():
+    rng = np.random.default_rng(14)
+    enc = random_pair(rng)
+    fact = fake_fact(rng.standard_normal(8))
+    for ablation in ABLATIONS:
+        paths = PATHS[ablation]
+        out = refine(small_setup(ablation=ablation)[1], enc, (0,), [fact], [fact])
+        assert out.kt_identity == ("kt" not in paths)
+        assert out.ck_identity == out.qak_identity == ("k" not in paths)
 
 
 # ---------------------------------------------------------------------------

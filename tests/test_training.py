@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import kkt.training as training
+from kkt.checkpoint import checkpoint_bytes
 from kkt.data import gen_synthetic, write_bundle
 from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
+from kkt.model import ABLATIONS
 from kkt.optim import Adam
 from kkt.tensor import Tensor
 from kkt.training import (
@@ -24,6 +26,7 @@ from kkt.training import (
     evaluate_pipeline,
     fingerprint,
     pipeline_from_checkpoint,
+    restore_checkpoint,
     train,
 )
 
@@ -385,6 +388,20 @@ def test_checkpoint_restores_trained_weights(run):
     if run["result"].best_blob() == run["result"].final_blob:
         for name, p in rebuilt.items():
             np.testing.assert_array_equal(p.data, trained[name].data)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_every_ablation_restores_its_checkpoint(corpus, ablation):
+    cfg = _small_cfg(epochs=1, ablation=ablation)
+    result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"])
+    params, head = restore_checkpoint(result.final_blob, cfg, result.vocab)
+    assert params.ablation == ablation and head is None
+    trained = result.params.named_parameters()
+    rebuilt = params.named_parameters()
+    assert sorted(rebuilt) == sorted(trained)
+    for name, p in rebuilt.items():
+        np.testing.assert_array_equal(p.data, trained[name].data)
+    assert checkpoint_bytes(rebuilt, ablation) == result.final_blob
 
 
 def test_oracle_provider_from_config(run, corpus):
