@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""From a weighted triple file to ranked facts for a dialogue turn.
+"""From weighted triple TSV text to ranked facts for a dialogue turn.
 
 Walks the whole knowledge path: POS-based content words, triple loading
 with a weight threshold, surface rewriting, and deterministic ranking.
 """
 
-import tempfile
-from pathlib import Path
-
-from kkt.knowledge import PosTagger, content_words, load_kg, rank_triples, rewrite_triple
+from kkt.knowledge import PosTagger, content_words, iter_kg_triples, load_kg, rank_triples, rewrite_triple
 from kkt.tokenizer import Tokenizer
 
 KG = """\
@@ -28,21 +25,17 @@ print("turn:", turn)
 print("content words:", content_words(turn, tagger))
 print()
 
-with tempfile.TemporaryDirectory() as td:
-    kg_path = Path(td) / "kg.tsv"
-    kg_path.write_text(KG, encoding="utf-8")
+vocab = Tokenizer.build(["bike street book shelf wheel garage exercise my is broken can you help"])
+store = load_kg(iter_kg_triples(KG, "kg.tsv"), 1.0, vocab, SURFACES, tagger)
+# usedfor/bike/exercise sits below the 1.0 weight threshold and is gone.
+print(f"loaded {len(store)} of 5 triples (threshold 1.0)")
+for tid, triple in enumerate(store.triples):
+    fact = rewrite_triple(triple, SURFACES)
+    print(f"  [{tid}] w={triple.weight:.1f}  {fact.text!r}")
+print()
 
-    vocab = Tokenizer.build(["bike street book shelf wheel garage exercise my is broken can you help"])
-    store = load_kg(kg_path, 1.0, vocab, SURFACES, tagger)
-    # usedfor/bike/exercise sits below the 1.0 weight threshold and is gone.
-    print(f"loaded {len(store)} of 5 triples (threshold 1.0)")
-    for tid, triple in enumerate(store.triples):
-        fact = rewrite_triple(triple, SURFACES)
-        print(f"  [{tid}] w={triple.weight:.1f}  {fact.text!r}")
-    print()
-
-    # Ranking: weight first, then how many distinct query words matched,
-    # then fact text, then id. Same inputs, same order, every time.
-    for p in (1, 3):
-        ids = rank_triples(store, [turn], p)
-        print(f"top-{p} for the turn: {[(i, store.facts[i].text) for i in ids]}")
+# Ranking: weight first, then how many distinct query words matched,
+# then fact text, then id. Same inputs, same order, every time.
+for p in (1, 3):
+    ids = rank_triples(store, [turn], p)
+    print(f"top-{p} for the turn: {[(i, store.facts[i].text) for i in ids]}")

@@ -23,8 +23,9 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 
-class ConfigError(ValueError):
-    """Raised when a structural hyperparameter combination is invalid."""
+class ConfigurationError(ValueError):
+    """Raised when a run configuration, a structural hyperparameter
+    combination or a checkpoint pairing is invalid."""
 
 
 class VocabularyError(ValueError):
@@ -54,7 +55,7 @@ class MhaParams:
     @classmethod
     def init(cls, d_model: int, h: int, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> "MhaParams":
         if h <= 0 or d_model % h != 0:
-            raise ConfigError(f"d_model {d_model} is not divisible by head count {h}")
+            raise ConfigurationError(f"d_model {d_model} is not divisible by head count {h}")
         d_head = d_model // h
 
         def mk():

@@ -126,10 +126,6 @@ def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
     return Checkpoint(ablation=TAG_ABLATIONS[tag], tensors=tensors)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    return parse_checkpoint(Path(path).read_bytes(), label=str(path))
-
-
 def assign_named(named: dict, arrays: dict, dtype=None):
     """Copy checkpoint arrays into live tensors by name, checking shapes."""
     missing = sorted(set(named) - set(arrays))

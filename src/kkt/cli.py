@@ -16,7 +16,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError
 from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, write_bundle
 from .keyturns import NliProvider, select_key_turns
-from .knowledge import KgFormatError, iter_kg_triples, load_surfaces, rank_triples, rewrite_triple
+from .knowledge import KgFormatError, rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
 from .tokenizer import Tokenizer
 from .training import (
@@ -25,6 +25,7 @@ from .training import (
     ablation_sweep,
     evaluate,
     load_store,
+    read_checkpoint,
     restore_checkpoint,
     train,
 )
@@ -132,15 +133,13 @@ def _cmd_eval(args):
 
 def _cmd_retrieve(args):
     texts = list(args.text)
-    surfaces = load_surfaces(args.relations)
+    graph = read_graph(args.kg, args.relations, args.lexicon)
     if args.vocab:
         vocab = Tokenizer.load(args.vocab)
     else:
         # Without a model vocabulary, admit every graph word so nothing is dropped.
-        vocab = Tokenizer.build(
-            [rewrite_triple(t, surfaces).text for t in iter_kg_triples(args.kg)] + texts
-        )
-    store = load_store(args.kg, args.threshold, vocab, surfaces, args.lexicon)
+        vocab = Tokenizer.build([rewrite_triple(t, graph.surfaces).text for t in graph.triples] + texts)
+    store = load_store(graph, args.threshold, vocab)
     ids = rank_triples(store, texts, args.top_p)
     _emit(
         {
@@ -166,7 +165,7 @@ def _cmd_score_turns(args):
     ckpt = args.ckpt
     config = _load_config(_sidecar(ckpt, "config.json", args.config))
     vocab = Tokenizer.load(_sidecar(ckpt, "vocab.txt", args.vocab))
-    _, head = restore_checkpoint(ckpt, config, vocab)
+    _, head = restore_checkpoint(read_checkpoint(ckpt)[1], config, vocab)
     if head is None:
         raise ConfigurationError(f"{ckpt} holds no NLI scorer tensors; train with an NLI corpus first")
     paths = _bundle_paths(args)

@@ -76,16 +76,16 @@ _SUFFIX_RULES = (
 )
 
 
-def _read_pairs(path, layout: str) -> dict:
-    """Two-column TSV as a dict; blank and `#` lines are skipped."""
+def _read_pairs(text: str, label, layout: str) -> dict:
+    """Two-column TSV text as a dict; blank and `#` lines are skipped."""
     pairs = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise KgFormatError(f"{path}:{lineno}: expected `{layout}`, got {raw!r}")
+            raise KgFormatError(f"{label}:{lineno}: expected `{layout}`, got {raw!r}")
         pairs[parts[0]] = parts[1]
     return pairs
 
@@ -99,11 +99,6 @@ class PosTagger:
             if tag not in _POS_TAGS:
                 raise ValueError(f"POS lexicon tag for {word!r} must be one of {_POS_TAGS}, got {tag!r}")
             self.lexicon[word.lower()] = tag
-
-    @classmethod
-    def load(cls, path) -> "PosTagger":
-        """Read a TSV lexicon `word<TAB>tag`, tag in {NOUN, VERB, ADJ}."""
-        return cls(_read_pairs(path, "word<TAB>tag"))
 
     def tag(self, token: str) -> str:
         tag = self.lexicon.get(token)
@@ -158,11 +153,6 @@ def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> Fact:
     return Fact(text=f"{t.head} {infix} {t.tail}", source=t)
 
 
-def load_surfaces(path) -> dict:
-    """Read a relation surface TSV `relation<TAB>surface phrase`; no path gives an empty table."""
-    return {} if path is None else _read_pairs(path, "relation<TAB>surface")
-
-
 @dataclass
 class KnowledgeStore:
     """Filtered triples plus an inverted index from surface word to triple ids.
@@ -187,42 +177,35 @@ class KnowledgeStore:
         return tid
 
 
-def _parse_kg_line(path, lineno, raw) -> KnowledgeTriple | None:
-    line = raw.rstrip("\n")
-    if not line.strip() or line.lstrip().startswith("#"):
-        return None
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise KgFormatError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(parts)}: {raw!r}")
-    relation, head, tail, weight_s = (p.strip() for p in parts)
-    if not head or not tail:
-        raise KgFormatError(f"{path}:{lineno}: empty head or tail")
-    try:
-        weight = float(weight_s)
-    except ValueError as exc:
-        raise KgFormatError(f"{path}:{lineno}: weight {weight_s!r} is not a number") from exc
-    if weight < 0:
-        raise KgFormatError(f"{path}:{lineno}: negative weight {weight}")
-    return KnowledgeTriple(relation=relation, head=head, tail=tail, weight=weight)
+def iter_kg_triples(text: str, label="kg"):
+    """Parse every triple of KG text, before any filtering; errors name `label:lineno`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 4:
+            raise KgFormatError(f"{label}:{lineno}: expected 4 tab-separated columns, got {len(parts)}: {raw!r}")
+        relation, head, tail, weight_s = (p.strip() for p in parts)
+        if not head or not tail:
+            raise KgFormatError(f"{label}:{lineno}: empty head or tail")
+        try:
+            weight = float(weight_s)
+        except ValueError as exc:
+            raise KgFormatError(f"{label}:{lineno}: weight {weight_s!r} is not a number") from exc
+        if weight < 0:
+            raise KgFormatError(f"{label}:{lineno}: negative weight {weight}")
+        yield KnowledgeTriple(relation=relation, head=head, tail=tail, weight=weight)
 
 
-def iter_kg_triples(path):
-    """Parse every triple in a KG file, before any filtering."""
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        triple = _parse_kg_line(path, lineno, raw)
-        if triple is not None:
-            yield triple
+def load_kg(triples, threshold: float, vocab: Tokenizer, surfaces=None, tagger=None) -> KnowledgeStore:
+    """The store over parsed triples (see `iter_kg_triples`).
 
-
-def load_kg(path, threshold: float, vocab: Tokenizer, surfaces=None, tagger=None) -> KnowledgeStore:
-    """Load a TSV knowledge graph `relation<TAB>head<TAB>tail<TAB>weight`.
-
-    `#` comment lines and blank lines are ignored. Triples below the weight
-    threshold are dropped (the boundary is kept), as is any triple whose
-    head or tail contains a word the vocabulary does not know.
+    Triples below the weight threshold are dropped (the boundary is kept),
+    as is any triple whose head or tail contains a word the vocabulary does
+    not know.
     """
     store = KnowledgeStore(tagger=tagger or PosTagger())
-    for triple in iter_kg_triples(path):
+    for triple in triples:
         if triple.weight < threshold:
             continue
         words = tokenize(triple.head) + tokenize(triple.tail)
@@ -230,6 +213,32 @@ def load_kg(path, threshold: float, vocab: Tokenizer, surfaces=None, tagger=None
             continue
         store.add(triple, surfaces)
     return store
+
+
+@dataclass
+class GraphInputs:
+    """A run's graph files, each read once: `triples` is the one parse of the
+    KG (None without a graph), `raw` the bytes of each given file by name."""
+
+    triples: list | None
+    surfaces: dict
+    tagger: PosTagger
+    raw: dict
+
+
+def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInputs:
+    """Read and parse the KG TSV `relation<TAB>head<TAB>tail<TAB>weight`, the
+    surface TSV `relation<TAB>surface phrase` and the lexicon TSV `word<TAB>tag`."""
+    raw = {}
+
+    def text(name, path):
+        raw[name] = Path(path).read_bytes()
+        return raw[name].decode("utf-8")
+
+    triples = None if kg_path is None else list(iter_kg_triples(text("kg", kg_path), kg_path))
+    surfaces = {} if surfaces_path is None else _read_pairs(text("surfaces", surfaces_path), surfaces_path, "relation<TAB>surface")
+    lexicon = {} if lexicon_path is None else _read_pairs(text("lexicon", lexicon_path), lexicon_path, "word<TAB>tag")
+    return GraphInputs(triples, surfaces, PosTagger(lexicon), raw)
 
 
 def serialize_kg(store: KnowledgeStore, path):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderParams, MhaParams, encode, mha
+from .attention import ConfigurationError, EncoderParams, MhaParams, encode, mha
 from .knowledge import FactEmbedding, FactEncoder, KnowledgeStore, rank_triples
 from .tensor import ShapeError, Tensor
 from .tokenizer import Tokenizer
@@ -293,8 +293,10 @@ class KktPipeline:
     Owns the caches: ranked fact ids per dialogue text (context knowledge is
     shared across a dialogue's questions) and per QA text, plus the fact
     encoder's embedding cache, which training invalidates after every
-    optimizer step. All caches are keyed by content, not by ids, so results
-    are independent of call order and of how examples are named.
+    optimizer step. Only an ablation with path "k" has a fact encoder;
+    without it `fact_encoder` is None. All caches are keyed by content, not
+    by ids, so results are independent of call order and of how examples
+    are named.
     """
 
     def __init__(self, params: KktParams, tokenizer: Tokenizer, store: KnowledgeStore | None = None,
@@ -306,7 +308,7 @@ class KktPipeline:
         self.k = k
         self.p = p
         self.max_len = max_len
-        self.fact_encoder = FactEncoder(tokenizer, params.enc, params.fact_sa)
+        self.fact_encoder = FactEncoder(tokenizer, params.enc, params.fact_sa) if "k" in PATHS[self.ablation] else None
         self._ck_ids: dict = {}
         self._qak_ids: dict = {}
 
@@ -322,24 +324,22 @@ class KktPipeline:
 
     def context_knowledge(self, example: DialogueExample):
         """Top-p fact embeddings for the dialogue turns (cached ranking)."""
-        key = tuple(example.turns)
-        ids = self._ck_ids.get(key)
-        if ids is None:
-            ids = self._ck_ids[key] = rank_triples(self.store, example.turns, self.p)
-        return self._embed(ids)
+        return self._knowledge(self._ck_ids, tuple(example.turns), example.turns)
 
     def qa_knowledge(self, example: DialogueExample, option_index: int):
         """Top-p fact embeddings for one question+option text (cached ranking)."""
         qa = example.qa_text(option_index)
-        ids = self._qak_ids.get(qa)
-        if ids is None:
-            ids = self._qak_ids[qa] = rank_triples(self.store, [qa], self.p)
-        return self._embed(ids)
+        return self._knowledge(self._qak_ids, qa, [qa])
 
-    def _embed(self, triple_ids):
+    def _knowledge(self, ranked: dict, key, texts):
+        if self.fact_encoder is None:
+            raise ConfigurationError(f"ablation {self.ablation!r} has no knowledge path to encode facts with")
+        ids = ranked.get(key)
+        if ids is None:
+            ids = ranked[key] = rank_triples(self.store, texts, self.p)
         return [
             FactEmbedding(r_k=self.fact_encoder.encode_fact(self.store.facts[tid]), fact=self.store.facts[tid], triple_id=tid)
-            for tid in triple_ids
+            for tid in ids
         ]
 
     def option_logit(self, example: DialogueExample, option_index: int):

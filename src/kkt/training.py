@@ -5,8 +5,9 @@ average of per-batch floats. Every run resolves its seed (the KKT_SEED
 environment variable overrides the config), and reports carry a fingerprint
 hashing the resolved config together with every input that changes the
 result (datasets, graph, relation surfaces, lexicon, NLI corpus, planted
-turns and, for evaluations, the checkpoint bytes), so identical
-fingerprints imply byte-identical reports.
+turns and, for evaluations, the checkpoint bytes and the vocabulary), so
+identical fingerprints imply byte-identical reports. Each file is read once
+and hashed from the bytes that were parsed.
 """
 
 from __future__ import annotations
@@ -21,19 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import assign_named, checkpoint_bytes, parse_checkpoint
+from .attention import ConfigurationError
+from .checkpoint import Checkpoint, assign_named, checkpoint_bytes, parse_checkpoint
 from .data import Dataset, dataset_hash
 from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, train_nli_head
-from .knowledge import KnowledgeStore, PosTagger, iter_kg_triples, load_kg, load_surfaces, rewrite_triple
+from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
 from .tokenizer import Tokenizer
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-
-
-class ConfigurationError(ValueError):
-    """Raised when a run configuration or checkpoint pairing is invalid."""
+_CHOICES = {"ablation": ABLATIONS, "dtype": tuple(_DTYPES), "key_turn_provider": ("auto", "nli", "leading", "oracle")}
+# Least value of every integer field.
+_INT_MIN = {"d_model": 1, "h": 1, "layers": 1, "batch_size": 1, "max_length": 1,
+            "k": 0, "p": 0, "epochs": 0, "warmup_steps": 0, "nli_epochs": 0, "seed": 0}
 
 
 @dataclass
@@ -56,14 +58,23 @@ class RunConfig:
     nli_epochs: int = 30
 
     def __post_init__(self):
-        if self.ablation not in ABLATIONS:
-            raise ConfigurationError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.dtype not in _DTYPES:
-            raise ConfigurationError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
-        if self.key_turn_provider not in ("auto", "nli", "leading", "oracle"):
-            raise ConfigurationError(f"unknown key-turn provider {self.key_turn_provider!r}")
-        if self.k < 0 or self.p < 0:
-            raise ConfigurationError("k and p must be non-negative")
+        """Reject every field of the wrong type or out of range, naming it."""
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        for name, least in _INT_MIN.items():
+            value = getattr(self, name)
+            # `type(...) is int` also turns bools away.
+            if type(value) is not int or value < least:
+                raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.d_model % self.h:
+            raise ConfigurationError(f"h {self.h} must divide d_model {self.d_model}")
+        for name in ("learning_rate", "weight_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if self.learning_rate <= 0:
+            raise ConfigurationError(f"learning_rate must be above 0, got {self.learning_rate!r}")
 
     @property
     def d_ff(self) -> int:
@@ -78,6 +89,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"a config must be a JSON object, got {type(obj).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(obj) - known)
         if unknown:
@@ -102,13 +115,11 @@ def effective_seed(config: RunConfig) -> int:
 
 
 def _digest(value) -> str:
-    """SHA-256 of a run input: a dataset's dialogues, a file's bytes, a
-    checkpoint blob, or the canonical JSON of NLI records or planted turns."""
+    """SHA-256 of a run input: a dataset's dialogues, the bytes a file was parsed
+    from, or the canonical JSON of NLI records, planted turns or tokens."""
     if isinstance(value, Dataset):
         return dataset_hash(value)
-    if isinstance(value, (str, Path)):
-        value = Path(value).read_bytes()
-    elif not isinstance(value, (bytes, bytearray)):
+    if not isinstance(value, (bytes, bytearray)):
         value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(value).hexdigest()
 
@@ -123,19 +134,15 @@ def fingerprint(config: RunConfig, seed: int, data_hashes: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def build_vocab(dataset: Dataset, kg_path=None, weight_threshold: float = 0.0, surfaces=None) -> Tokenizer:
-    """Vocabulary over the training texts plus the knowledge graph's facts.
+def build_vocab(dataset: Dataset, triples=None, weight_threshold: float = 0.0, surfaces=None) -> Tokenizer:
+    """Vocabulary over the training texts plus the facts of the parsed triples.
 
     Graph words are included so retrieval-relevant tokens (including ones
     appearing only at evaluation time) have ids; their embeddings stay
     untrained unless the training text uses them.
     """
-    texts = list(dataset.texts())
-    if kg_path is not None:
-        for triple in iter_kg_triples(kg_path):
-            if triple.weight >= weight_threshold:
-                texts.append(rewrite_triple(triple, surfaces).text)
-    return Tokenizer.build(texts)
+    facts = [rewrite_triple(t, surfaces).text for t in triples or () if t.weight >= weight_threshold]
+    return Tokenizer.build(list(dataset.texts()) + facts)
 
 
 @dataclass
@@ -203,16 +210,11 @@ def _dims(config: RunConfig, vocab: Tokenizer) -> tuple:
     return len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length
 
 
-def load_store(kg_path, threshold: float, vocab: Tokenizer, surfaces: dict, lexicon_path=None) -> KnowledgeStore | None:
-    """The run's knowledge store, or None without a graph.
-
-    `surfaces` is the relation surface table (see `load_surfaces`); the POS
-    tagger reads the lexicon when one is given.
-    """
-    if kg_path is None:
+def load_store(graph: GraphInputs, threshold: float, vocab: Tokenizer) -> KnowledgeStore | None:
+    """The run's knowledge store, or None without a graph."""
+    if graph.triples is None:
         return None
-    tagger = PosTagger.load(lexicon_path) if lexicon_path else PosTagger()
-    return load_kg(kg_path, threshold, vocab, surfaces, tagger)
+    return load_kg(graph.triples, threshold, vocab, graph.surfaces, graph.tagger)
 
 
 def key_turn_provider(config: RunConfig, vocab: Tokenizer, nli_head: NliHead | None, planted=None):
@@ -228,17 +230,21 @@ def key_turn_provider(config: RunConfig, vocab: Tokenizer, nli_head: NliHead | N
     return NliProvider(nli_head, vocab)
 
 
-def restore_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer,
+def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
+    """A checkpoint's bytes, read once, and their parse; errors name the file."""
+    if isinstance(blob_or_path, (bytes, bytearray)):
+        return bytes(blob_or_path), parse_checkpoint(bytes(blob_or_path))
+    blob = Path(blob_or_path).read_bytes()
+    return blob, parse_checkpoint(blob, label=str(blob_or_path))
+
+
+def restore_checkpoint(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer,
                        ablation: str | None = None) -> tuple[KktParams, NliHead | None]:
     """Model parameters and, when the checkpoint holds `nli.` tensors, the NLI head.
 
     The requested ablation must match the checkpoint's tag; `None` adopts
     the tag.
     """
-    if isinstance(blob_or_path, (bytes, bytearray)):
-        ckpt = parse_checkpoint(bytes(blob_or_path))
-    else:
-        ckpt = parse_checkpoint(Path(blob_or_path).read_bytes(), label=str(blob_or_path))
     if ablation is not None and ablation != ckpt.ablation:
         raise ConfigurationError(
             f"checkpoint carries ablation {ckpt.ablation!r} but {ablation!r} was requested"
@@ -274,7 +280,7 @@ class TrainResult:
     def eval_pipeline(self, blob: bytes, config: RunConfig) -> KktPipeline:
         """Pipeline over the weights in `blob` that reuses this run's vocab,
         knowledge store and key-turn provider."""
-        params, _ = restore_checkpoint(blob, config, self.vocab)
+        params, _ = restore_checkpoint(parse_checkpoint(blob), config, self.vocab)
         return KktPipeline(params, self.vocab, self.store, self.pipeline.provider,
                            k=config.k, p=config.p, max_len=config.max_length)
 
@@ -298,9 +304,9 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     if not train_dataset.examples:
         raise ValueError("train: empty dataset")
     seed = effective_seed(config)
-    surfaces = load_surfaces(surfaces_path)
-    vocab = build_vocab(train_dataset, kg_path, config.weight_threshold, surfaces)
-    store = load_store(kg_path, config.weight_threshold, vocab, surfaces, lexicon_path)
+    graph = read_graph(kg_path, surfaces_path, lexicon_path)
+    vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold, graph.surfaces)
+    store = load_store(graph, config.weight_threshold, vocab)
     init_rng = np.random.default_rng([seed, 1])
     params = KktParams.init(*_dims(config, vocab), config.ablation, init_rng, dtype=config.np_dtype)
     nli_head = nli_report = None
@@ -309,8 +315,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         nli_report = train_nli_head(nli_head, vocab, nli_corpus, epochs=config.nli_epochs, seed=seed + 1)
     provider = key_turn_provider(config, vocab, nli_head, planted)
     pipeline = KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
-    hashes = _input_hashes(train=train_dataset, dev=dev_dataset, kg=kg_path, surfaces=surfaces_path,
-                           lexicon=lexicon_path, nli=nli_corpus, planted=planted)
+    hashes = _input_hashes(train=train_dataset, dev=dev_dataset, nli=nli_corpus, planted=planted, **graph.raw)
     run_fp = fingerprint(config, seed, hashes)
 
     # The NLI head trains once up front (if at all) and stays frozen here.
@@ -345,7 +350,8 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
                 loss_sum += loss.item()
                 n_correct += int(res.predicted == ex.gold)
             opt.step()
-            pipeline.fact_encoder.invalidate()
+            if pipeline.fact_encoder is not None:
+                pipeline.fact_encoder.invalidate()
             step += 1
         train_acc = n_correct / len(examples)
         record = {"epoch": epoch, "train_loss": loss_sum / len(examples), "train_accuracy": train_acc}
@@ -399,20 +405,25 @@ def pipeline_from_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer, 
     See `restore_checkpoint` for the ablation rule; NLI scorer tensors, when
     present, restore the NLI provider.
     """
-    params, nli_head = restore_checkpoint(blob_or_path, config, vocab, ablation)
-    store = load_store(kg_path, config.weight_threshold, vocab, load_surfaces(surfaces_path), lexicon_path)
+    _, ckpt = read_checkpoint(blob_or_path)
+    return _restored_pipeline(ckpt, config, vocab, read_graph(kg_path, surfaces_path, lexicon_path), planted, ablation)
+
+
+def _restored_pipeline(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer, graph: GraphInputs, planted, ablation):
+    params, nli_head = restore_checkpoint(ckpt, config, vocab, ablation)
     provider = key_turn_provider(config, vocab, nli_head, planted)
-    return KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
+    return KktPipeline(params, vocab, load_store(graph, config.weight_threshold, vocab), provider,
+                       k=config.k, p=config.p, max_len=config.max_length)
 
 
 def evaluate(blob_or_path, config: RunConfig, vocab: Tokenizer, dataset: Dataset, kg_path=None,
              ablation: str | None = None, surfaces_path=None, lexicon_path=None, planted=None) -> EvalReport:
-    """Evaluate a checkpoint; see evaluate_pipeline for the report contract."""
-    pipeline = pipeline_from_checkpoint(
-        blob_or_path, config, vocab, kg_path, surfaces_path, lexicon_path, planted, ablation
-    )
-    hashes = _input_hashes(eval=dataset, kg=kg_path, surfaces=surfaces_path, lexicon=lexicon_path,
-                           planted=planted, checkpoint=blob_or_path)
+    """Evaluate a checkpoint (see evaluate_pipeline); each input file is read
+    once, and the fingerprint hashes those bytes plus the vocabulary."""
+    blob, ckpt = read_checkpoint(blob_or_path)
+    graph = read_graph(kg_path, surfaces_path, lexicon_path)
+    pipeline = _restored_pipeline(ckpt, config, vocab, graph, planted, ablation)
+    hashes = _input_hashes(eval=dataset, planted=planted, checkpoint=blob, vocab=vocab.tokens, **graph.raw)
     return evaluate_pipeline(pipeline, dataset, fingerprint(config, effective_seed(config), hashes))
 
 

@@ -6,7 +6,7 @@ import pytest
 import helpers
 from kkt import tensor as T
 from kkt.attention import (
-    ConfigError,
+    ConfigurationError,
     EncoderParams,
     MhaParams,
     VocabularyError,
@@ -58,9 +58,9 @@ def test_mha_key_value_length_mismatch():
 
 
 def test_mha_head_count_must_divide_d_model():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         MhaParams.init(6, 4, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigurationError):
         MhaParams.init(4, 0, np.random.default_rng(0))
 
 

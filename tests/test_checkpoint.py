@@ -16,11 +16,11 @@ from kkt.checkpoint import (
     CheckpointError,
     assign_named,
     checkpoint_bytes,
-    load_checkpoint,
     parse_checkpoint,
     save_checkpoint,
 )
 from kkt.model import KktParams
+from kkt.training import read_checkpoint
 
 
 def sample_named(seed=0):
@@ -132,7 +132,8 @@ def test_save_load_file(tmp_path):
     named = sample_named(seed=1)
     path = tmp_path / "model.kkt"
     save_checkpoint(path, named, "keyturns-only")
-    ck = load_checkpoint(path)
+    blob, ck = read_checkpoint(path)
+    assert blob == path.read_bytes()
     assert ck.ablation == "keyturns-only"
     assert set(ck.tensors) == set(named)
 

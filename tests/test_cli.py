@@ -85,6 +85,16 @@ def test_train_rejects_malformed_dataset(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("field, value", [("d_model", "8"), ("batch_size", 0)])
+def test_train_rejects_a_bad_config_field(ws, tmp_path, field, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, field: value}), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {field} must be")
+
+
 def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**SMALL_CONFIG, "key_turn_provider": "nli"}), encoding="utf-8")

@@ -16,9 +16,10 @@ from kkt.knowledge import (
     KnowledgeTriple,
     PosTagger,
     content_words,
+    iter_kg_triples,
     load_kg,
-    load_surfaces,
     rank_triples,
+    read_graph,
     rewrite_triple,
     serialize_kg,
     tag_content_words,
@@ -94,7 +95,7 @@ def test_bad_lexicon_tag_rejected():
 def test_tagger_load_tsv(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("# comment\nbike\tNOUN\nrides\tVERB\n", encoding="utf-8")
-    tagger = PosTagger.load(path)
+    tagger = read_graph(lexicon_path=path).tagger
     assert tagger.tag("bike") == "NOUN"
     assert tagger.tag("rides") == "VERB"
 
@@ -103,7 +104,7 @@ def test_tagger_load_malformed_line_reports_position(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("# comment\nbike\tNOUN\nrides VERB\n", encoding="utf-8")
     with pytest.raises(KgFormatError, match=r"lexicon\.tsv:3: expected `word<TAB>tag`"):
-        PosTagger.load(path)
+        read_graph(lexicon_path=path)
 
 
 def test_tag_content_words_pairs():
@@ -127,7 +128,7 @@ def test_load_kg_threshold_boundary(tmp_path):
         "atlocation\tdog\tyard\t2.0\n",
         encoding="utf-8",
     )
-    store = load_kg(path, 1.0, vocab_over("bike street cat house dog yard"))
+    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street cat house dog yard"))
     assert len(store) == 2
     assert {t.head for t in store.triples} == {"cat", "dog"}
 
@@ -135,7 +136,7 @@ def test_load_kg_threshold_boundary(tmp_path):
 def test_load_kg_drops_out_of_vocabulary_words(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t2\nisa\tunicorn\tanimal\t2\n", encoding="utf-8")
-    store = load_kg(path, 1.0, vocab_over("bike street animal"))
+    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street animal"))
     assert len(store) == 1
     assert store.triples[0].head == "bike"
 
@@ -143,35 +144,48 @@ def test_load_kg_drops_out_of_vocabulary_words(tmp_path):
 def test_load_kg_empty_file(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("", encoding="utf-8")
-    assert len(load_kg(path, 1.0, vocab_over("anything"))) == 0
+    assert len(load_kg(read_graph(path).triples, 1.0, vocab_over("anything"))) == 0
 
 
 def test_load_kg_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("# header\n\natlocation\tbike\tstreet\t2\n", encoding="utf-8")
-    assert len(load_kg(path, 1.0, vocab_over("bike street"))) == 1
+    assert len(load_kg(read_graph(path).triples, 1.0, vocab_over("bike street"))) == 1
 
 
 def test_load_kg_malformed_line_reports_position(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t2\njust three\tcolumns\there\n", encoding="utf-8")
     with pytest.raises(KgFormatError) as err:
-        load_kg(path, 1.0, vocab_over("bike street"))
-    assert ":2:" in str(err.value)
+        read_graph(path)
+    assert str(err.value).startswith(f"{path}:2: expected 4 tab-separated columns")
+    with pytest.raises(KgFormatError, match=r"^inline:2: "):
+        list(iter_kg_triples(path.read_text(encoding="utf-8"), "inline"))
+
+
+def test_read_graph_keeps_the_bytes_it_parsed(tmp_path):
+    kg, lexicon = tmp_path / "kg.tsv", tmp_path / "lexicon.tsv"
+    kg.write_bytes(b"# header\r\natlocation\tbike\tstreet\t2\r\n")
+    lexicon.write_bytes("bike\tNOUN\n".encode("utf-8"))
+    graph = read_graph(kg, lexicon_path=lexicon)
+    assert graph.raw == {"kg": kg.read_bytes(), "lexicon": lexicon.read_bytes()}
+    assert graph.triples == [KnowledgeTriple("atlocation", "bike", "street", 2.0)]
+    assert graph.surfaces == {} and graph.tagger.tag("bike") == "NOUN"
+    assert read_graph().triples is None and read_graph().raw == {}
 
 
 def test_load_kg_negative_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t-1\n", encoding="utf-8")
     with pytest.raises(KgFormatError):
-        load_kg(path, 0.0, vocab_over("bike street"))
+        load_kg(read_graph(path).triples, 0.0, vocab_over("bike street"))
 
 
 def test_load_kg_bad_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\theavy\n", encoding="utf-8")
     with pytest.raises(KgFormatError):
-        load_kg(path, 0.0, vocab_over("bike street"))
+        load_kg(read_graph(path).triples, 0.0, vocab_over("bike street"))
 
 
 def test_rewrite_triple_raw_relation_fallback():
@@ -204,7 +218,7 @@ def test_rewrite_keeps_head_and_tail_substrings():
 def test_load_surfaces(tmp_path):
     path = tmp_path / "surfaces.tsv"
     path.write_text("atlocation\tis found on\nisa\tis a\n", encoding="utf-8")
-    table = load_surfaces(path)
+    table = read_graph(surfaces_path=path).surfaces
     assert table == {"atlocation": "is found on", "isa": "is a"}
 
 
@@ -212,7 +226,7 @@ def test_load_surfaces_malformed_line_reports_position(tmp_path):
     path = tmp_path / "surfaces.tsv"
     path.write_text("atlocation\tis found on\n\nisa\tis\ta\n", encoding="utf-8")
     with pytest.raises(KgFormatError, match=r"surfaces\.tsv:3: expected `relation<TAB>surface`"):
-        load_surfaces(path)
+        read_graph(surfaces_path=path)
 
 
 def test_serialize_round_trip(tmp_path):
@@ -222,10 +236,10 @@ def test_serialize_round_trip(tmp_path):
         encoding="utf-8",
     )
     vocab = vocab_over("bike street cat animal dog yard")
-    store = load_kg(src, 0.0, vocab)
+    store = load_kg(read_graph(src).triples, 0.0, vocab)
     out = tmp_path / "round.tsv"
     serialize_kg(store, out)
-    back = load_kg(out, 0.0, vocab)
+    back = load_kg(read_graph(out).triples, 0.0, vocab)
     assert [(t.relation, t.head, t.tail, t.weight) for t in back.triples] == [
         (t.relation, t.head, t.tail, t.weight) for t in store.triples
     ]
@@ -421,6 +435,6 @@ def test_store_invariants_after_load(tmp_path):
         "r\tbike\tstreet\t2\nr\tcat\tanimal\t0.2\nr\tbike\tmystery\t5\n",
         encoding="utf-8",
     )
-    store = load_kg(path, 1.0, vocab_over("bike street cat animal"))
+    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street cat animal"))
     assert all(t.weight >= 1.0 for t in store.triples)
     assert [t.tail for t in store.triples] == ["street"]

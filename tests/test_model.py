@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from kkt import tensor as T
-from kkt.attention import MhaParams
+from kkt.attention import ConfigurationError, MhaParams
 from kkt.data import gen_synthetic
-from kkt.keyturns import LeadingProvider
+from kkt.keyturns import LeadingProvider, NliHead, NliProvider
 from kkt.knowledge import FactEmbedding, KnowledgeStore, KnowledgeTriple
 from kkt.model import (
     ABLATIONS,
@@ -412,6 +413,70 @@ def test_predict_option_permutation_equivariance():
         permuted = pipe.predict(permuted_ex)
         assert np.array_equal(permuted.logits, base.logits[perm])
         assert permuted_ex.options[permuted.predicted] == ex.options[base.predicted]
+
+
+_WORDS = ("bike", "street", "shed", "house", "garden", "book", "shelf", "walk", "ride", "the", "is", "on", "?")
+_sentences = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def permuted_cases(draw):
+    """A random example, a permutation of its options and a random untrained
+    float64 pipeline of any ablation, with facts and key turns on hand."""
+    options = draw(st.lists(_sentences, min_size=2, max_size=4))
+    example = DialogueExample(
+        turns=draw(st.lists(_sentences, min_size=1, max_size=5)), question=draw(_sentences),
+        options=options, gold=draw(st.integers(0, len(options) - 1)),
+    )
+    identity = list(range(len(options)))
+    perm = draw(st.permutations(identity).filter(lambda perm: perm != identity))
+    nouns = st.sampled_from(_WORDS[:7])
+    triples = draw(st.lists(st.tuples(nouns, nouns, st.sampled_from((0.5, 1.0, 2.0))), min_size=1, max_size=6))
+    setup = dict(ablation=draw(st.sampled_from(ABLATIONS)), seed=draw(st.integers(0, 2**16)),
+                 nli=draw(st.booleans()), triples=triples, k=draw(st.integers(0, len(example.turns))),
+                 p=draw(st.integers(0, 3)), max_len=draw(st.integers(24, 64)))
+    return example, perm, setup
+
+
+def _random_pipeline(ablation, seed, nli, triples, k, p, max_len):
+    tk = Tokenizer.build([" ".join(_WORDS), "atlocation"])
+    rng = np.random.default_rng(seed)
+    params = KktParams.init(len(tk), 8, 2, 1, 32, max_len, ablation, rng, dtype=np.float64)
+    provider = LeadingProvider()
+    if nli:
+        provider = NliProvider(NliHead.init(len(tk), 8, 2, 1, 32, 2 * max_len, rng, dtype=np.float64), tk)
+    store = KnowledgeStore()
+    for head, tail, weight in triples:
+        store.add(KnowledgeTriple("atlocation", head, tail, weight))
+    return KktPipeline(params, tk, store, provider, k=k, p=p, max_len=max_len)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(permuted_cases())
+def test_option_permutation_permutes_logits_exactly(case):
+    example, perm, setup = case
+    permuted = replace(example, options=[example.options[j] for j in perm], gold=perm.index(example.gold))
+    # Separate pipelines, so no cached ranking or selection is shared.
+    base = _random_pipeline(**setup).predict(example)
+    other = _random_pipeline(**setup).predict(permuted)
+    assert np.array_equal(other.logits, base.logits[list(perm)])
+    assert other.flags == [base.flags[j] for j in perm]
+
+
+@pytest.mark.parametrize("ablation", [a for a in ABLATIONS if "k" not in PATHS[a]])
+def test_knowledge_needs_the_knowledge_path(ablation):
+    ex = make_example(["m : the bike is on the street ."])
+    tk, params = small_setup(ablation=ablation, texts=["bike atlocation street"])
+    store = KnowledgeStore()
+    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0))
+    pipe = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64)
+    assert pipe.fact_encoder is None
+    with pytest.raises(ConfigurationError, match=ablation):
+        pipe.context_knowledge(ex)
+    with pytest.raises(ConfigurationError, match=ablation):
+        pipe.qa_knowledge(ex, 0)
+    # predict never asks for facts on this ablation.
+    assert all(flags["ck_identity"] for flags in pipe.predict(ex).flags)
 
 
 def test_keyturns_only_rebuilds_context_from_selection():

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import kkt.training as training
-from kkt.checkpoint import checkpoint_bytes
+from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
 from kkt.data import gen_synthetic, write_bundle
 from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
+from kkt.knowledge import read_graph
 from kkt.model import ABLATIONS
 from kkt.optim import Adam
 from kkt.tensor import Tensor
+from kkt.tokenizer import Tokenizer
 from kkt.training import (
     ConfigurationError,
     EvalReport,
@@ -49,6 +51,8 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigurationError, match="momentum"):
         RunConfig.from_dict({"momentum": 0.9})
+    with pytest.raises(ConfigurationError, match="JSON object"):
+        RunConfig.from_dict(5)
 
 
 @pytest.mark.parametrize(
@@ -59,11 +63,42 @@ def test_config_rejects_unknown_fields():
         {"key_turn_provider": "psychic"},
         {"k": -1},
         {"p": -2},
+        {"d_model": "8"},
+        {"d_model": 0},
+        {"h": 0},
+        {"h": 3},
+        {"layers": 0},
+        {"batch_size": 0},
+        {"max_length": 0},
+        {"epochs": -1},
+        {"warmup_steps": -1},
+        {"nli_epochs": -1},
+        {"seed": -1},
+        {"epochs": True},
+        {"k": 2.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+        {"learning_rate": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": "1e-3"},
+        {"learning_rate": True},
+        {"weight_threshold": float("-inf")},
+        {"weight_threshold": None},
+        {"ablation": ["full"]},
+        {"dtype": ["float32"]},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ConfigurationError):
+    # Every rejection names the offending field.
+    (name,) = kwargs
+    with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
         RunConfig(**kwargs)
+
+
+def test_config_accepts_range_boundaries():
+    cfg = RunConfig(d_model=1, h=1, layers=1, batch_size=1, max_length=1, epochs=0, warmup_steps=0,
+                    nli_epochs=0, k=0, p=0, seed=0, learning_rate=1, weight_threshold=-2)
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_paper_defaults_preset():
@@ -105,7 +140,7 @@ def test_build_vocab_includes_graph_words(tmp_path):
     bundle = gen_synthetic(seed=2, n=4, mode="knowledge-signal")
     kg = tmp_path / "kg.tsv"
     kg.write_text("locatedat\tzanzibar\tqoph\t2.0\nlocatedat\tjib\tkex\t0.5\n", encoding="utf-8")
-    vocab = build_vocab(bundle.dataset, kg, weight_threshold=1.0)
+    vocab = build_vocab(bundle.dataset, read_graph(kg).triples, weight_threshold=1.0)
     assert vocab.has("zanzibar") and vocab.has("qoph")
     # Below the weight threshold the triple contributes nothing.
     assert not vocab.has("jib") and not vocab.has("kex")
@@ -342,7 +377,7 @@ def test_small_set_overfits(corpus):
 
 
 def test_non_finite_loss_aborts_with_location(corpus):
-    cfg = _small_cfg(epochs=1, batch_size=2, learning_rate=float("inf"))
+    cfg = _small_cfg(epochs=1, batch_size=2, learning_rate=1e30)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
         train(cfg, corpus["bundle"].dataset)
     assert re.search(r"non-finite loss at epoch 1 step \d+ example mixed-train-\d+#0", str(err.value))
@@ -394,7 +429,7 @@ def test_checkpoint_restores_trained_weights(run):
 def test_every_ablation_restores_its_checkpoint(corpus, ablation):
     cfg = _small_cfg(epochs=1, ablation=ablation)
     result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"])
-    params, head = restore_checkpoint(result.final_blob, cfg, result.vocab)
+    params, head = restore_checkpoint(parse_checkpoint(result.final_blob), cfg, result.vocab)
     assert params.ablation == ablation and head is None
     trained = result.params.named_parameters()
     rebuilt = params.named_parameters()
@@ -449,6 +484,20 @@ def test_eval_fingerprint_hashes_checkpoint(run, corpus):
            for blob in (result.best_blob(), result.best_blob(), untrained.final_blob)]
     assert fps[0] == fps[1]
     assert fps[0] != fps[2]
+
+
+def test_eval_fingerprint_hashes_the_vocabulary(run, corpus):
+    # Same checkpoint, same vocabulary size, words in reverse order: the
+    # ids, and so the report, change, and the fingerprint must too.
+    cfg, result = run["cfg"], run["result"]
+    words = result.vocab.tokens[5:]
+    reversed_vocab = Tokenizer(list(reversed(words)))
+    assert len(reversed_vocab) == len(result.vocab)
+    reports = [evaluate(result.best_blob(), cfg, vocab, corpus["dev"])
+               for vocab in (result.vocab, reversed_vocab, result.vocab)]
+    assert reports[0].to_json() == reports[2].to_json()
+    assert reports[0].fingerprint != reports[1].fingerprint
+    assert reports[0].mean_loss != reports[1].mean_loss
 
 
 def test_train_fingerprint_hashes_every_input(corpus):
