@@ -8,15 +8,15 @@ top-k scores but always reports turns in dialogue order.
 
 import numpy as np
 
-from kkt.keyturns import NliHead, RelevanceScore, score_turn, select_key_turns, train_nli_head
+from kkt.keyturns import NliHead, score_turn, select_key_turns, train_nli_head
 from kkt.tokenizer import Tokenizer
 
 # Selection is deterministic given scores. Higher is more relevant; ties
 # go to the earlier turn.
 scores = [-1.91, -1.49, -2.53, -1.66, -2.26, -1.87]
-picked = select_key_turns([RelevanceScore(i, 0, s) for i, s in enumerate(scores)], k=2)
+picked = select_key_turns(scores, k=2)
 print("scores:", scores)
-print("k=2 keeps turn indices", picked.turn_indices, "(0-based, dialogue order)")
+print("k=2 keeps turn indices", picked, "(0-based, dialogue order)")
 print()
 
 # An actual scorer. Train it on a tiny corpus where 'green' premises entail,
@@ -43,5 +43,5 @@ qa = "the signal matters"
 turn_scores = [score_turn(head, vocab, t, qa) for t in dialogue]
 for t, s in zip(dialogue, turn_scores):
     print(f"  {s:8.4f}  {t}")
-best = select_key_turns([RelevanceScore(i, 0, s) for i, s in enumerate(turn_scores)], k=1)
-print("the entailing turn wins:", dialogue[best.turn_indices[0]])
+best = select_key_turns(turn_scores, k=1)
+print("the entailing turn wins:", dialogue[best[0]])

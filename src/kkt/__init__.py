@@ -3,7 +3,7 @@ key-turn selection, built on a small numpy autodiff core."""
 
 from .attention import EncoderParams, MhaParams, encode, mha, self_attention
 from .data import Dataset, SyntheticBundle, gen_synthetic, load_dataset, write_bundle
-from .keyturns import KeyTurnSet, NliHead, RelevanceScore, score_turn, select_key_turns, train_nli_head
+from .keyturns import NliHead, score_turn, select_key_turns, train_nli_head
 from .knowledge import (
     Fact,
     FactEmbedding,

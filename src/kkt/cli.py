@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError
-from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, write_bundle
-from .keyturns import NliProvider, select_key_turns
+from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, planted_turns_from_meta, write_bundle
+from .keyturns import NliProvider
 from .knowledge import KgFormatError, rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
 from .tokenizer import Tokenizer
@@ -67,8 +67,7 @@ def _planted_from_meta(meta_path):
     if meta_path is None:
         return None
     with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return {eid: info["planted_turn"] for eid, info in meta.get("examples", {}).items() if "planted_turn" in info}
+        return planted_turns_from_meta(json.load(fh), meta_path)
 
 
 def _cmd_train(args):
@@ -180,14 +179,8 @@ def _cmd_score_turns(args):
     options_out = []
     for j, option in enumerate(ex.options):
         scores = provider.scores(ex, ex.qa_text(j))
-        selected = select_key_turns(scores, k).turn_indices
-        options_out.append(
-            {
-                "option": option,
-                "scores": [round(s.score, 6) for s in scores],
-                "selected_turns": list(selected),
-            }
-        )
+        selected = provider.select(ex, ex.qa_text(j), k)
+        options_out.append({"option": option, "scores": [round(s, 6) for s in scores], "selected_turns": list(selected)})
     _emit({"example_id": ex.example_id, "turns": ex.turns, "question": ex.question, "k": k, "options": options_out})
 
 

@@ -158,7 +158,21 @@ class SyntheticBundle:
 
     def planted_turns(self) -> dict:
         """example id -> planted turn index, for the oracle key-turn provider."""
-        return {eid: info["planted_turn"] for eid, info in self.meta["examples"].items()}
+        return planted_turns_from_meta(self.meta)
+
+
+def planted_turns_from_meta(meta, label="meta") -> dict:
+    """example id -> planted turn index from generator metadata, whose
+    `examples` must map ids to objects; entries without a `planted_turn` are
+    skipped, and one that is not a JSON integer >= 0 raises `SchemaError`."""
+    examples = meta.get("examples", {}) if isinstance(meta, dict) else None
+    if not isinstance(examples, dict) or not all(isinstance(info, dict) for info in examples.values()):
+        raise SchemaError(f"{label}: expected an object whose `examples` maps ids to objects")
+    planted = {eid: info["planted_turn"] for eid, info in examples.items() if "planted_turn" in info}
+    for eid, turn in planted.items():
+        if isinstance(turn, bool) or not isinstance(turn, int) or turn < 0:
+            raise SchemaError(f"{label}: {eid}: planted_turn must be an integer >= 0, got {turn!r}")
+    return planted
 
 
 def _world(seed: int):

@@ -5,6 +5,10 @@ small encoder with a 3-class output (contradiction, entailment, neutral);
 the entailment log-probability is the relevance score, so scores are always
 <= 0. The k highest-scoring turns become the key turns, re-emitted in
 dialogue order so downstream extraction preserves discourse order.
+
+Every provider selects through that one rule, `select_key_turns`: the NLI
+provider with the entailment scores, the leading provider with equal scores
+and the oracle provider with the planted turn scored above the rest.
 """
 
 from __future__ import annotations
@@ -44,20 +48,6 @@ class NliHead:
         return out
 
 
-@dataclass(frozen=True)
-class RelevanceScore:
-    turn_index: int
-    qa_index: int
-    score: float
-
-
-@dataclass(frozen=True)
-class KeyTurnSet:
-    qa_index: int
-    turn_indices: tuple
-    k: int
-
-
 def pool(enc: EncoderParams, hidden: T.Tensor) -> T.Tensor:
     """Sentence vector tanh(affine(h[0])) over the encoder's pooler weights."""
     first = T.reshape(T.take_rows(hidden, [0]), (enc.d_model,))
@@ -88,22 +78,16 @@ def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str
         return -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
 
 
-def select_key_turns(scores, k: int) -> KeyTurnSet:
-    """Pick the k highest-scoring turns, ties toward the earlier turn.
-
-    The selected indices are emitted in dialogue order, not score order.
-    """
+def select_key_turns(scores, k: int) -> tuple:
+    """Indices of the k highest of the per-turn scores, ties toward the
+    earlier turn, emitted in dialogue order rather than score order."""
     scores = list(scores)
     if not scores:
         raise ValueError("select_key_turns: empty score list")
     if k < 1:
         raise ValueError(f"select_key_turns: k must be >= 1, got {k}")
-    qa = scores[0].qa_index
-    if any(s.qa_index != qa for s in scores):
-        raise ValueError("select_key_turns: scores mix different QA indices")
-    ranked = sorted(scores, key=lambda s: (-s.score, s.turn_index))
-    chosen = sorted(s.turn_index for s in ranked[:k])
-    return KeyTurnSet(qa_index=qa, turn_indices=tuple(chosen), k=k)
+    ranked = sorted(range(len(scores)), key=lambda i: -scores[i])  # stable: ties keep dialogue order
+    return tuple(sorted(ranked[:k]))
 
 
 def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=1e-3, seed=0):
@@ -145,8 +129,9 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
 class NliProvider:
     """Key-turn provider that scores every turn against the QA text.
 
-    Selections are cached by content (turns, QA text, k): the head is frozen
-    while the provider serves, so equal inputs always select equal turns.
+    Score lists are cached by content (turns, QA text): the head is frozen
+    while the provider serves, so equal inputs always score equally, and a
+    second epoch or another k reuses the scores.
     """
 
     def __init__(self, head: NliHead, tokenizer: Tokenizer):
@@ -154,48 +139,36 @@ class NliProvider:
         self.tokenizer = tokenizer
         self._cache = {}
 
-    def scores(self, example, qa_text: str) -> list:
-        """One RelevanceScore per turn of the example, in turn order."""
-        return [
-            RelevanceScore(turn_index=i, qa_index=example.qa_index, score=score_turn(self.head, self.tokenizer, turn, qa_text))
-            for i, turn in enumerate(example.turns)
-        ]
+    def scores(self, example, qa_text: str) -> tuple:
+        """The entailment log-probability of every turn, in dialogue order."""
+        key = (tuple(example.turns), qa_text)
+        if key not in self._cache:
+            self._cache[key] = tuple(score_turn(self.head, self.tokenizer, turn, qa_text) for turn in example.turns)
+        return self._cache[key]
 
     def select(self, example, qa_text: str, k: int) -> tuple:
-        key = (tuple(example.turns), qa_text, k)
-        chosen = self._cache.get(key)
-        if chosen is None:
-            chosen = self._cache[key] = select_key_turns(self.scores(example, qa_text), k).turn_indices
-        return chosen
+        return select_key_turns(self.scores(example, qa_text), k)
 
 
 class LeadingProvider:
-    """Degenerate provider: the first k turns, ignoring content."""
+    """Degenerate provider: every turn scores the same, so the first k win."""
 
     def select(self, example, qa_text: str, k: int) -> tuple:
-        return tuple(range(min(k, len(example.turns))))
+        return select_key_turns([0.0] * len(example.turns), k)
 
 
 class OracleProvider:
     """Provider that reads planted turn indices from generator metadata.
 
-    `planted` maps example id to a turn index. Missing entries fall back to
-    the leading turns. When k exceeds 1 the planted turn is padded with the
-    earliest other turns.
+    `planted` maps example id to a turn index. The planted turn scores above
+    the rest, which all tie, so for k > 1 it is padded with the earliest
+    other turns. A missing or out-of-range entry scores no turn higher, which
+    gives the leading turns.
     """
 
     def __init__(self, planted: dict):
         self.planted = dict(planted)
 
     def select(self, example, qa_text: str, k: int) -> tuple:
-        n = len(example.turns)
         target = self.planted.get(example.example_id)
-        if target is None or not 0 <= target < n:
-            return tuple(range(min(k, n)))
-        chosen = [target]
-        for i in range(n):
-            if len(chosen) >= k:
-                break
-            if i != target:
-                chosen.append(i)
-        return tuple(sorted(chosen))
+        return select_key_turns([float(i == target) for i in range(len(example.turns))], k)

@@ -76,8 +76,9 @@ _SUFFIX_RULES = (
 )
 
 
-def _read_pairs(text: str, label, layout: str) -> dict:
-    """Two-column TSV text as a dict; blank and `#` lines are skipped."""
+def _read_pairs(text: str, label, layout: str, values=None) -> dict:
+    """Two-column TSV text as a dict; blank and `#` lines are skipped. With
+    `values`, the second column must be one of them."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -86,6 +87,8 @@ def _read_pairs(text: str, label, layout: str) -> dict:
         parts = line.split("\t")
         if len(parts) != 2:
             raise KgFormatError(f"{label}:{lineno}: expected `{layout}`, got {raw!r}")
+        if values is not None and parts[1] not in values:
+            raise KgFormatError(f"{label}:{lineno}: tag for {parts[0]!r} must be one of {values}, got {parts[1]!r}")
         pairs[parts[0]] = parts[1]
     return pairs
 
@@ -237,7 +240,7 @@ def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInpu
 
     triples = None if kg_path is None else list(iter_kg_triples(text("kg", kg_path), kg_path))
     surfaces = {} if surfaces_path is None else _read_pairs(text("surfaces", surfaces_path), surfaces_path, "relation<TAB>surface")
-    lexicon = {} if lexicon_path is None else _read_pairs(text("lexicon", lexicon_path), lexicon_path, "word<TAB>tag")
+    lexicon = {} if lexicon_path is None else _read_pairs(text("lexicon", lexicon_path), lexicon_path, "word<TAB>tag", _POS_TAGS)
     return GraphInputs(triples, surfaces, PosTagger(lexicon), raw)
 
 

@@ -290,10 +290,13 @@ def mean_rows(x: Tensor) -> Tensor:
 
 
 def concat_last_axis(xs) -> Tensor:
-    """Concatenate tensors along their last axis; all other dims must agree."""
+    """Concatenate tensors along their last axis; all other dims must agree.
+    A single tensor is returned as it is, without a graph node."""
     xs = list(xs)
     if not xs:
         raise ShapeError("concat_last_axis: no inputs")
+    if len(xs) == 1:
+        return xs[0]
     lead = xs[0].shape[:-1]
     for t in xs[1:]:
         if t.shape[:-1] != lead or t.ndim != xs[0].ndim:

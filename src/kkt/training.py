@@ -2,12 +2,12 @@
 
 Accuracy is always the exact ratio of two integer counters, never an
 average of per-batch floats. Every run resolves its seed (the KKT_SEED
-environment variable overrides the config), and reports carry a fingerprint
-hashing the resolved config together with every input that changes the
-result (datasets, graph, relation surfaces, lexicon, NLI corpus, planted
-turns and, for evaluations, the checkpoint bytes and the vocabulary), so
-identical fingerprints imply byte-identical reports. Each file is read once
-and hashed from the bytes that were parsed.
+environment variable, a decimal integer >= 0, overrides the config), and
+reports carry a fingerprint hashing the resolved config together with every
+input that changes the result (datasets, graph, relation surfaces, lexicon,
+NLI corpus, planted turns and, for evaluations, the checkpoint bytes and the
+vocabulary), so identical fingerprints imply byte-identical reports. Each
+file is read once and hashed from the bytes that were parsed.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ class RunConfig:
 
 def effective_seed(config: RunConfig) -> int:
     env = os.environ.get("KKT_SEED")
+    if env and not (env.isascii() and env.isdigit()):
+        raise ConfigurationError(f"KKT_SEED must be a decimal integer >= 0, got {env!r}")
     return int(env) if env else int(config.seed)
 
 

@@ -21,7 +21,7 @@ from kkt import tensor as T
 from kkt.attention import MhaParams, mha, self_attention
 from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
 from kkt.data import gen_synthetic, write_bundle
-from kkt.keyturns import LeadingProvider, RelevanceScore, select_key_turns
+from kkt.keyturns import LeadingProvider, select_key_turns
 from kkt.knowledge import PosTagger, load_kg, rank_triples, read_graph
 from kkt.model import DialogueExample, EncodedPair, KktParams, KktPipeline, dual_coattention, refine
 from kkt.tokenizer import Tokenizer
@@ -217,8 +217,7 @@ def test_criterion_2_oracle_equivalence(capsys):
 
 def test_criterion_3_selection_contract(capsys):
     scores = [-1.91, -1.49, -2.53, -1.66, -2.26, -1.87]
-    rel = [RelevanceScore(i, 0, s) for i, s in enumerate(scores)]
-    got = select_key_turns(rel, 2).turn_indices
+    got = select_key_turns(scores, 2)
     ok = got == (1, 3)
     report(capsys, 3, ok, f"k=2 selected turns {tuple(i + 1 for i in got)} (1-indexed), expected (2, 4)")
     assert got == (1, 3)

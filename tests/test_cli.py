@@ -104,6 +104,34 @@ def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):
     assert err.startswith("error:") and "NLI" in err
 
 
+@pytest.mark.parametrize("seed", ["abc", "-3"])
+def test_train_rejects_a_bad_kkt_seed(ws, tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("KKT_SEED", seed)
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]),
+                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith("error: ") and "KKT_SEED" in err
+
+
+@pytest.mark.parametrize("meta", [
+    {"examples": []},
+    {"examples": {"mixed-train-00000#0": 2}},
+    {"examples": {"mixed-train-00000#0": {"planted_turn": "2"}}},
+    {"examples": {"mixed-train-00000#0": {"planted_turn": True}}},
+    {"examples": {"mixed-train-00000#0": {"planted_turn": -1}}},
+    {"examples": {"mixed-train-00000#0": {"planted_turn": 1.0}}},
+], ids=["list", "not-an-object", "string", "bool", "negative", "float"])
+def test_train_rejects_a_malformed_meta(ws, tmp_path, meta):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "key_turn_provider": "oracle"}), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(cfg), "--meta", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {path}:")
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -213,6 +241,16 @@ def test_retrieve_rejects_malformed_lexicon(tmp_path):
     rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--lexicon", str(lexicon)])
     assert rc == 2
     assert err.startswith("error:") and "lexicon.tsv:2:" in err
+
+
+def test_retrieve_names_the_line_of_a_bad_lexicon_tag(tmp_path):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2.0\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("street\tNOUN\nbike\tADVERB\n", encoding="utf-8")
+    rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--lexicon", str(lexicon)])
+    assert rc == 2
+    assert err.startswith(f"error: {lexicon}:2: ") and "ADVERB" in err
 
 
 # -------------------------------------------------------------- score-turns

@@ -15,6 +15,7 @@ from kkt.data import (
     dataset_from_obj,
     dataset_hash,
     gen_synthetic,
+    planted_turns_from_meta,
     load_dataset,
     load_nli_corpus,
     write_bundle,
@@ -141,6 +142,27 @@ def test_planted_turns_mapping():
     assert set(planted) == {ex.example_id for ex in bundle.dataset.examples}
     for eid, turn in planted.items():
         assert bundle.meta["examples"][eid]["planted_turn"] == turn
+
+
+def test_planted_turns_skip_entries_without_one():
+    meta = {"examples": {"a#0": {"planted_turn": 0}, "b#0": {"kind": "keyturn"}}}
+    assert planted_turns_from_meta(meta) == {"a#0": 0}
+    assert planted_turns_from_meta({}) == {}
+
+
+@pytest.mark.parametrize("meta", [
+    [],
+    {"examples": [1, 2]},
+    {"examples": {"a#0": [3]}},
+    {"examples": {"a#0": {"planted_turn": "2"}}},
+    {"examples": {"a#0": {"planted_turn": True}}},
+    {"examples": {"a#0": {"planted_turn": -1}}},
+    {"examples": {"a#0": {"planted_turn": 2.0}}},
+    {"examples": {"a#0": {"planted_turn": None}}},
+])
+def test_planted_turns_reject_a_malformed_meta(meta):
+    with pytest.raises(SchemaError, match="^meta.json: "):
+        planted_turns_from_meta(meta, "meta.json")
 
 
 def test_nli_records_structure_and_cap():

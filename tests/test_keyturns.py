@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kkt import keyturns
 from kkt.keyturns import (
     CONTRADICTION,
     ENTAILMENT,
@@ -13,7 +15,6 @@ from kkt.keyturns import (
     NliHead,
     NliProvider,
     OracleProvider,
-    RelevanceScore,
     score_turn,
     pool,
     select_key_turns,
@@ -24,7 +25,7 @@ from kkt.tokenizer import Tokenizer
 
 
 def rs(scores):
-    return [RelevanceScore(turn_index=i, qa_index=0, score=s) for i, s in enumerate(scores)]
+    return [float(s) for s in scores]
 
 
 def make_head(tk, seed=0, d=8):
@@ -84,19 +85,19 @@ def test_score_turn_deterministic():
 def test_select_published_example():
     # Scores for a 6-turn dialogue; top 2 are turns 2 and 4 (1-indexed).
     scores = rs([-1.91, -1.49, -2.53, -1.66, -2.26, -1.87])
-    assert select_key_turns(scores, 2).turn_indices == (1, 3)
+    assert select_key_turns(scores, 2) == (1, 3)
 
 
 def test_select_saturates_at_turn_count():
-    assert select_key_turns(rs([-3.0, -1.0, -2.0]), 10).turn_indices == (0, 1, 2)
+    assert select_key_turns(rs([-3.0, -1.0, -2.0]), 10) == (0, 1, 2)
 
 
 def test_select_all_equal_prefers_earliest():
-    assert select_key_turns(rs([-1.0, -1.0, -1.0, -1.0]), 2).turn_indices == (0, 1)
+    assert select_key_turns(rs([-1.0, -1.0, -1.0, -1.0]), 2) == (0, 1)
 
 
 def test_select_emits_dialogue_order():
-    chosen = select_key_turns(rs([-5.0, -1.0, -4.0, -2.0]), 3).turn_indices
+    chosen = select_key_turns(rs([-5.0, -1.0, -4.0, -2.0]), 3)
     assert chosen == (1, 2, 3)
     assert list(chosen) == sorted(chosen)
 
@@ -106,21 +107,18 @@ def test_select_validates_input():
         select_key_turns([], 2)
     with pytest.raises(ValueError):
         select_key_turns(rs([-1.0]), 0)
-    mixed = [RelevanceScore(0, 0, -1.0), RelevanceScore(1, 1, -2.0)]
-    with pytest.raises(ValueError):
-        select_key_turns(mixed, 1)
 
 
 def brute_topk(scores, k):
     # Repeated linear max-scan, ties to the earlier turn; order-free result.
-    remaining = list(scores)
+    remaining = list(range(len(scores)))
     chosen = []
     for _ in range(min(k, len(remaining))):
         best = remaining[0]
-        for s in remaining[1:]:
-            if s.score > best.score or (s.score == best.score and s.turn_index < best.turn_index):
-                best = s
-        chosen.append(best.turn_index)
+        for i in remaining[1:]:
+            if scores[i] > scores[best]:
+                best = i
+        chosen.append(best)
         remaining.remove(best)
     return tuple(sorted(chosen))
 
@@ -132,7 +130,7 @@ def test_select_matches_brute_oracle_on_random_lists():
         # Draw from a tiny value set so ties are common.
         scores = rs((-rng.integers(0, 5, size=n)).astype(float))
         k = int(rng.integers(1, n + 2))
-        assert select_key_turns(scores, k).turn_indices == brute_topk(scores, k)
+        assert select_key_turns(scores, k) == brute_topk(scores, k)
 
 
 def test_select_invariant_under_monotone_transform():
@@ -141,8 +139,8 @@ def test_select_invariant_under_monotone_transform():
         n = int(rng.integers(2, 10))
         raw = -rng.random(size=n) * 3.0
         k = int(rng.integers(1, n + 1))
-        base = select_key_turns(rs(raw), k).turn_indices
-        warped = select_key_turns(rs(0.5 * raw - 7.0), k).turn_indices
+        base = select_key_turns(rs(raw), k)
+        warped = select_key_turns(rs(0.5 * raw - 7.0), k)
         assert warped == base
 
 
@@ -224,25 +222,67 @@ def test_oracle_provider_falls_back_to_leading():
     assert OracleProvider({}).select(ex, "q a", 2) == (0, 1)
 
 
+def leading_reference(n, k):
+    # The leading provider before it selected through select_key_turns.
+    return tuple(range(min(k, n)))
+
+
+def oracle_reference(n, k, target):
+    # The oracle provider before it selected through select_key_turns.
+    if target is None or not 0 <= target < n:
+        return tuple(range(min(k, n)))
+    chosen = [target]
+    for i in range(n):
+        if len(chosen) >= k:
+            break
+        if i != target:
+            chosen.append(i)
+    return tuple(sorted(chosen))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_providers_select_as_their_own_rules_did(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    k = data.draw(st.integers(1, n + 2), label="k")
+    target = data.draw(st.one_of(st.none(), st.just(-1), st.integers(0, n + 1)), label="target")
+    ex = make_example([f"t{i}" for i in range(n)])
+    planted = {} if target is None else {ex.example_id: target}
+    assert LeadingProvider().select(ex, "q a", k) == leading_reference(n, k)
+    assert OracleProvider(planted).select(ex, "q a", k) == oracle_reference(n, k, target)
+    scores = rs(data.draw(st.lists(st.integers(-4, 0), min_size=n, max_size=n), label="scores"))
+    assert select_key_turns(scores, k) == brute_topk(scores, k)
+
+
 def test_nli_provider_matches_direct_scoring():
     turns = ["m : the lamp turned green", "w : dinner was quiet", "m : we waited outside"]
     qa = "what turned ? green"
     tk = Tokenizer.build(turns + [qa])
     head = make_head(tk, seed=6)
     provider = NliProvider(head, tk)
-    scores = [
-        RelevanceScore(turn_index=i, qa_index=0, score=score_turn(head, tk, t, qa))
-        for i, t in enumerate(turns)
-    ]
-    want = select_key_turns(scores, 2).turn_indices
+    want = select_key_turns([score_turn(head, tk, t, qa) for t in turns], 2)
     ex = make_example(turns)
     assert provider.select(ex, qa, 2) == want
     # Second call is served from the cache and stays identical.
     assert provider.select(ex, qa, 2) == want
 
 
+def test_nli_provider_scores_each_turn_once_across_k(monkeypatch):
+    turns = ["m : the lamp turned green", "w : dinner was quiet", "m : we waited outside"]
+    qa = "what turned ? green"
+    tk = Tokenizer.build(turns + [qa])
+    provider = NliProvider(make_head(tk, seed=6), tk)
+    calls = []
+    real = keyturns.score_turn
+    monkeypatch.setattr(keyturns, "score_turn", lambda *args: calls.append(args) or real(*args))
+    ex = make_example(turns)
+    picks = [provider.select(ex, qa, k) for k in (1, 2, 3, 1)]
+    assert len(calls) == len(turns)
+    assert picks == [select_key_turns(provider.scores(ex, qa), k) for k in (1, 2, 3, 1)]
+
+
 def test_nli_provider_cache_is_keyed_by_content():
-    # Two dialogues that share an id must not share a cached selection.
+    # Two dialogues that share an id must not share cached scores.
     turns = ["m : the lamp turned green", "w : dinner was quiet"]
     qa = "what turned ? green"
     tk = Tokenizer.build(turns + [qa])

@@ -127,8 +127,13 @@ def test_concat_last_axis_pairs():
 
 
 def test_concat_single_input_identity():
+    # One input is returned as it is, so no identity node enters the graph.
     x = make([[1.0, 2.0]])
-    assert np.array_equal(T.concat_last_axis([x]).data, x.data)
+    assert T.concat_last_axis([x]) is x
+    w = make([[3.0], [4.0]])
+    T.sum_all(T.matmul(T.concat_last_axis([x]), w)).backward()
+    assert np.array_equal(x.grad, [[3.0, 4.0]])
+    assert np.array_equal(w.grad, [[1.0], [2.0]])
 
 
 def test_concat_gradient_splits_back_exactly():
