@@ -9,7 +9,9 @@ pooling (`keyturns`).
 
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
-mapping is explicit in the consuming code.
+mapping is explicit in the consuming code. Each `mha` call is one graph
+node, the op `tensor.attention`, whatever the head count; the per-head
+projection matrices stay separate tensors, so checkpoints keep their names.
 """
 
 from __future__ import annotations
@@ -73,22 +75,16 @@ class MhaParams:
 
 
 def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor) -> Tensor:
-    """Multi-head scaled dot-product attention.
+    """Multi-head scaled dot-product attention, one graph node per call.
 
     Per head i: softmax(q W^Q_i (k W^K_i)^T / sqrt(d_head)) (v W^V_i), then
-    the head outputs are concatenated back to width d_model.
+    the head outputs are concatenated back to width d_model. The heads run
+    inside the single op `tensor.attention`, whose values and gradients are
+    those of the per-head chain of matmul, transpose, scale and softmax ops.
     """
     if k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"mha: key length {k_seq.shape} != value length {v_seq.shape}")
-    scale = 1.0 / math.sqrt(params.d_head)
-    heads = []
-    for i in range(params.heads):
-        q = T.matmul(q_seq, params.wq[i])
-        k = T.matmul(k_seq, params.wk[i])
-        v = T.matmul(v_seq, params.wv[i])
-        scores = T.mul(T.matmul(q, T.transpose(k)), scale)
-        heads.append(T.matmul(T.softmax_rows(scores), v))
-    return T.concat_last_axis(heads)
+    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, 1.0 / math.sqrt(params.d_head))
 
 
 def self_attention(params: MhaParams, x: Tensor) -> Tensor:

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError
-from .data import BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, planted_turns_from_meta, write_bundle
+from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, parse_json,
+                   planted_turns_from_meta, read_json, write_bundle)
 from .keyturns import NliProvider
 from .knowledge import KgFormatError, rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
@@ -38,8 +39,7 @@ def _emit(obj):
 def _load_config(path) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        return RunConfig.from_dict(json.load(fh))
+    return RunConfig.from_dict(read_json(path))
 
 
 # Bundle entry -> the flag that overrides it, on the subcommands that have one.
@@ -66,8 +66,7 @@ def _bundle_paths(args) -> dict:
 def _planted_from_meta(meta_path):
     if meta_path is None:
         return None
-    with open(meta_path, encoding="utf-8") as fh:
-        return planted_turns_from_meta(json.load(fh), meta_path)
+    return planted_turns_from_meta(read_json(meta_path), meta_path)
 
 
 def _cmd_train(args):
@@ -174,7 +173,9 @@ def _cmd_score_turns(args):
     if not matches:
         raise SchemaError(f"no example with id {wanted!r} in {paths['data']}")
     ex = matches[0]
-    k = args.k or config.k
+    k = args.k if args.k is not None else config.k
+    if k < 1:
+        raise ConfigurationError(f"--k must be >= 1 to select key turns, got {k}")
     provider = NliProvider(head, vocab)
     options_out = []
     for j, option in enumerate(ex.options):
@@ -201,10 +202,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_sweep(args):
-    grid_text = args.grid
-    if grid_text.startswith("@"):
-        grid_text = Path(grid_text[1:]).read_text(encoding="utf-8")
-    grid = json.loads(grid_text)
+    grid = read_json(args.grid[1:]) if args.grid.startswith("@") else parse_json(args.grid, "--grid")
     config = _load_config(args.config)
     paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])

@@ -92,6 +92,21 @@ class SchemaError(ValueError):
     """Raised when a dataset file violates the expected layout."""
 
 
+def parse_json(text: str, label: str):
+    """`json.loads` for input files; text that is not JSON is a `SchemaError`
+    reading `<label>: not valid JSON: ...`, where the label is the path, or
+    `path:lineno` for one line of a JSONL file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{label}: not valid JSON: {exc}") from None
+
+
+def read_json(path):
+    """Parse a JSON file (see `parse_json`)."""
+    return parse_json(Path(path).read_text(encoding="utf-8"), str(path))
+
+
 @dataclass
 class Dataset:
     dialogues: list
@@ -137,9 +152,7 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return dataset_from_obj(obj, label=str(path))
+    return dataset_from_obj(read_json(path), label=str(path))
 
 
 def dataset_hash(dataset: Dataset) -> str:
@@ -373,7 +386,9 @@ def load_nli_corpus(path) -> list:
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        rec = parse_json(line, f"{path}:{lineno}")
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{path}:{lineno}: NLI record must be a JSON object")
         missing = {"premise", "hypothesis", "label"} - set(rec)
         if missing:
             raise SchemaError(f"{path}:{lineno}: NLI record missing {sorted(missing)}")

@@ -2,8 +2,9 @@
 
 The op set is exactly what the dialogue-comprehension model needs: matrix
 products, row softmax, row means, concatenation, affine maps, layer norm,
-tanh, row gathers and a cross-entropy head. Nothing here broadcasts except
-scalar-against-tensor; anything else must reshape explicitly.
+tanh, row gathers, multi-head attention and a cross-entropy head. Nothing
+here broadcasts except scalar-against-tensor; anything else must reshape
+explicitly.
 
 Precision policy: float64 is the verification dtype. In float64, matrix
 products accumulate sequentially over the inner axis, so results are
@@ -19,6 +20,23 @@ parents receive them, so only leaves (tensors created with
 of that graph to every leaf's ``.grad``. A Python number or numpy array
 passed to ``add`` or ``mul`` is a constant: it is cast to the tensor
 operand's dtype and joins the data, never the graph.
+
+Attention is one op: ``attention`` runs every head on the raw arrays and
+adds one graph node, where the same computation built from matmul,
+transpose, mul, softmax_rows and concat_last_axis adds 8h+1. Its forward
+and per-head backward run the numpy expressions of that chain, with the
+same array layouts, so values agree bit for bit in float64. Gradient
+order: a tensor that several roles of one call share (self-attention's
+input, or the keys and values of a cross-attention) receives its per-head
+terms in the chain's order, head h-1 first and within a head value, key,
+query; and the distinct inputs are first reached in the chain's order,
+query, key, value, so the topological order of the rest of the graph is
+unchanged. One order cannot be kept: when the keys are computed from the
+queries (key-turn refinement gathers its keys from the context rows it
+attends from), the chain adds the gather's gradient to the queries just
+before head 0's query term, and the one op adds it after all the query
+terms. So float64 training through that path may differ from the chain in
+the last bits; forward values do not.
 
 Grad mode: inside ``with no_grad():`` ops compute the same values but
 attach no parents and no backward function, so their outputs have
@@ -259,19 +277,81 @@ def _check_elementwise(a, b, name):
         raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} differ (only scalar broadcasting is allowed)")
 
 
+def _softmax_rows_data(x):
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_grad(y, g):
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return y * (g - inner)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction."""
     if x.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-D tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax_rows_data(x.data)
+    return _result(y, (x,), lambda g: (_softmax_rows_grad(y, g),))
+
+
+def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention as one op, [m, d] -> [m, sum of head widths].
+
+    ``wq``, ``wk`` and ``wv`` are equal-length lists of per-head
+    projections. Head i is softmax((q_seq wq[i]) (k_seq wk[i])^T * scale)
+    (v_seq wv[i]), and the heads are concatenated along the last axis. The
+    values and gradients are those of the chain of matmul, transpose, mul,
+    softmax_rows and concat_last_axis ops that computes the same thing, with
+    the same array layouts; see the module docstring for the order in which
+    an input shared by several roles receives its gradients.
+    """
+    seqs = (q_seq, k_seq, v_seq)
+    ws = (list(wq), list(wk), list(wv))
+    heads = len(ws[0])
+    if heads == 0 or len(ws[1]) != heads or len(ws[2]) != heads:
+        raise ShapeError(f"attention: need equal, non-zero head counts, got {[len(w) for w in ws]}")
+    if any(x.ndim != 2 for x in seqs) or k_seq.shape[0] != v_seq.shape[0]:
+        raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {[x.shape for x in seqs]}")
+    for x, role in zip(seqs, ws):
+        for w in role:
+            if w.ndim != 2 or w.shape[0] != x.shape[1]:
+                raise ShapeError(f"attention: projection {w.shape} does not match input {x.shape}")
+    if any(a.shape[1] != b.shape[1] for a, b in zip(ws[0], ws[1])):
+        raise ShapeError(f"attention: query and key head widths differ: {[w.shape for w in ws[0] + ws[1]]}")
+    saved, outs = [], []
+    for i in range(heads):
+        q, k, v = (_matmul_data(x.data, role[i].data) for x, role in zip(seqs, ws))
+        kT = k.T.copy()
+        s = _matmul_data(q, kT)
+        c = np.asarray(scale, dtype=s.dtype)
+        p = _softmax_rows_data(s * c)
+        outs.append(_matmul_data(p, v))
+        saved.append((q, kT, v, p, c))
+    edges = list(itertools.accumulate((o.shape[1] for o in outs), initial=0))
+    # One slot per (head, role) gradient of a sequence: for each distinct
+    # input, head h-1 first and within a head value, key, query; distinct
+    # inputs first reached in the order query, key, value.
+    first = {}
+    for role, x in enumerate(seqs):
+        first.setdefault(id(x), role)
+    slots = sorted(((i, role) for i in reversed(range(heads)) for role in (2, 1, 0)), key=lambda s: first[id(seqs[s[1]])])
 
     def backward(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - inner),)
+        g_seq, g_w = {}, {}
+        for i, (q, kT, v, p, c) in enumerate(saved):
+            gh = g[..., edges[i] : edges[i + 1]]
+            gs = _softmax_rows_grad(p, gh @ v.T) * c
+            # Gradients of head i's projected query, key and value.
+            gy = (gs @ kT.T, (q.T @ gs).T, p.T @ gh)
+            for role in range(3):
+                g_seq[i, role] = gy[role] @ ws[role][i].data.T
+                g_w[i, role] = seqs[role].data.T @ gy[role]
+        return [g_seq[s] for s in slots] + [g_w[i, role] for role in range(3) for i in range(heads)]
 
-    return _result(y, (x,), backward)
+    parents = [seqs[role] for _, role in slots] + [w for role in ws for w in role]
+    return _result(np.concatenate(outs, axis=-1), parents, backward)
 
 
 def mean_rows(x: Tensor) -> Tensor:

@@ -4,7 +4,8 @@ Nothing in here calls back into the library's forward/backward machinery for
 the quantity being checked: gradients come from central finite differences,
 attention from explicit per-head numpy loops, retrieval from a full scan of
 the store, matmul from a bare triple loop. The library must agree with these,
-not the other way around.
+not the other way around. The one exception is `chain_mha`, which builds
+attention from the library's smaller ops as the reference for the fused op.
 """
 
 import math
@@ -13,6 +14,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
+from kkt import tensor as T
 from kkt.knowledge import content_words
 from kkt.tokenizer import tokenize
 
@@ -121,6 +123,22 @@ def naive_mha(wq, wk, wv, q, k, v):
         weights.append(att)
         outs.append(att @ vi)
     return np.concatenate(outs, axis=1), weights
+
+
+def chain_mha(params, q_seq, k_seq, v_seq):
+    """Multi-head attention as a chain of per-head tensor ops, 8h+1 graph
+    nodes: matmul projections, transpose, scale, softmax_rows, matmul, then
+    concat_last_axis. `attention.mha` runs the single op `tensor.attention`
+    instead and must match this chain bit for bit in float64."""
+    scale = 1.0 / math.sqrt(params.d_head)
+    heads = []
+    for i in range(params.heads):
+        q = T.matmul(q_seq, params.wq[i])
+        k = T.matmul(k_seq, params.wk[i])
+        v = T.matmul(v_seq, params.wv[i])
+        scores = T.mul(T.matmul(q, T.transpose(k)), scale)
+        heads.append(T.matmul(T.softmax_rows(scores), v))
+    return T.concat_last_axis(heads)
 
 
 def mha_arrays(params):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from kkt import attention
 from kkt import tensor as T
 from kkt.attention import (
     ConfigurationError,
@@ -101,6 +102,47 @@ def test_mha_gradient_through_projections():
     leaves = [q, k, v] + p.wq + p.wk + p.wv
     worst = helpers.gradcheck(lambda: T.sum_all(mha(p, q, k, v)), leaves)
     assert worst < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one op against the per-head chain of ops
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_mha_forward_matches_the_op_chain_bit_for_bit(h):
+    rng = np.random.default_rng(40 + h)
+    p = rand_params(6, h, seed=h)
+    x, q, kv = (tens(rng.standard_normal(shape)) for shape in ((5, 6), (3, 6), (4, 6)))
+    for args in ((x, x, x), (q, kv, kv)):
+        assert mha(p, *args).data.tobytes() == helpers.chain_mha(p, *args).data.tobytes()
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
+    # Self-attention inside residual blocks: a block's input sums the
+    # residual's gradient and every head's value, key and query terms.
+    enc = tiny_encoder(d=6, h=h, layers=2, seed=h)
+    ids = [1, 4, 2, 9, 4, 3, 5]
+    weight = tens(np.random.default_rng(h).standard_normal((len(ids), 6)))
+
+    def leaf_grads():
+        params = enc.named_parameters("enc")
+        for t in params.values():
+            t.grad = None
+        T.sum_all(T.mul(encode(enc, ids).hidden, weight)).backward()
+        return {name: t.grad.tobytes() for name, t in params.items() if t.grad is not None}
+
+    got = leaf_grads()
+    monkeypatch.setattr(attention, "mha", helpers.chain_mha)
+    assert got == leaf_grads()
+    assert len(got) == len(enc.named_parameters("enc")) - 2  # all but the pooler
+
+
+def test_mha_adds_one_graph_node():
+    rng = np.random.default_rng(44)
+    p = rand_params(6, 3, seed=4)
+    q, kv = (T.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((2, 6), (3, 6)))
+    for out in (mha(p, q, kv, kv), self_attention(p, q)):
+        assert [node for node in T._topo_order(out) if node._parents] == [out]
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,17 @@ def test_score_turns_unknown_example(ws):
     assert "nosuch-99999#0" in err
 
 
+@pytest.mark.parametrize("flag, config_k", [("0", 2), ("-1", 2), (None, 0)], ids=["zero", "negative", "config-zero"])
+def test_score_turns_rejects_a_k_below_1(ws, tmp_path, flag, config_k):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "k": config_k}), encoding="utf-8")
+    argv = ["score-turns", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
+            "--example-id", "mixed-train-00000", "--config", str(cfg)]
+    rc, out, err = run_cli(argv + (["--k", flag] if flag else []))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --k must be >= 1")
+
+
 def test_score_turns_needs_nli_tensors(ws, tmp_path):
     # A model checkpoint without the scorer names the missing NLI tensors.
     trained = parse_checkpoint((ws["run"] / "model.kkt").read_bytes())
@@ -325,3 +336,36 @@ def test_sweep_rejects_bad_grid_json(ws):
     rc, _, err = run_cli(["sweep", "--grid", "{k:", "--data", str(ws["bundle"])])
     assert rc == 2
     assert err.startswith("error:")
+
+
+# ------------------------------------------------------------ invalid JSON
+
+
+@pytest.mark.parametrize("kind", ["dataset", "config", "meta", "grid-file", "grid", "nli"])
+def test_input_that_is_not_json_names_its_file(ws, tmp_path, kind):
+    bad = tmp_path / "bad.json"
+    # For the NLI corpus: one good record, then a line that is not JSON.
+    bad.write_text(('{"premise": "a", "hypothesis": "b", "label": 0}\n' if kind == "nli" else "") + "[1\n",
+                   encoding="utf-8")
+    bundle, out = str(ws["bundle"]), str(tmp_path / "out")
+    argv = {
+        "dataset": ["train", "--data", str(bad), "--out", out],
+        "config": ["train", "--data", bundle, "--config", str(bad), "--out", out],
+        "meta": ["train", "--data", bundle, "--config", str(ws["config"]), "--meta", str(bad), "--out", out],
+        "grid-file": ["sweep", "--grid", f"@{bad}", "--data", bundle],
+        "grid": ["sweep", "--grid", "[1", "--data", bundle],
+        "nli": ["train", "--data", bundle, "--config", str(ws["config"]), "--nli", str(bad), "--out", out],
+    }[kind]
+    label = {"grid": "--grid", "nli": f"{bad}:2"}.get(kind, str(bad))
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith(f"error: {label}: not valid JSON: ")
+
+
+def test_nli_record_that_is_not_an_object_names_its_line(ws, tmp_path):
+    bad = tmp_path / "nli.jsonl"
+    bad.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\n3\n', encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]),
+                          "--nli", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {bad}:2: NLI record must be a JSON object")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from kkt import attention, model
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, MhaParams
 from kkt.data import gen_synthetic
@@ -347,6 +348,35 @@ def test_every_parameter_but_the_pooler_gets_a_gradient(ablation):
     result.loss.backward()
     inert = sorted(name for name, p in params.named_parameters().items() if p.grad is None)
     assert inert == ["enc.pooler_b", "enc.pooler_w"]
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_predict_gradients_match_the_op_chain(monkeypatch, ablation):
+    # Float64 leaf gradients equal those of attention built from per-head
+    # ops, bit for bit, except on path "kt": there the keys are rows of the
+    # queries, and the row gather's gradient reaches the context just before
+    # head 0's query term in the chain but after all query terms in the op.
+    ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
+    tk, params = small_setup(seed=15, h=2, ablation=ablation, texts=["bike atlocation street shed house"])
+    store = KnowledgeStore()
+    for tail, weight in (("street", 2.0), ("shed", 1.0), ("house", 1.5)):
+        store.add(KnowledgeTriple("atlocation", "bike", tail, weight))
+
+    def leaf_grads():
+        for t in params.named_parameters().values():
+            t.grad = None
+        KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64).predict(ex).loss.backward()
+        return {name: t.grad for name, t in params.named_parameters().items() if t.grad is not None}
+
+    got = leaf_grads()
+    monkeypatch.setattr(model, "mha", helpers.chain_mha)
+    monkeypatch.setattr(attention, "mha", helpers.chain_mha)
+    want = leaf_grads()
+    assert got.keys() == want.keys()
+    if "kt" in PATHS[ablation]:
+        assert all(np.allclose(got[name], want[name], rtol=1e-9, atol=1e-12) for name in want)
+    else:
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
 def test_missing_path_ignores_its_inputs():

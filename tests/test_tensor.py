@@ -371,6 +371,21 @@ def test_finite_outputs_on_finite_inputs():
         assert np.all(np.isfinite(out.data))
 
 
+def test_attention_rejects_mismatched_shapes():
+    x, w = make(np.zeros((2, 3))), make(np.zeros((3, 2)))
+    cases = [
+        (x, x, x, [], [], [], 1.0),  # no heads
+        (x, x, x, [w], [w, w], [w], 1.0),  # unequal head counts
+        (x, x, make(np.zeros((3, 3))), [w], [w], [w], 1.0),  # 2 keys, 3 values
+        (make(np.zeros(3)), x, x, [w], [w], [w], 1.0),  # 1-D queries
+        (make(np.zeros((2, 4))), x, x, [w], [w], [w], 1.0),  # input width 4, projection 3
+        (x, x, x, [w], [make(np.zeros((3, 1)))], [w], 1.0),  # query and key head widths
+    ]
+    for args in cases:
+        with pytest.raises(T.ShapeError, match="attention"):
+            T.attention(*args)
+
+
 # ---------------------------------------------------------------------------
 # grad mode
 
@@ -449,6 +464,22 @@ def test_const_param():
 # ---------------------------------------------------------------------------
 # property tests: every op against central differences on random inputs
 
+def _attention_case(roles):
+    """m queries over n keys, (k - 1) % 3 + 1 heads of width 2 on inputs of
+    width 3; `roles` picks the input that serves as query, key and value."""
+    def case(m, n, k):
+        h = (k - 1) % 3 + 1
+        seqs = [(m, 3), (n, 3), (n, 3)][: max(roles) + 1]
+
+        def op(*xs):
+            w = xs[len(seqs):]
+            return T.attention(*(xs[r] for r in roles), w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2))
+
+        return seqs + [(3, 2)] * (3 * h), op
+
+    return case
+
+
 # Each case maps the dims (m, n, k), each 1..4, to the input shapes and the op.
 OP_CASES = {
     "matmul": lambda m, n, k: ([(m, k), (k, n)], T.matmul),
@@ -472,6 +503,9 @@ OP_CASES = {
     "dot": lambda m, n, k: ([(n,), (n,)], T.dot),
     "sum_all": lambda m, n, k: ([(m, n)], T.sum_all),
     "cross_entropy_from_logits": lambda m, n, k: ([(n,)], lambda z: T.cross_entropy_from_logits(z, k % n)),
+    "attention": _attention_case((0, 1, 2)),
+    "attention_shared_kv": _attention_case((0, 1, 1)),
+    "attention_self": _attention_case((0, 0, 0)),
 }
 
 dims = st.integers(min_value=1, max_value=4)
@@ -485,6 +519,8 @@ def test_op_gradients_match_central_differences(name, m, n, k, seed, frozen):
     rng = np.random.default_rng(seed)
     shapes, op = OP_CASES[name](m, n, k)
     frozen = frozen[: len(shapes)]
+    # Operands past the third (attention's projections) are frozen by the seed.
+    frozen += [bool(b) for b in rng.integers(0, 2, size=len(shapes) - len(frozen))]
     frozen[0] = frozen[0] and not all(frozen)
     inputs = [make(rng.standard_normal(shape), grad=not f) for shape, f in zip(shapes, frozen)]
     # A random weighting of the output probes the whole Jacobian.
