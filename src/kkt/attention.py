@@ -3,15 +3,18 @@
 The encoder stands in for a large pre-trained language model: token plus
 learned position embeddings and a stack of post-norm blocks (attention, then
 a tanh feed-forward, each with a residual and layer norm). `encode` returns
-the hidden rows only. Every encoder also carries tanh pooler weights for the
-first position; only the NLI turn scorer reads them, and it does its own
-pooling (`keyturns`).
+the hidden rows only, of one sequence or of several stacked into one
+matrix (one pass, each sequence attending over its own rows). Every encoder
+also carries tanh pooler weights for the first position; only the NLI turn
+scorer reads them, and it does its own pooling (`keyturns`).
 
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
 mapping is explicit in the consuming code. Each `mha` call is one graph
 node, the op `tensor.attention`, whatever the head count; the per-head
 projection matrices stay separate tensors, so checkpoints keep their names.
+Self-attention over stacked sequences is that same op with the sequences'
+lengths, called directly rather than through `mha`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ class MhaParams:
     def d_head(self) -> int:
         return self.wq[0].shape[1]
 
+    @property
+    def scale(self) -> float:
+        """The score scale 1/sqrt(d_head)."""
+        return 1.0 / math.sqrt(self.d_head)
+
     @classmethod
     def init(cls, d_model: int, h: int, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> "MhaParams":
         if h <= 0 or d_model % h != 0:
@@ -84,12 +92,19 @@ def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor) -> Tenso
     """
     if k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"mha: key length {k_seq.shape} != value length {v_seq.shape}")
-    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, 1.0 / math.sqrt(params.d_head))
+    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, params.scale)
 
 
-def self_attention(params: MhaParams, x: Tensor) -> Tensor:
-    """Attention of a sequence over itself: mha(x, x, x)."""
-    return mha(params, x, x, x)
+def self_attention(params: MhaParams, x: Tensor, lengths=None) -> Tensor:
+    """Attention of a sequence over itself: mha(x, x, x).
+
+    With `lengths`, `x` stacks the rows of several sequences, and each
+    attends over its own rows only, in the same single op (see
+    `tensor.attention`). One sequence is plain `mha`.
+    """
+    if lengths is None or len(lengths) == 1:
+        return mha(params, x, x, x)
+    return T.attention(x, x, x, params.wq, params.wk, params.wv, params.scale, lengths)
 
 
 @dataclass
@@ -170,33 +185,47 @@ class EncoderParams:
 
 @dataclass
 class EncodeResult:
+    """Hidden rows of every encoded sequence, stacked in input order;
+    `lengths` gives each sequence's row count."""
+
     hidden: Tensor
     truncated: bool
+    lengths: tuple
 
 
-def _block_forward(block: BlockParams, x: Tensor) -> Tensor:
-    a = T.layer_norm(T.add(x, self_attention(block.attn, x)), block.ln1_gain, block.ln1_bias)
+def _block_forward(block: BlockParams, x: Tensor, lengths) -> Tensor:
+    a = T.layer_norm(T.add(x, self_attention(block.attn, x, lengths)), block.ln1_gain, block.ln1_bias)
     ff = T.affine(T.tanh(T.affine(a, block.ff_w1, block.ff_b1)), block.ff_w2, block.ff_b2)
     return T.layer_norm(T.add(a, ff), block.ln2_gain, block.ln2_bias)
 
 
-def encode(params: EncoderParams, token_ids) -> EncodeResult:
-    """Run the encoder over a sequence of token ids.
+def encode(params: EncoderParams, *sequences) -> EncodeResult:
+    """Run the encoder over one or more sequences of token ids in one pass.
 
-    Sequences longer than the position table are truncated to max_len and
-    flagged.
+    The rows of all sequences are stacked into one [sum of lengths, d]
+    matrix, so the embeddings, layer norms, affines and tanh of the stack
+    are one op each, and self-attention runs per sequence on its own rows.
+    Every op but attention works row by row, so in float64 each sequence's
+    rows equal those of encoding it alone, bit for bit; one sequence is
+    simply the one-segment case. Sequences longer than the position table
+    are truncated to max_len, and `truncated` flags whether any was.
     """
-    ids = list(token_ids)
-    if not ids:
-        raise ShapeError("encode: empty token sequence")
-    if min(ids) < 0 or max(ids) >= params.vocab_size:
-        raise VocabularyError(
-            f"token id out of range for vocabulary of {params.vocab_size}: {ids}"
-        )
-    truncated = len(ids) > params.max_len
-    if truncated:
-        ids = ids[: params.max_len]
-    x = T.add(T.take_rows(params.tok_emb, ids), T.take_rows(params.pos_emb, range(len(ids))))
+    if not sequences:
+        raise ShapeError("encode: no token sequences")
+    seqs = [list(ids) for ids in sequences]
+    for ids in seqs:
+        if not ids:
+            raise ShapeError("encode: empty token sequence")
+        if min(ids) < 0 or max(ids) >= params.vocab_size:
+            raise VocabularyError(
+                f"token id out of range for vocabulary of {params.vocab_size}: {ids}"
+            )
+    truncated = any(len(ids) > params.max_len for ids in seqs)
+    seqs = [ids[: params.max_len] for ids in seqs]
+    lengths = tuple(len(ids) for ids in seqs)
+    tokens = [i for ids in seqs for i in ids]
+    positions = [j for n in lengths for j in range(n)]
+    x = T.add(T.take_rows(params.tok_emb, tokens), T.take_rows(params.pos_emb, positions))
     for block in params.blocks:
-        x = _block_forward(block, x)
-    return EncodeResult(hidden=x, truncated=truncated)
+        x = _block_forward(block, x, lengths)
+    return EncodeResult(hidden=x, truncated=truncated, lengths=lengths)

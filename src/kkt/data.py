@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import DialogueExample
+from .tokenizer import read_text
 
 MODES = ("keyturn-signal", "knowledge-signal", "mixed")
 _MODE_IDS = {m: i + 1 for i, m in enumerate(MODES)}
@@ -104,7 +105,7 @@ def parse_json(text: str, label: str):
 
 def read_json(path):
     """Parse a JSON file (see `parse_json`)."""
-    return parse_json(Path(path).read_text(encoding="utf-8"), str(path))
+    return parse_json(read_text(path, SchemaError)[1], str(path))
 
 
 @dataclass
@@ -127,15 +128,25 @@ class Dataset:
 
 
 def dataset_from_obj(obj, label="dataset") -> Dataset:
+    """Examples of a parsed dataset file; any other layout is a `SchemaError`
+    naming `label`."""
+    if not isinstance(obj, list):
+        raise SchemaError(f"{label}: a dataset must be a JSON list of dialogues, got {type(obj).__name__}")
     examples = []
     for entry in obj:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{label}: dialogue entry must be [turns, qas, id], got {type(entry)}")
         turns, qas, did = entry
+        if not isinstance(qas, list):
+            raise SchemaError(f"{label}: {did}: qas must be a list of question objects, got {type(qas).__name__}")
         for qi, qa in enumerate(qas):
+            if not isinstance(qa, dict):
+                raise SchemaError(f"{label}: {did} question {qi} must be an object, got {type(qa).__name__}")
             missing = {"question", "choice", "answer"} - set(qa)
             if missing:
                 raise SchemaError(f"{label}: {did} question {qi} missing fields {sorted(missing)}")
+            if not isinstance(qa["choice"], list):
+                raise SchemaError(f"{label}: {did} question {qi}: choice must be a list, got {type(qa['choice']).__name__}")
             if qa["answer"] not in qa["choice"]:
                 raise SchemaError(f"{label}: {did} question {qi}: answer {qa['answer']!r} not among choices")
             examples.append(
@@ -383,7 +394,7 @@ def write_bundle(bundle: SyntheticBundle, out_dir) -> dict:
 
 def load_nli_corpus(path) -> list:
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, SchemaError)[1].splitlines(), start=1):
         if not line.strip():
             continue
         rec = parse_json(line, f"{path}:{lineno}")

@@ -18,12 +18,15 @@ everything else is ignored for matching.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import tensor as T
 from .attention import EncoderParams, MhaParams, encode, self_attention
-from .tokenizer import Tokenizer, tokenize
+from .tokenizer import Tokenizer, read_text, tokenize
 
 NOUN, VERB, ADJ, OTHER = "NOUN", "VERB", "ADJ", "OTHER"
 _POS_TAGS = (NOUN, VERB, ADJ)
@@ -235,8 +238,8 @@ def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInpu
     raw = {}
 
     def text(name, path):
-        raw[name] = Path(path).read_bytes()
-        return raw[name].decode("utf-8")
+        raw[name], decoded = read_text(path, KgFormatError)
+        return decoded
 
     triples = None if kg_path is None else list(iter_kg_triples(text("kg", kg_path), kg_path))
     surfaces = {} if surfaces_path is None else _read_pairs(text("surfaces", surfaces_path), surfaces_path, "relation<TAB>surface")
@@ -260,11 +263,28 @@ class FactEmbedding:
 class FactEncoder:
     """Encodes fact sentences to vectors, caching by fact text and grad mode.
 
-    An embedding built inside `T.no_grad()` carries no graph, so it is served
-    only inside `no_grad` again; graph-building callers get one with a graph,
-    and gradients keep reaching the encoder and self-attention weights after
-    an evaluation. Call `invalidate` whenever those weights change (one
-    optimizer step in practice); it drops every entry.
+    A fact's vector is the mean over its tokens of its last hidden states,
+    self-attended by `sa`. `encode_facts` puts every uncached fact of a call
+    through the encoder at once: one `encode` over the stacked sequences,
+    one segmented self-attention and one `T.segment_mean`. In float64 each
+    vector equals that of encoding its fact alone, bit for bit.
+
+    An embedding built inside `T.no_grad()` carries no graph, so it is
+    served only inside `no_grad` again; graph-building callers get one with
+    a graph, and gradients keep reaching the encoder and self-attention
+    weights after an evaluation. Call `invalidate` whenever those weights
+    change; it drops every entry.
+
+    Training runs each optimizer step inside `with encoder.step():`. There a
+    graph-building caller is served a leaf holding the vector's value, whose
+    `.grad` collects across the step's per-example `backward()` calls. On
+    leaving the scope the summed gradients go back through the facts'
+    encoder graph, one `backward` per encoder call (one per step when the
+    step's facts are encoded together), and the cache is dropped. So the
+    encoder graph of a fact is walked once per step, not once per example
+    that reads the fact, and each example's graph stops at the leaves.
+    Outside a scope, `backward()` from any output reaches the encoder
+    weights directly.
     """
 
     def __init__(self, tokenizer: Tokenizer, enc: EncoderParams, sa: MhaParams):
@@ -272,22 +292,54 @@ class FactEncoder:
         self.enc = enc
         self.sa = sa
         self._cache = {}
+        # (pooled vectors, their leaves) per encoder call while a step is open.
+        self._step = None
 
     def invalidate(self):
         self._cache.clear()
 
+    @contextlib.contextmanager
+    def step(self):
+        """Scope of one optimizer step; see the class docstring. Leaving it
+        by an exception drops the cache without the fact backward."""
+        if self._step is not None:
+            raise RuntimeError("FactEncoder.step scopes do not nest")
+        self.invalidate()
+        self._step = []
+        try:
+            yield
+            for pooled, leaves in self._step:
+                if any(leaf.grad is not None for leaf in leaves):
+                    pooled.backward(np.stack([leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+                                              for leaf in leaves]))
+        finally:
+            self._step = None
+            self.invalidate()
+
     def encode_fact(self, fact: Fact) -> T.Tensor:
         """r = mean over tokens of self-attended last hidden states of the fact."""
-        key = (fact.text, T.is_grad_enabled())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ids = self.tokenizer.encode(fact.text)
-        if not ids:
-            raise EmptyFactError(f"fact {fact.text!r} tokenizes to nothing")
-        hidden = encode(self.enc, ids).hidden
-        r = self._cache[key] = T.mean_rows(self_attention(self.sa, hidden))
-        return r
+        hit = self._cache.get((fact.text, T.is_grad_enabled()))
+        return hit if hit is not None else self.encode_facts([fact])[0]
+
+    def encode_facts(self, facts) -> list:
+        """The vector of every fact, in order; the uncached ones go through
+        the encoder in one call."""
+        grad = T.is_grad_enabled()
+        texts = list(dict.fromkeys(f.text for f in facts if (f.text, grad) not in self._cache))
+        if texts:
+            ids = [self.tokenizer.encode(text) for text in texts]
+            for text, seq in zip(texts, ids):
+                if not seq:
+                    raise EmptyFactError(f"fact {text!r} tokenizes to nothing")
+            hidden = encode(self.enc, *ids)
+            pooled = T.segment_mean(self_attention(self.sa, hidden.hidden, hidden.lengths), hidden.lengths)
+            if grad and self._step is not None:
+                vectors = [T.Tensor(row, requires_grad=True) for row in pooled.data]
+                self._step.append((pooled, vectors))
+            else:
+                vectors = [T.reshape(T.take_rows(pooled, [j]), pooled.shape[1:]) for j in range(len(texts))]
+            self._cache.update(((text, grad), r) for text, r in zip(texts, vectors))
+        return [self._cache[f.text, grad] for f in facts]
 
 
 def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:

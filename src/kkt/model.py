@@ -292,11 +292,12 @@ class KktPipeline:
 
     Owns the caches: ranked fact ids per dialogue text (context knowledge is
     shared across a dialogue's questions) and per QA text, plus the fact
-    encoder's embedding cache, which training invalidates after every
-    optimizer step. Only an ablation with path "k" has a fact encoder;
-    without it `fact_encoder` is None. All caches are keyed by content, not
-    by ids, so results are independent of call order and of how examples
-    are named.
+    encoder's embedding cache, which training drops after every optimizer
+    step (`FactEncoder.step`). `prepare_knowledge` encodes the facts of a
+    list of examples in one call; `predict` calls it for its own example.
+    Only an ablation with path "k" has a fact encoder; without it
+    `fact_encoder` is None. All caches are keyed by content, not by ids, so
+    results are independent of call order and of how examples are named.
     """
 
     def __init__(self, params: KktParams, tokenizer: Tokenizer, store: KnowledgeStore | None = None,
@@ -331,12 +332,30 @@ class KktPipeline:
         qa = example.qa_text(option_index)
         return self._knowledge(self._qak_ids, qa, [qa])
 
-    def _knowledge(self, ranked: dict, key, texts):
-        if self.fact_encoder is None:
-            raise ConfigurationError(f"ablation {self.ablation!r} has no knowledge path to encode facts with")
+    def prepare_knowledge(self, examples):
+        """Rank the facts `predict` reads for each example (its dialogue's and
+        each option's) and encode every one the fact encoder has not cached,
+        all in one encoder call. A no-op without the knowledge path."""
+        if not self._needs_knowledge():
+            return
+        ids = []
+        for ex in examples:
+            ids += self._ranked(self._ck_ids, tuple(ex.turns), ex.turns)
+            for j in range(len(ex.options)):
+                qa = ex.qa_text(j)
+                ids += self._ranked(self._qak_ids, qa, [qa])
+        self.fact_encoder.encode_facts([self.store.facts[tid] for tid in dict.fromkeys(ids)])
+
+    def _ranked(self, ranked: dict, key, texts) -> list:
         ids = ranked.get(key)
         if ids is None:
             ids = ranked[key] = rank_triples(self.store, texts, self.p)
+        return ids
+
+    def _knowledge(self, ranked: dict, key, texts):
+        if self.fact_encoder is None:
+            raise ConfigurationError(f"ablation {self.ablation!r} has no knowledge path to encode facts with")
+        ids = self._ranked(ranked, key, texts)
         return [
             FactEmbedding(r_k=self.fact_encoder.encode_fact(self.store.facts[tid]), fact=self.store.facts[tid], triple_id=tid)
             for tid in ids
@@ -361,6 +380,7 @@ class KktPipeline:
 
     def predict(self, example: DialogueExample) -> PredictResult:
         """Per-option logits, cross-entropy loss against gold, argmax prediction."""
+        self.prepare_knowledge([example])
         logits = []
         truncated = False
         flags = []

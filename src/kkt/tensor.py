@@ -1,10 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the dialogue-comprehension model needs: matrix
-products, row softmax, row means, concatenation, affine maps, layer norm,
-tanh, row gathers, multi-head attention and a cross-entropy head. Nothing
-here broadcasts except scalar-against-tensor; anything else must reshape
-explicitly.
+products, row softmax, row means (whole or per segment), concatenation,
+affine maps, layer norm, tanh, row gathers, multi-head attention and a
+cross-entropy head. Nothing here broadcasts except scalar-against-tensor;
+anything else must reshape explicitly.
 
 Precision policy: float64 is the verification dtype. In float64, matrix
 products accumulate sequentially over the inner axis, so results are
@@ -17,7 +17,8 @@ output gradient to one gradient per parent and touches no ``.grad``.
 parents receive them, so only leaves (tensors created with
 ``requires_grad=True``) keep a ``.grad``; interior nodes never hold one.
 ``backward()`` may be called repeatedly: each call adds the exact gradient
-of that graph to every leaf's ``.grad``. A Python number or numpy array
+of that graph to every leaf's ``.grad``, and it may start from a given seed
+gradient instead of ones. A Python number or numpy array
 passed to ``add`` or ``mul`` is a constant: it is cast to the tensor
 operand's dtype and joins the data, never the graph.
 
@@ -37,6 +38,16 @@ attends from), the chain adds the gather's gradient to the queries just
 before head 0's query term, and the one op adds it after all the query
 terms. So float64 training through that path may differ from the chain in
 the last bits; forward values do not.
+
+Stacked sequences: several sequences can run through one set of ops as the
+rows of one matrix. Row-wise ops (gathers, adds, affine maps, layer norm,
+tanh) need nothing for that; ``attention`` and ``segment_mean`` take the
+sequences' ``lengths`` and work per segment on exact row slices, so no
+padding enters a reduction. In float64 each segment's values equal those of
+running its sequence alone, bit for bit, and with one segment the
+gradients do too, in the same summation order. With several segments the
+weight gradients are sums over all rows at once, so they may differ from
+per-sequence sums in the last bits.
 
 Grad mode: inside ``with no_grad():`` ops compute the same values but
 attach no parents and no backward function, so their outputs have
@@ -122,10 +133,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def backward(self):
+    def backward(self, grad=None):
         """Add the gradient of this tensor to ``.grad`` of every reachable leaf.
 
-        Seeds with ones (for a scalar this is d(self)/d(self) = 1). In reverse
+        Seeds with ``grad``, an array of this tensor's shape, or with ones
+        (for a scalar this is d(self)/d(self) = 1). In reverse
         topological order, each node's summed gradient goes through its op's
         backward function, and every parent that requires a gradient gets its
         share, in parent order. The sums live in a table local to this call,
@@ -135,7 +147,10 @@ class Tensor:
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no graph attached")
-        grads = {self: np.ones_like(self.data)}
+        seed = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=self.dtype)
+        if seed.shape != self.shape:
+            raise ShapeError(f"backward: seed gradient {seed.shape} does not match {self.shape}")
+        grads = {self: seed}
         for node in reversed(_topo_order(self)):
             if not node.requires_grad:
                 continue
@@ -296,7 +311,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_rows_grad(y, g),))
 
 
-def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float) -> Tensor:
+def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float, lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention as one op, [m, d] -> [m, sum of head widths].
 
     ``wq``, ``wk`` and ``wv`` are equal-length lists of per-head
@@ -306,6 +321,13 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
     softmax_rows and concat_last_axis ops that computes the same thing, with
     the same array layouts; see the module docstring for the order in which
     an input shared by several roles receives its gradients.
+
+    ``lengths`` splits the rows of the queries and of the keys/values (then
+    equally many) into consecutive segments that attend only within
+    themselves: self-attention over the stacked rows of several sequences.
+    The projections run once over all rows; scores, softmax and the head
+    outputs run per segment on exact row slices. ``None`` is one segment of
+    all queries over all keys, and so is a single length.
     """
     seqs = (q_seq, k_seq, v_seq)
     ws = (list(wq), list(wk), list(wv))
@@ -320,16 +342,26 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
                 raise ShapeError(f"attention: projection {w.shape} does not match input {x.shape}")
     if any(a.shape[1] != b.shape[1] for a, b in zip(ws[0], ws[1])):
         raise ShapeError(f"attention: query and key head widths differ: {[w.shape for w in ws[0] + ws[1]]}")
+    # Row spans of the segments; None is one segment of all queries over all keys.
+    spans = None
+    if lengths is not None:
+        edges = _segment_edges(lengths, q_seq.shape[0], "attention")
+        if k_seq.shape[0] != q_seq.shape[0]:
+            raise ShapeError(f"attention: segments need as many keys as queries, got {q_seq.shape} and {k_seq.shape}")
+        if len(edges) > 2:
+            spans = list(zip(edges, edges[1:]))
     saved, outs = [], []
     for i in range(heads):
         q, k, v = (_matmul_data(x.data, role[i].data) for x, role in zip(seqs, ws))
-        kT = k.T.copy()
-        s = _matmul_data(q, kT)
-        c = np.asarray(scale, dtype=s.dtype)
-        p = _softmax_rows_data(s * c)
-        outs.append(_matmul_data(p, v))
-        saved.append((q, kT, v, p, c))
-    edges = list(itertools.accumulate((o.shape[1] for o in outs), initial=0))
+        c = np.asarray(scale, dtype=q.dtype)
+        if spans is None:
+            out, kept = _head_forward(q, k, v, c)
+        else:
+            per = [_head_forward(q[a:b], k[a:b], v[a:b], c) for a, b in spans]
+            out, kept = np.concatenate([o for o, _ in per]), [kp for _, kp in per]
+        outs.append(out)
+        saved.append((kept, c))
+    edges_out = list(itertools.accumulate((o.shape[1] for o in outs), initial=0))
     # One slot per (head, role) gradient of a sequence: for each distinct
     # input, head h-1 first and within a head value, key, query; distinct
     # inputs first reached in the order query, key, value.
@@ -340,11 +372,13 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
 
     def backward(g):
         g_seq, g_w = {}, {}
-        for i, (q, kT, v, p, c) in enumerate(saved):
-            gh = g[..., edges[i] : edges[i + 1]]
-            gs = _softmax_rows_grad(p, gh @ v.T) * c
-            # Gradients of head i's projected query, key and value.
-            gy = (gs @ kT.T, (q.T @ gs).T, p.T @ gh)
+        for i, (kept, c) in enumerate(saved):
+            gh = g[..., edges_out[i] : edges_out[i + 1]]
+            if spans is None:
+                gy = _head_backward(kept, gh, c)
+            else:
+                per = [_head_backward(kp, gh[a:b], c) for (a, b), kp in zip(spans, kept)]
+                gy = [np.concatenate(parts) for parts in zip(*per)]
             for role in range(3):
                 g_seq[i, role] = gy[role] @ ws[role][i].data.T
                 g_w[i, role] = seqs[role].data.T @ gy[role]
@@ -352,6 +386,46 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
 
     parents = [seqs[role] for _, role in slots] + [w for role in ws for w in role]
     return _result(np.concatenate(outs, axis=-1), parents, backward)
+
+
+def _head_forward(q, k, v, c):
+    # One head over one segment, from its projected query, key and value:
+    # the output and what the backward needs.
+    kT = k.T.copy()
+    p = _softmax_rows_data(_matmul_data(q, kT) * c)
+    return _matmul_data(p, v), (q, kT, v, p)
+
+
+def _head_backward(kept, gh, c):
+    # Gradients of one head's projected query, key and value over one segment.
+    q, kT, v, p = kept
+    gs = _softmax_rows_grad(p, gh @ v.T) * c
+    return gs @ kT.T, (q.T @ gs).T, p.T @ gh
+
+
+def _segment_edges(lengths, rows, name):
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != rows:
+        raise ShapeError(f"{name}: segment lengths {lengths} must be >= 1 and sum to the {rows} rows")
+    return list(itertools.accumulate(lengths, initial=0))
+
+
+def segment_mean(x: Tensor, lengths) -> Tensor:
+    """Mean over the rows of each consecutive segment of a 2-D tensor,
+    [sum(lengths), n] -> [len(lengths), n]. Row j is ``mean_rows`` of
+    segment j's rows, bit for bit."""
+    if x.ndim != 2:
+        raise ShapeError(f"segment_mean needs a 2-D tensor, got {x.shape}")
+    edges = _segment_edges(lengths, x.shape[0], "segment_mean")
+    counts = np.diff(edges)
+    data = np.stack([x.data[a:b].mean(axis=0) for a, b in zip(edges, edges[1:])])
+    # Counts in the data's dtype: float32 gradients stay float32.
+    per_row = counts.astype(x.dtype)[:, None]
+
+    def backward(g):
+        return (np.repeat(g / per_row, counts, axis=0),)
+
+    return _result(data, (x,), backward)
 
 
 def mean_rows(x: Tensor) -> Tensor:

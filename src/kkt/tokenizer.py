@@ -17,6 +17,21 @@ PAD, UNK, BOS, SEP, EOS = "[PAD]", "[UNK]", "[BOS]", "[SEP]", "[EOS]"
 SPECIALS = (PAD, UNK, BOS, SEP, EOS)
 
 
+class VocabularyFileError(ValueError):
+    """Raised for a vocabulary file that cannot be read as one."""
+
+
+def read_text(path, error) -> tuple[bytes, str]:
+    """The bytes of a text input file and their UTF-8 decoding, for every
+    text input of a run. Bytes that are not UTF-8 raise `error`, the
+    input's own named error, naming the path and the byte offset."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start} ({exc.reason})") from None
+
+
 def tokenize(text: str) -> list[str]:
     """Split lowercased text into word and punctuation tokens."""
     return _TOKEN_RE.findall(text.lower())
@@ -57,7 +72,7 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, VocabularyFileError)[1].splitlines()
         if tuple(lines[:5]) != SPECIALS:
-            raise ValueError(f"vocabulary file {path} does not start with the five reserved specials")
+            raise VocabularyFileError(f"vocabulary file {path} does not start with the five reserved specials")
         return cls(lines[5:])

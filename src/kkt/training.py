@@ -12,6 +12,7 @@ file is read once and hashed from the bytes that were parsed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -338,22 +339,23 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         loss_sum = 0.0
         n_correct = 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = [examples[int(idx)] for idx in order[start : start + config.batch_size]]
             opt.zero_grad()
-            for idx in batch:
-                ex = examples[int(idx)]
-                res = pipeline.predict(ex)
-                loss = res.loss
-                if not math.isfinite(loss.item()):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch} step {step} example {ex.example_id}: {loss.item()!r}"
-                    )
-                T.mul(loss, 1.0 / len(batch)).backward()
-                loss_sum += loss.item()
-                n_correct += int(res.predicted == ex.gold)
+            # The step's facts are encoded once, and their gradient goes back
+            # once on leaving the scope, before the weights change.
+            with pipeline.fact_encoder.step() if pipeline.fact_encoder is not None else contextlib.nullcontext():
+                pipeline.prepare_knowledge(batch)
+                for ex in batch:
+                    res = pipeline.predict(ex)
+                    loss = res.loss
+                    if not math.isfinite(loss.item()):
+                        raise RuntimeError(
+                            f"non-finite loss at epoch {epoch} step {step} example {ex.example_id}: {loss.item()!r}"
+                        )
+                    T.mul(loss, 1.0 / len(batch)).backward()
+                    loss_sum += loss.item()
+                    n_correct += int(res.predicted == ex.gold)
             opt.step()
-            if pipeline.fact_encoder is not None:
-                pipeline.fact_encoder.invalidate()
             step += 1
         train_acc = n_correct / len(examples)
         record = {"epoch": epoch, "train_loss": loss_sum / len(examples), "train_accuracy": train_acc}
@@ -437,24 +439,26 @@ def ablation_sweep(config: RunConfig, train_dataset: Dataset, eval_dataset: Data
     default one model is trained per config and every cell re-evaluates it;
     `train_per_cell` opts into retraining per cell instead.
     """
-    grid = grid or {}
-    ks = list(grid.get("k", [config.k]))
-    ps = list(grid.get("p", [config.p]))
+    grid = {} if grid is None else grid
+    if not isinstance(grid, dict) or set(grid) - {"k", "p"}:
+        raise ConfigurationError(f'--grid must be a JSON object with only "k" and "p" keys, got {grid!r}')
+    for name, values in grid.items():
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise ConfigurationError(f"--grid {name!r} must be a list of integers, got {values!r}")
+    ks = grid.get("k", [config.k])
+    ps = grid.get("p", [config.p])
     if not ks or not ps:
         raise ConfigurationError("sweep grid must leave at least one k and one p value")
+    # Every cell's config is checked before anything trains.
+    cells = [RunConfig.from_dict({**config.to_dict(), "k": k, "p": p}) for k in ks for p in ps]
     rows = []
     shared = None if train_per_cell else train(config, train_dataset, kg_path, dev_dataset=None, **train_kwargs)
-    for k in ks:
-        for p in ps:
-            cell_cfg = RunConfig.from_dict({**config.to_dict(), "k": int(k), "p": int(p)})
-            if train_per_cell:
-                result = train(cell_cfg, train_dataset, kg_path, dev_dataset=None, **train_kwargs)
-            else:
-                result = shared
-            blob = result.best_blob()
-            hashes = {**_input_hashes(eval=eval_dataset, checkpoint=blob), "run": result.fingerprint}
-            fp = fingerprint(cell_cfg, effective_seed(cell_cfg), hashes)
-            report = evaluate_pipeline(result.eval_pipeline(blob, cell_cfg), eval_dataset, fp)
-            rows.append({"k": int(k), "p": int(p), "n": report.n, "n_plus": report.n_plus,
-                         "accuracy": report.accuracy, "fingerprint": fp})
+    for cell_cfg in cells:
+        result = train(cell_cfg, train_dataset, kg_path, dev_dataset=None, **train_kwargs) if train_per_cell else shared
+        blob = result.best_blob()
+        hashes = {**_input_hashes(eval=eval_dataset, checkpoint=blob), "run": result.fingerprint}
+        fp = fingerprint(cell_cfg, effective_seed(cell_cfg), hashes)
+        report = evaluate_pipeline(result.eval_pipeline(blob, cell_cfg), eval_dataset, fp)
+        rows.append({"k": cell_cfg.k, "p": cell_cfg.p, "n": report.n, "n_plus": report.n_plus,
+                     "accuracy": report.accuracy, "fingerprint": fp})
     return rows

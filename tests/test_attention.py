@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from kkt import attention
@@ -244,3 +245,56 @@ def test_encoder_init_deterministic_by_seed():
     b = tiny_encoder(seed=9)
     for name, t in a.named_parameters("enc").items():
         assert np.array_equal(t.data, b.named_parameters("enc")[name].data), name
+
+
+# ---------------------------------------------------------------------------
+# stacked sequences: one encoder call for many
+
+sequences = st.lists(st.lists(st.integers(min_value=0, max_value=11), min_size=1, max_size=9), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seqs=sequences, h=st.sampled_from([1, 2]), layers=st.sampled_from([1, 2]), max_len=st.sampled_from([6, 32]))
+def test_stacked_encoding_equals_encoding_each_sequence_bit_for_bit(seqs, h, layers, max_len):
+    enc = tiny_encoder(d=4, h=h, layers=layers, max_len=max_len, seed=len(seqs))
+    sa = MhaParams.init(4, h, np.random.default_rng(h))
+    stacked = encode(enc, *seqs)
+    assert stacked.lengths == tuple(min(len(s), max_len) for s in seqs)
+    assert stacked.truncated == any(len(s) > max_len for s in seqs)
+    pooled = T.segment_mean(self_attention(sa, stacked.hidden, stacked.lengths), stacked.lengths).data
+    rows = np.split(stacked.hidden.data, np.cumsum(stacked.lengths)[:-1])
+    for j, ids in enumerate(seqs):
+        alone = encode(enc, ids).hidden
+        assert rows[j].tobytes() == alone.data.tobytes()
+        assert pooled[j].tobytes() == T.mean_rows(self_attention(sa, alone)).data.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(ids=sequences.map(lambda s: s[0]), h=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**16))
+def test_one_stacked_sequence_has_the_gradients_of_the_unsegmented_ops(ids, h, seed):
+    # Every leaf gradient, through the encoder, a segmented self-attention
+    # and a segment mean, is bit-identical to the unsegmented ops'.
+    enc = tiny_encoder(d=6, h=h, layers=2, seed=seed)
+    sa = MhaParams.init(6, h, np.random.default_rng(seed + 1))
+    weight = T.Tensor(np.random.default_rng(seed).standard_normal(6))
+    leaves = list(enc.named_parameters("enc").values()) + sa.wq + sa.wk + sa.wv
+
+    def grads(vector):
+        for t in leaves:
+            t.grad = None
+        r = vector()
+        T.dot(r, weight).backward()
+        return [r.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+    def segmented():
+        res = encode(enc, ids)
+        return T.reshape(T.segment_mean(self_attention(sa, res.hidden, res.lengths), res.lengths), (6,))
+
+    assert grads(segmented) == grads(lambda: T.mean_rows(self_attention(sa, encode(enc, ids).hidden)))
+
+
+def test_encode_needs_a_sequence():
+    with pytest.raises(T.ShapeError):
+        encode(tiny_encoder())
+    with pytest.raises(T.ShapeError):
+        encode(tiny_encoder(), [2, 4], [])

@@ -369,3 +369,65 @@ def test_nli_record_that_is_not_an_object_names_its_line(ws, tmp_path):
                           "--nli", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert err.startswith(f"error: {bad}:2: NLI record must be a JSON object")
+
+
+# ------------------------------------------------- malformed inputs, exit 2
+
+GOOD_QA = {"question": "what ?", "choice": ["a", "b"], "answer": "a"}
+
+
+@pytest.mark.parametrize("obj", [
+    3,
+    {},
+    [[["m : hi"], {"question": "q"}, "d0"]],
+    [[["m : hi"], [3], "d0"]],
+    [[["m : hi"], [{**GOOD_QA, "choice": "a b"}], "d0"]],
+], ids=["number", "object", "qas-not-a-list", "qa-not-an-object", "choice-not-a-list"])
+def test_dataset_of_the_wrong_shape_names_its_file(tmp_path, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("grid", ['[1]', '{"k": 3}', '{"k": [1], "q": [2]}', '{"p": [1.5]}', '{"k": [true]}', '"k"'])
+def test_sweep_grid_that_is_not_integer_lists_names_the_flag(ws, grid):
+    rc, _, err = run_cli(["sweep", "--grid", grid, "--data", str(ws["bundle"])])
+    assert rc == 2
+    assert err.startswith("error: --grid ")
+
+
+NOT_UTF8 = {
+    # input kind -> (file bytes, offset of the first bad byte)
+    "json": (b'[1, "\xff"]', 5),
+    "nli": (b'{"premise": "a", "hypothesis": "b", "label": 0}\n\xfe', 48),
+    "tsv": (b"r\tbike\tstreet\t2\n\xc3(", 16),
+    "vocab": (b"[PAD]\n\xff", 6),
+}
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("dataset", "json"), ("config", "json"), ("meta", "json"), ("grid-file", "json"), ("nli", "nli"),
+    ("kg", "tsv"), ("surfaces", "tsv"), ("lexicon", "tsv"), ("vocab", "vocab"),
+])
+def test_input_that_is_not_utf8_names_its_file_and_offset(ws, tmp_path, kind, content):
+    blob, offset = NOT_UTF8[content]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob)
+    bundle, cfg, out = str(ws["bundle"]), str(ws["config"]), str(tmp_path / "out")
+    train_with = ["train", "--data", bundle, "--config", cfg, "--out", out]
+    argv = {
+        "dataset": ["train", "--data", str(bad), "--out", out],
+        "config": ["train", "--data", bundle, "--config", str(bad), "--out", out],
+        "meta": train_with + ["--meta", str(bad)],
+        "grid-file": ["sweep", "--grid", f"@{bad}", "--data", bundle],
+        "nli": train_with + ["--nli", str(bad)],
+        "kg": train_with + ["--kg", str(bad)],
+        "surfaces": train_with + ["--relations", str(bad)],
+        "lexicon": train_with + ["--lexicon", str(bad)],
+        "vocab": ["eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", bundle, "--vocab", str(bad)],
+    }[kind]
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: not UTF-8 text: byte 0x{blob[offset]:02x} at offset {offset} ")

@@ -245,3 +245,10 @@ def test_dataset_hash_tracks_content():
     b = dataset_from_obj(changed)
     assert dataset_hash(a) != dataset_hash(b)
     assert dataset_hash(a) == dataset_hash(dataset_from_obj(dialogue_json_fixture()))
+
+
+@pytest.mark.parametrize("obj", [3, {}, "text", [[["m : hi"], {"question": "q"}, "d0"]], [[["m : hi"], ["qa"], "d0"]],
+                                 [[["m : hi"], [{"question": "q", "choice": "ab", "answer": "a"}], "d0"]]])
+def test_dataset_of_the_wrong_shape_is_a_schema_error(obj):
+    with pytest.raises(SchemaError, match="^data.json: "):
+        dataset_from_obj(obj, "data.json")

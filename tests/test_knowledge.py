@@ -1,5 +1,7 @@
 """Knowledge graph loading, fact rewriting/encoding, POS tagging, retrieval."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,16 @@ def test_read_graph_keeps_the_bytes_it_parsed(tmp_path):
     assert read_graph().triples is None and read_graph().raw == {}
 
 
+@pytest.mark.parametrize("arg", [0, 1, 2])
+def test_graph_file_that_is_not_utf8_is_a_kg_format_error(tmp_path, arg):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"bike\tNOUN\n\x80")
+    paths = [None, None, None]
+    paths[arg] = bad
+    with pytest.raises(KgFormatError, match=r"bad.tsv: not UTF-8 text: byte 0x80 at offset 10 "):
+        read_graph(*paths)
+
+
 def test_load_kg_negative_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t-1\n", encoding="utf-8")
@@ -299,6 +311,59 @@ def test_fact_cache_serves_until_version_bump():
     fe.invalidate()
     after = fe.encode_fact(fact)
     assert not np.array_equal(after.data, before.data)
+
+
+FACTS = [Fact(text=t, source=None) for t in ("bike is found on street", "cat is a animal", "virus causes disease")]
+
+
+def test_encode_facts_equals_encoding_each_fact_alone_bit_for_bit():
+    _, _, _, fe = fact_encoder_fixture(seed=4)
+    together = fe.encode_facts(FACTS + FACTS[:1])
+    assert together[0] is together[3]
+    for fact, r in zip(FACTS, together):
+        fe.invalidate()
+        assert fe.encode_fact(fact).data.tobytes() == r.data.tobytes()
+
+
+def test_step_scope_serves_leaves_and_sends_their_gradient_back_once():
+    _, enc, sa, fe = fact_encoder_fixture(seed=5)
+    leaves = list(enc.named_parameters("enc").values()) + sa.wq + sa.wk + sa.wv
+    weights = [T.Tensor(np.random.default_rng(i).standard_normal(8)) for i in range(3)]
+
+    def grads(scoped):
+        for t in leaves:
+            t.grad = None
+        fe.invalidate()
+        with fe.step() if scoped else contextlib.nullcontext():
+            fe.encode_facts(FACTS)
+            # Two "examples", each reading two facts and back-propagating alone.
+            for picks in ((0, 1), (1, 2)):
+                rs = [fe.encode_fact(FACTS[i]) for i in picks]
+                if scoped:
+                    assert all(not r._parents and r.requires_grad for r in rs)
+                T.add(T.dot(rs[0], weights[picks[0]]), T.dot(rs[1], weights[picks[1]])).backward()
+            if scoped:
+                assert all(t.grad is None for t in leaves)
+        return [t.grad for t in leaves]
+
+    want, got = grads(False), grads(True)
+    # Every leaf but the encoder's pooler pair is on the path.
+    assert sum(g is None for g in got) == 2 and [g is None for g in got] == [g is None for g in want]
+    assert all(np.allclose(a, b, rtol=1e-10, atol=1e-14) for a, b in zip(got, want) if a is not None)
+    assert fe._cache == {}
+
+
+def test_step_scope_drops_the_cache_without_a_backward_on_error():
+    _, enc, _, fe = fact_encoder_fixture()
+    with pytest.raises(RuntimeError, match="boom"):
+        with fe.step():
+            T.sum_all(fe.encode_fact(FACTS[0])).backward()
+            raise RuntimeError("boom")
+    assert fe._cache == {} and enc.tok_emb.grad is None
+    with fe.step():
+        with pytest.raises(RuntimeError, match="nest"):
+            with fe.step():
+                pass
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,41 @@ def test_backward_twice_doubles_leaf_grads():
     assert np.array_equal(x.grad, 2.0 * once)
 
 
+def test_backward_from_a_seed_gradient():
+    x = make([[1.0, 2.0], [3.0, 4.0]], grad=True)
+    y = T.mul(x, 3.0)
+    y.backward(np.array([[1.0, 0.0], [2.0, -1.0]]))
+    assert np.array_equal(x.grad, [[3.0, 0.0], [6.0, -3.0]])
+    with pytest.raises(T.ShapeError):
+        y.backward(np.ones(2))
+
+
+def test_one_segment_equals_the_unsegmented_ops_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = make(rng.standard_normal((4, 6)), grad=True)
+    w = [make(rng.standard_normal((6, 3)), grad=True) for _ in range(6)]
+    weight = rng.standard_normal((1, 6))
+
+    def run(lengths):
+        for t in [x] + w:
+            t.grad = None
+        att = T.attention(x, x, x, w[:2], w[2:4], w[4:], 0.5, lengths)
+        pooled = T.mean_rows(att) if lengths is None else T.reshape(T.segment_mean(att, lengths), (6,))
+        T.dot(pooled, T.Tensor(weight[0])).backward()
+        return [pooled.data.tobytes()] + [t.grad.tobytes() for t in [x] + w]
+
+    assert run([4]) == run(None)
+
+
+def test_segments_must_cover_the_rows():
+    x, w = make(np.ones((3, 2))), make(np.ones((2, 2)))
+    for lengths in ([1, 1], [3, 0], [], [2, 2]):
+        with pytest.raises(T.ShapeError):
+            T.segment_mean(x, lengths)
+        with pytest.raises(T.ShapeError):
+            T.attention(x, x, x, [w], [w], [w], 1.0, lengths)
+
+
 def test_backward_without_graph_rejected():
     with pytest.raises(ValueError):
         T.Tensor(np.array(1.0)).backward()
@@ -480,6 +515,16 @@ def _attention_case(roles):
     return case
 
 
+def _segmented_self_attention(m, n, k):
+    """Self-attention over two stacked sequences of m and n rows."""
+    h = (k - 1) % 3 + 1
+
+    def op(x, *w):
+        return T.attention(x, x, x, w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2), lengths=[m, n])
+
+    return [(m + n, 3)] + [(3, 2)] * (3 * h), op
+
+
 # Each case maps the dims (m, n, k), each 1..4, to the input shapes and the op.
 OP_CASES = {
     "matmul": lambda m, n, k: ([(m, k), (k, n)], T.matmul),
@@ -506,6 +551,8 @@ OP_CASES = {
     "attention": _attention_case((0, 1, 2)),
     "attention_shared_kv": _attention_case((0, 1, 1)),
     "attention_self": _attention_case((0, 0, 0)),
+    "attention_segments": _segmented_self_attention,
+    "segment_mean": lambda m, n, k: ([(m + n + k, 3)], lambda x: T.segment_mean(x, [m, n, k])),
 }
 
 dims = st.integers(min_value=1, max_value=4)

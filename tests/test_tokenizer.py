@@ -2,7 +2,7 @@
 
 import pytest
 
-from kkt.tokenizer import SPECIALS, Tokenizer, tokenize
+from kkt.tokenizer import SPECIALS, Tokenizer, VocabularyFileError, read_text, tokenize
 
 
 def test_tokenize_lowercases_and_splits_punctuation():
@@ -67,3 +67,13 @@ def test_load_requires_special_header(tmp_path):
     path.write_text("just\nplain\nwords\nno\nheader\n", encoding="utf-8")
     with pytest.raises(ValueError):
         Tokenizer.load(path)
+
+
+def test_read_text_names_the_path_and_offset_of_bad_bytes(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"[PAD]\n[UNK]\xff\n")
+    with pytest.raises(VocabularyFileError, match=r"vocab.txt: not UTF-8 text: byte 0xff at offset 11 "):
+        Tokenizer.load(path)
+    good = tmp_path / "good.txt"
+    good.write_bytes("caf\u00e9\n".encode("utf-8"))
+    assert read_text(good, VocabularyFileError) == (good.read_bytes(), "caf\u00e9\n")

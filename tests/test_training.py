@@ -1,5 +1,6 @@
 """Training harness: config, optimizer, train loop, evaluation, sweep."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 import kkt.training as training
+from kkt import knowledge
+from kkt import tensor as T
+from kkt.attention import encode
 from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
 from kkt.data import gen_synthetic, write_bundle
 from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
@@ -581,6 +585,51 @@ def test_evaluation_leaves_training_gradients_intact(f64_init, corpus):
         if g is not None:
             np.testing.assert_array_equal(after_eval[name], g, err_msg=name)
     assert fresh["fact_sa.wq0"] is not None
+
+
+def test_step_scope_gives_the_per_example_gradients_of_a_batch(f64_init, corpus):
+    # One optimizer step's leaf gradients: with the step scope, each fact's
+    # encoder graph is walked once on leaving it; without, once per example.
+    batch = corpus["bundle"].dataset.examples[:6]
+
+    def step_grads(scoped):
+        pipe = f64_init()
+        named = pipe.params.named_parameters()
+        fe = pipe.fact_encoder
+        with fe.step() if scoped else contextlib.nullcontext():
+            pipe.prepare_knowledge(batch)
+            for ex in batch:
+                T.mul(pipe.predict(ex).loss, 1.0 / len(batch)).backward()
+        return {name: p.grad for name, p in named.items() if p.grad is not None}
+
+    want, got = step_grads(False), step_grads(True)
+    assert sorted(got) == sorted(want)
+    assert {"fact_sa.wq0", "fact_sa.wv1", "enc.tok_emb", "enc.block0.attn.wk0"} <= set(got)
+    for name, g in want.items():
+        np.testing.assert_allclose(got[name], g, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
+def test_a_batch_encodes_its_facts_in_one_encoder_call(f64_init, corpus, monkeypatch):
+    calls = []
+
+    def counting(params, *seqs):
+        calls.append(len(seqs))
+        return encode(params, *seqs)
+
+    monkeypatch.setattr(knowledge, "encode", counting)
+    pipe = f64_init()
+    batch = corpus["bundle"].dataset.examples[:4]
+    with pipe.fact_encoder.step():
+        pipe.prepare_knowledge(batch)
+        assert len(calls) == 1 and calls[0] > 1
+        for ex in batch:
+            pipe.predict(ex).loss.backward()
+        assert len(calls) == 1
+    # Training makes one fact-encoder call per optimizer step.
+    calls.clear()
+    cfg = _small_cfg(epochs=1, batch_size=4)
+    train(cfg, corpus["bundle"].dataset, **_kg_args(corpus))
+    assert len(calls) == math.ceil(len(corpus["bundle"].dataset.examples) / cfg.batch_size)
 
 
 def test_train_with_dev_keeps_the_loss_history(corpus):
