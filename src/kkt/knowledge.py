@@ -40,6 +40,10 @@ class EmptyFactError(ValueError):
     """Raised when a fact tokenizes to nothing."""
 
 
+class FactTooLongError(ValueError):
+    """Raised when a fact has more tokens than the encoder has positions."""
+
+
 # Closed-class words never counted as content, regardless of suffix shape.
 _STOPLIST = frozenset(
     """
@@ -267,7 +271,9 @@ class FactEncoder:
     self-attended by `sa`. `encode_facts` puts every uncached fact of a call
     through the encoder at once: one `encode` over the stacked sequences,
     one segmented self-attention and one `T.segment_mean`. In float64 each
-    vector equals that of encoding its fact alone, bit for bit.
+    vector equals that of encoding its fact alone, bit for bit. A fact with
+    more tokens than the encoder has positions raises `FactTooLongError`
+    rather than being cut.
 
     An embedding built inside `T.no_grad()` carries no graph, so it is
     served only inside `no_grad` again; graph-building callers get one with
@@ -331,6 +337,9 @@ class FactEncoder:
             for text, seq in zip(texts, ids):
                 if not seq:
                     raise EmptyFactError(f"fact {text!r} tokenizes to nothing")
+                if len(seq) > self.enc.max_len:
+                    raise FactTooLongError(f"fact {text!r} has {len(seq)} tokens, more than the "
+                                           f"encoder's {self.enc.max_len} positions (max_length)")
             hidden = encode(self.enc, *ids)
             pooled = T.segment_mean(self_attention(self.sa, hidden.hidden, hidden.lengths), hidden.lengths)
             if grad and self._step is not None:

@@ -22,22 +22,27 @@ gradient instead of ones. A Python number or numpy array
 passed to ``add`` or ``mul`` is a constant: it is cast to the tensor
 operand's dtype and joins the data, never the graph.
 
-Attention is one op: ``attention`` runs every head on the raw arrays and
-adds one graph node, where the same computation built from matmul,
-transpose, mul, softmax_rows and concat_last_axis adds 8h+1. Its forward
-and per-head backward run the numpy expressions of that chain, with the
-same array layouts, so values agree bit for bit in float64. Gradient
-order: a tensor that several roles of one call share (self-attention's
-input, or the keys and values of a cross-attention) receives its per-head
-terms in the chain's order, head h-1 first and within a head value, key,
-query; and the distinct inputs are first reached in the chain's order,
-query, key, value, so the topological order of the rest of the graph is
-unchanged. One order cannot be kept: when the keys are computed from the
-queries (key-turn refinement gathers its keys from the context rows it
-attends from), the chain adds the gather's gradient to the queries just
-before head 0's query term, and the one op adds it after all the query
-terms. So float64 training through that path may differ from the chain in
-the last bits; forward values do not.
+Attention is one op: ``attention`` runs all heads at once and adds one
+graph node, where the chain of matmul, transpose, mul, softmax_rows and
+concat_last_axis ops that computes the same adds 8h+1. Each role is
+projected by one product through its heads' weights stacked to [h, d,
+width]; scores, softmax and head outputs are batched products over the head
+axis. ``_matmul_data`` takes that batch axis, so float64 values equal the
+chain's bit for bit. The backward returns one gradient slot per (head,
+role), each a slice of one batched product in which every head keeps the
+chain's array layouts, since BLAS may round another layout differently: the
+query gradient goes through the transposed view of the keys' contiguous
+transposed copy, and the key gradient is (q^T gs)^T. A tensor that several
+roles of one call share (self-attention's input, or the keys and values of
+a cross-attention) receives its slots in the chain's order, head h-1 first
+and within a head value, key, query; distinct inputs are first reached in
+the order query, key, value, so the topological order of the rest of the
+graph is unchanged. One order cannot be kept: when the keys are computed
+from the queries (key-turn refinement gathers its keys from the context
+rows it attends from), the chain adds the gather's gradient to the queries
+just before head 0's query term, and the one op adds it after all the
+query terms. So float64 training through that path may differ from the
+chain in the last bits; forward values do not.
 
 Stacked sequences: several sequences can run through one set of ops as the
 rows of one matrix. Row-wise ops (gathers, adds, affine maps, layer norm,
@@ -62,6 +67,7 @@ must not serve a graph-free output to graph-building code; see
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -223,9 +229,9 @@ def _matmul_data(a, b):
     # the naive triple loop. Other dtypes go through BLAS.
     if a.dtype != np.float64:
         return a @ b
-    out = a[:, 0:1] * b[0:1, :]
-    for k in range(1, a.shape[1]):
-        out = out + a[:, k : k + 1] * b[k : k + 1, :]
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k : k + 1] * b[..., k : k + 1, :]
     return out
 
 
@@ -293,14 +299,15 @@ def _check_elementwise(a, b, name):
 
 
 def _softmax_rows_data(x):
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # Over the last axis, each step in place on one new array.
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def _softmax_rows_grad(y, g):
-    inner = (g * y).sum(axis=1, keepdims=True)
-    return y * (g - inner)
+    d = g - (g * y).sum(axis=-1, keepdims=True)
+    return np.multiply(d, y, out=d)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -316,11 +323,11 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
 
     ``wq``, ``wk`` and ``wv`` are equal-length lists of per-head
     projections. Head i is softmax((q_seq wq[i]) (k_seq wk[i])^T * scale)
-    (v_seq wv[i]), and the heads are concatenated along the last axis. The
-    values and gradients are those of the chain of matmul, transpose, mul,
-    softmax_rows and concat_last_axis ops that computes the same thing, with
-    the same array layouts; see the module docstring for the order in which
-    an input shared by several roles receives its gradients.
+    (v_seq wv[i]), and the heads are concatenated along the last axis. All
+    heads run at once, as [h, rows, width] arrays, so the heads of one role
+    must share one shape (``ShapeError`` otherwise). The values and
+    gradients are those of the per-head chain of matmul, transpose, mul,
+    softmax_rows and concat_last_axis ops; see the module docstring.
 
     ``lengths`` splits the rows of the queries and of the keys/values (then
     equally many) into consecutive segments that attend only within
@@ -336,71 +343,64 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
         raise ShapeError(f"attention: need equal, non-zero head counts, got {[len(w) for w in ws]}")
     if any(x.ndim != 2 for x in seqs) or k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {[x.shape for x in seqs]}")
-    for x, role in zip(seqs, ws):
-        for w in role:
-            if w.ndim != 2 or w.shape[0] != x.shape[1]:
-                raise ShapeError(f"attention: projection {w.shape} does not match input {x.shape}")
-    if any(a.shape[1] != b.shape[1] for a, b in zip(ws[0], ws[1])):
-        raise ShapeError(f"attention: query and key head widths differ: {[w.shape for w in ws[0] + ws[1]]}")
-    # Row spans of the segments; None is one segment of all queries over all keys.
-    spans = None
+    # Each role's per-head weights as one [h, d, width] array.
+    try:
+        w3 = [np.array([w.data for w in role]) for role in ws]
+    except ValueError:
+        raise ShapeError(f"attention: the heads of one role differ in shape: {[[w.shape for w in r] for r in ws]}") from None
+    if any(w.ndim != 3 or w.shape[1] != x.shape[1] for x, w in zip(seqs, w3)):
+        raise ShapeError(f"attention: projections {[w.shape[1:] for w in w3]} do not match inputs {[x.shape for x in seqs]}")
+    if w3[0].shape[2] != w3[1].shape[2]:
+        raise ShapeError(f"attention: query and key head widths differ: {w3[0].shape[2]} and {w3[1].shape[2]}")
+    # Row slices of the segments; one segment is all queries over all keys.
+    rows = [slice(None)]
     if lengths is not None:
         edges = _segment_edges(lengths, q_seq.shape[0], "attention")
         if k_seq.shape[0] != q_seq.shape[0]:
             raise ShapeError(f"attention: segments need as many keys as queries, got {q_seq.shape} and {k_seq.shape}")
         if len(edges) > 2:
-            spans = list(zip(edges, edges[1:]))
-    saved, outs = [], []
-    for i in range(heads):
-        q, k, v = (_matmul_data(x.data, role[i].data) for x, role in zip(seqs, ws))
-        c = np.asarray(scale, dtype=q.dtype)
-        if spans is None:
-            out, kept = _head_forward(q, k, v, c)
-        else:
-            per = [_head_forward(q[a:b], k[a:b], v[a:b], c) for a, b in spans]
-            out, kept = np.concatenate([o for o, _ in per]), [kp for _, kp in per]
-        outs.append(out)
-        saved.append((kept, c))
-    edges_out = list(itertools.accumulate((o.shape[1] for o in outs), initial=0))
-    # One slot per (head, role) gradient of a sequence: for each distinct
-    # input, head h-1 first and within a head value, key, query; distinct
-    # inputs first reached in the order query, key, value.
-    first = {}
-    for role, x in enumerate(seqs):
-        first.setdefault(id(x), role)
-    slots = sorted(((i, role) for i in reversed(range(heads)) for role in (2, 1, 0)), key=lambda s: first[id(seqs[s[1]])])
+            rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    # One product per role: [h, rows, width].
+    q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
+    c = np.asarray(scale, dtype=q.dtype)
+    outs, kept = zip(*(_heads_forward(q[:, s], k[:, s], v[:, s], c) for s in rows))
+    out = np.concatenate(outs, axis=1) if len(rows) > 1 else outs[0]
+    # For each role, the first role that passes the same tensor.
+    slots = _slot_order(heads, (0, 0 if k_seq is q_seq else 1, 0 if v_seq is q_seq else 1 if v_seq is k_seq else 2))
 
     def backward(g):
-        g_seq, g_w = {}, {}
-        for i, (kept, c) in enumerate(saved):
-            gh = g[..., edges_out[i] : edges_out[i + 1]]
-            if spans is None:
-                gy = _head_backward(kept, gh, c)
-            else:
-                per = [_head_backward(kp, gh[a:b], c) for (a, b), kp in zip(spans, kept)]
-                gy = [np.concatenate(parts) for parts in zip(*per)]
-            for role in range(3):
-                g_seq[i, role] = gy[role] @ ws[role][i].data.T
-                g_w[i, role] = seqs[role].data.T @ gy[role]
-        return [g_seq[s] for s in slots] + [g_w[i, role] for role in range(3) for i in range(heads)]
+        # Head i's output gradient is a view of g's i-th block of columns.
+        gh = g.reshape(g.shape[0], heads, -1).transpose(1, 0, 2)
+        per = [_heads_backward(kp, gh[:, s], c) for s, kp in zip(rows, kept)]
+        gy = [np.concatenate(parts, axis=1) for parts in zip(*per)] if len(rows) > 1 else per[0]
+        g_seq = [gy[r] @ w3[r].transpose(0, 2, 1) for r in range(3)]
+        g_w = [seqs[r].data.T @ gy[r] for r in range(3)]
+        return [g_seq[r][i] for i, r in slots] + [g_w[r][i] for r in range(3) for i in range(heads)]
 
-    parents = [seqs[role] for _, role in slots] + [w for role in ws for w in role]
-    return _result(np.concatenate(outs, axis=-1), parents, backward)
+    parents = [seqs[r] for _, r in slots] + [w for role in ws for w in role]
+    return _result(out.transpose(1, 0, 2).reshape(out.shape[1], -1), parents, backward)
 
 
-def _head_forward(q, k, v, c):
-    # One head over one segment, from its projected query, key and value:
-    # the output and what the backward needs.
-    kT = k.T.copy()
-    p = _softmax_rows_data(_matmul_data(q, kT) * c)
+@functools.lru_cache(maxsize=None)
+def _slot_order(heads, first):
+    # The (head, role) gradient slots of the inputs, in the module docstring's order.
+    return tuple(sorted(((i, r) for i in reversed(range(heads)) for r in (2, 1, 0)), key=lambda s: first[s[1]]))
+
+
+def _heads_forward(q, k, v, c):
+    # All heads over one segment: the output and what the backward needs.
+    kT = k.transpose(0, 2, 1).copy()
+    scores = _matmul_data(q, kT)
+    p = _softmax_rows_data(np.multiply(scores, c, out=scores))
     return _matmul_data(p, v), (q, kT, v, p)
 
 
-def _head_backward(kept, gh, c):
-    # Gradients of one head's projected query, key and value over one segment.
+def _heads_backward(kept, gh, c):
+    # All heads' query, key and value gradients over one segment, in the chain's layouts.
     q, kT, v, p = kept
-    gs = _softmax_rows_grad(p, gh @ v.T) * c
-    return gs @ kT.T, (q.T @ gs).T, p.T @ gh
+    gs = _softmax_rows_grad(p, gh @ v.transpose(0, 2, 1))
+    gs *= c
+    return gs @ kT.transpose(0, 2, 1), (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1), p.transpose(0, 2, 1) @ gh
 
 
 def _segment_edges(lengths, rows, name):

@@ -4,8 +4,9 @@ Nothing in here calls back into the library's forward/backward machinery for
 the quantity being checked: gradients come from central finite differences,
 attention from explicit per-head numpy loops, retrieval from a full scan of
 the store, matmul from a bare triple loop. The library must agree with these,
-not the other way around. The one exception is `chain_mha`, which builds
-attention from the library's smaller ops as the reference for the fused op.
+not the other way around. The exceptions are `chain_mha` and
+`chain_mha_segments`, which build attention from the library's smaller ops
+as the reference for the fused op.
 """
 
 import math
@@ -139,6 +140,29 @@ def chain_mha(params, q_seq, k_seq, v_seq):
         scores = T.mul(T.matmul(q, T.transpose(k)), scale)
         heads.append(T.matmul(T.softmax_rows(scores), v))
     return T.concat_last_axis(heads)
+
+
+def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths):
+    """`chain_mha` run per segment of consecutive rows, the reference for
+    `tensor.attention` with `lengths`. As in the op, each projection is one
+    matmul over all rows; each segment then runs the chain's scores, softmax
+    and output ops on its own rows, gathered with `take_rows`. Returns the
+    output of every segment, in order."""
+    scale = 1.0 / math.sqrt(params.d_head)
+    projections = [
+        (T.matmul(q_seq, params.wq[i]), T.matmul(k_seq, params.wk[i]), T.matmul(v_seq, params.wv[i]))
+        for i in range(params.heads)
+    ]
+    edges = np.cumsum([0] + list(lengths))
+    outs = []
+    for a, b in zip(edges, edges[1:]):
+        heads = []
+        for projected in projections:
+            q, k, v = (T.take_rows(t, range(a, b)) for t in projected)
+            scores = T.mul(T.matmul(q, T.transpose(k)), scale)
+            heads.append(T.matmul(T.softmax_rows(scores), v))
+        outs.append(T.concat_last_axis(heads))
+    return outs
 
 
 def mha_arrays(params):

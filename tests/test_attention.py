@@ -146,6 +146,88 @@ def test_mha_adds_one_graph_node():
         assert [node for node in T._topo_order(out) if node._parents] == [out]
 
 
+def _op_and_chain_run(p, inputs, roles, lengths, weight):
+    """Outputs and leaf gradients of the op and of the per-head chain, both
+    weighted by `weight` and summed. The chain runs per segment when the op
+    has several; the op's output is split the same way."""
+    leaves = inputs + p.wq + p.wk + p.wv
+    seqs = [inputs[r] for r in roles]
+
+    def run(build):
+        for t in leaves:
+            t.grad = None
+        outs = build()
+        w = np.split(weight, np.cumsum([o.shape[0] for o in outs])[:-1])
+        sum(T.sum_all(T.mul(o, T.Tensor(wj))) for o, wj in zip(outs, w)).backward()
+        return [o.data for o in outs], [t.grad for t in leaves]
+
+    if lengths is None or len(lengths) == 1:
+        op = run(lambda: [T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths)])
+        return op, run(lambda: [helpers.chain_mha(p, *seqs)])
+    edges = np.cumsum([0] + list(lengths))
+
+    def op_segments():
+        out = T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths)
+        return [T.take_rows(out, range(a, b)) for a, b in zip(edges, edges[1:])]
+
+    return run(op_segments), run(lambda: helpers.chain_mha_segments(p, *seqs, lengths))
+
+
+# Roles of the inputs: self-attention, keys and values shared, all distinct.
+attention_roles = st.sampled_from([(0, 0, 0), (0, 1, 1), (0, 1, 2)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 4), d_head=st.integers(1, 3), roles=attention_roles,
+       segments=st.lists(st.integers(1, 4), min_size=1, max_size=3), keys=st.integers(1, 4),
+       segmented=st.booleans(), seed=st.integers(0, 2**16))
+def test_attention_equals_the_per_head_chain_in_both_dtypes(h, d_head, roles, segments, keys, segmented, seed):
+    # The keys are never computed from the queries here: that one case may
+    # differ in the last bits of the queries' gradient (tensor module docstring).
+    lengths = segments if segmented or len(segments) > 1 else None
+    m = sum(segments)
+    shapes = [(m, h * d_head), (m if lengths else keys, h * d_head)]
+    rng = np.random.default_rng(seed)
+    data = [rng.standard_normal(shapes[min(r, 1)]) for r in range(max(roles) + 1)]
+    p64 = MhaParams.init(h * d_head, h, np.random.default_rng(seed + 1))
+    weight = rng.standard_normal((m, h * d_head))
+    (out, grads), (want_out, want_grads) = _op_and_chain_run(
+        p64, [T.Tensor(x, requires_grad=True) for x in data], roles, lengths, weight)
+    # Bit for bit in float64.
+    assert [o.tobytes() for o in out] == [o.tobytes() for o in want_out]
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+    f32 = np.float32
+    p32 = MhaParams(*([T.Tensor(w.data.astype(f32), requires_grad=True) for w in ws] for ws in (p64.wq, p64.wk, p64.wv)))
+    (out, grads), (want_out, want_grads) = _op_and_chain_run(
+        p32, [T.Tensor(x.astype(f32), requires_grad=True) for x in data], roles, lengths, weight.astype(f32))
+    for got, want in zip(out + grads, want_out + want_grads):
+        assert got.dtype == f32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("lengths", [None, [2, 3]])
+def test_attention_makes_no_product_per_head(monkeypatch, lengths):
+    # A forward call runs as many matrix products at h=4 as at h=1.
+    calls = []
+    matmul_data = T._matmul_data
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return matmul_data(a, b)
+
+    monkeypatch.setattr(T, "_matmul_data", counted)
+    rng = np.random.default_rng(7)
+    x = tens(rng.standard_normal((5, 4)))
+    counts = []
+    for h in (1, 4):
+        p = rand_params(4, h, seed=h)
+        calls.clear()
+        self_attention(p, x, lengths)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3 + 2 * (1 if lengths is None else len(lengths))
+
+
 # ---------------------------------------------------------------------------
 # self attention
 

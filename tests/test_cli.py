@@ -95,6 +95,17 @@ def test_train_rejects_a_bad_config_field(ws, tmp_path, field, value):
     assert err.startswith(f"error: {field} must be")
 
 
+def test_train_with_facts_longer_than_max_length_exits_2(ws, tmp_path):
+    # Facts are encoded whole; a position table shorter than a retrieved fact
+    # is a named input error, not a silently cut fact.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "max_length": 2}), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert re.match(r"error: fact '.+' has \d+ tokens, more than the encoder's 2 positions", err)
+
+
 def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**SMALL_CONFIG, "key_turn_provider": "nli"}), encoding="utf-8")

@@ -13,6 +13,7 @@ from kkt.knowledge import (
     EmptyFactError,
     Fact,
     FactEncoder,
+    FactTooLongError,
     KgFormatError,
     KnowledgeStore,
     KnowledgeTriple,
@@ -299,6 +300,15 @@ def test_encode_fact_empty_rejected():
     _, _, _, fe = fact_encoder_fixture()
     with pytest.raises(EmptyFactError):
         fe.encode_fact(Fact(text="", source=None))
+
+
+def test_encode_fact_longer_than_the_position_table_rejected():
+    tk = Tokenizer.build(["a b c d e f g"])
+    enc = tiny_encoder(vocab=len(tk), max_len=4)
+    fe = FactEncoder(tk, enc, MhaParams.init(8, 2, np.random.default_rng(1)))
+    assert fe.encode_fact(Fact(text="a b c d", source=None)).shape == (8,)
+    with pytest.raises(FactTooLongError, match=r"'a b c d e f g' has 7 tokens, more than the encoder's 4 positions"):
+        fe.encode_facts([Fact(text="a b", source=None), Fact(text="a b c d e f g", source=None)])
 
 
 def test_fact_cache_serves_until_version_bump():

@@ -51,6 +51,21 @@ def test_matmul_bit_exact_vs_triple_loop():
         assert ours.tobytes() == helpers.loop_matmul(a, b).tobytes()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(b=st.integers(1, 4), m=st.integers(1, 6), k=st.integers(1, 6), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_batched_fp64_products_equal_their_slices_bit_for_bit(b, m, k, n, seed):
+    # A leading batch axis keeps the sequential accumulation of each slice,
+    # also against one 2-D operand broadcast over the batch.
+    rng = np.random.default_rng(seed)
+    a, c, x = rng.standard_normal((b, m, k)), rng.standard_normal((b, k, n)), rng.standard_normal((m, k))
+    got, broadcast = T._matmul_data(a, c), T._matmul_data(x, c)
+    assert got.shape == broadcast.shape == (b, m, n)
+    for i in range(b):
+        assert got[i].tobytes() == T._matmul_data(a[i], c[i]).tobytes()
+        assert broadcast[i].tobytes() == helpers.loop_matmul(x, c[i]).tobytes()
+
+
 def test_matmul_fp32_path_close_to_fp64():
     rng = np.random.default_rng(2)
     a64 = rng.standard_normal((6, 7))
@@ -415,6 +430,9 @@ def test_attention_rejects_mismatched_shapes():
         (make(np.zeros(3)), x, x, [w], [w], [w], 1.0),  # 1-D queries
         (make(np.zeros((2, 4))), x, x, [w], [w], [w], 1.0),  # input width 4, projection 3
         (x, x, x, [w], [make(np.zeros((3, 1)))], [w], 1.0),  # query and key head widths
+        # The heads of one role run as one [h, rows, width] array.
+        (x, x, x, [w, w], [w, w], [w, make(np.zeros((3, 1)))], 1.0),  # value heads of two widths
+        (x, x, x, [w, make(np.zeros((2, 2)))], [w, w], [w, w], 1.0),  # query heads of two input widths
     ]
     for args in cases:
         with pytest.raises(T.ShapeError, match="attention"):
