@@ -13,8 +13,9 @@ to d_model; there is no output projection after the concat. Any further
 mapping is explicit in the consuming code. Each `mha` call is one graph
 node, the op `tensor.attention`, whatever the head count; the per-head
 projection matrices stay separate tensors, so checkpoints keep their names.
-Self-attention over stacked sequences is that same op with the sequences'
-lengths, called directly rather than through `mha`.
+Self-attention over stacked sequences is that same `mha` call with the
+sequences' lengths, and stacked cross-attentions (query segment i over key
+segment i) add the keys' lengths.
 """
 
 from __future__ import annotations
@@ -82,29 +83,28 @@ class MhaParams:
         return out
 
 
-def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor) -> Tensor:
+def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=None, key_lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention, one graph node per call.
 
     Per head i: softmax(q W^Q_i (k W^K_i)^T / sqrt(d_head)) (v W^V_i), then
     the head outputs are concatenated back to width d_model. The heads run
     inside the single op `tensor.attention`, whose values and gradients are
     those of the per-head chain of matmul, transpose, scale and softmax ops.
+    `lengths` and `key_lengths` split the queries and the keys into segment
+    pairs, each attending only within itself (see `tensor.attention`).
     """
     if k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"mha: key length {k_seq.shape} != value length {v_seq.shape}")
-    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, params.scale)
+    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, params.scale, lengths, key_lengths)
 
 
 def self_attention(params: MhaParams, x: Tensor, lengths=None) -> Tensor:
     """Attention of a sequence over itself: mha(x, x, x).
 
     With `lengths`, `x` stacks the rows of several sequences, and each
-    attends over its own rows only, in the same single op (see
-    `tensor.attention`). One sequence is plain `mha`.
+    attends over its own rows only, in the same single op.
     """
-    if lengths is None or len(lengths) == 1:
-        return mha(params, x, x, x)
-    return T.attention(x, x, x, params.wq, params.wk, params.wv, params.scale, lengths)
+    return mha(params, x, x, x, lengths)
 
 
 @dataclass

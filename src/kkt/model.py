@@ -7,6 +7,16 @@ over option-level facts), then fused by dual co-attention into fixed-width
 vectors and decoded to a scalar logit. Cross-entropy over the per-option
 logits trains the whole stack.
 
+All options of an example run through each layer in one pass. Their
+sequences go through one encoder call; their H_c and H_qa rows are stacked
+in option order with per-option lengths, and every refinement and
+co-attention is one `mha` call in which option i's queries attend over
+option i's keys only (segment pairs of `tensor.attention`, on exact row
+slices). So in float64 each option's values, and every logit, equal those
+of running the option alone, bit for bit. `encode_pair`, `refine`,
+`dual_coattention` and `forward` take the stacked options; called with one
+option and no lengths they take and return that option's values alone.
+
 Ablation wiring lives in one table, PATHS: each ablation names the
 refinement paths it fuses next to the plain co-attention output O_o, in
 fusion order. "k" is the knowledge path (context and QA over retrieved
@@ -23,6 +33,7 @@ An ablation builds, trains and saves only the parameters its paths read.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,23 +83,36 @@ class DialogueExample:
 
 @dataclass
 class EncodedPair:
-    """Context and QA hidden rows, plus where each turn's tokens sit in H_c."""
+    """Context and QA hidden rows of an example's options, stacked in option order.
+
+    H_c holds each option's context rows and H_qa its question+option rows;
+    `c_lengths` and `qa_lengths` give each option's row counts, and
+    `turn_spans` holds one list per option of where each turn's tokens sit
+    in that option's own context rows. A pair of one option may leave the
+    lengths None; its `turn_spans` is then that option's list itself.
+    `truncated` flags whether any option's context was cut.
+    """
 
     h_c: Tensor
     h_qa: Tensor
     turn_spans: list
     truncated: bool
+    c_lengths: tuple | None = None
+    qa_lengths: tuple | None = None
 
 
 @dataclass
 class RefinedReprs:
+    """Refined rows, stacked like the pair's. Each flag is one bool per
+    option, or a bare bool for a one-option pair without lengths."""
+
     h_kt: Tensor | None
     h_c_kt: Tensor
     h_c_k: Tensor
     h_qa_k: Tensor
-    kt_identity: bool
-    ck_identity: bool
-    qak_identity: bool
+    kt_identity: bool | tuple
+    ck_identity: bool | tuple
+    qak_identity: bool | tuple
 
 
 @dataclass
@@ -153,7 +177,7 @@ class KktParams:
         return out
 
 
-def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueExample, option_index: int, max_len: int, turns=None) -> EncodedPair:
+def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueExample, option_index: int | None, max_len: int, turns=None) -> EncodedPair:
     """Encode [BOS] turns [SEP] question [SEP] option [EOS] and split the rows.
 
     H_c holds the turn-token rows and H_qa the question+option rows; the
@@ -161,121 +185,193 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
     input would overrun max_len, context tokens are dropped from the front
     (the QA side is never cut) and the context additionally never takes more
     than 75% of the non-special budget.
+
+    `option_index` None encodes every option of the example, in one encoder
+    call, into a pair of several options; `turns` is then None or one entry
+    per option, a list of turn texts or None for the example's turns. An
+    int encodes that one option, over `turns` or the example's turns, into
+    a one-option pair without lengths. Each distinct text is tokenized once.
     """
-    if not 0 <= option_index < len(example.options):
+    n = len(example.options)
+    if option_index is None:
+        indices, turn_lists = range(n), turns or [None] * n
+    elif 0 <= option_index < n:
+        indices, turn_lists = [option_index], [turns]
+    else:
         raise IndexError(f"option index {option_index} out of range")
-    turn_texts = example.turns if turns is None else turns
-    turn_ids = [tokenizer.encode(t) for t in turn_texts]
-    q_ids = tokenizer.encode(example.question)
-    a_ids = tokenizer.encode(example.options[option_index])
-    spans = []
-    pos = 0
-    for ids in turn_ids:
-        spans.append((pos, pos + len(ids)))
-        pos += len(ids)
-    c_ids = [i for ids in turn_ids for i in ids]
-    qa_len = len(q_ids) + len(a_ids)
+    token_ids = {}
+
+    def ids_of(text):
+        if text not in token_ids:
+            token_ids[text] = tokenizer.encode(text)
+        return token_ids[text]
+
+    q_ids = ids_of(example.question)
     budget = max_len - 4
-    if qa_len > budget:
-        raise ValueError(
-            f"example {example.example_id}: QA pair of {qa_len} tokens exceeds max_length {max_len}; QA is never truncated"
-        )
-    allowed_c = min(len(c_ids), int(budget * 0.75), budget - qa_len)
-    if allowed_c < 1:
-        raise ValueError(f"example {example.example_id}: no room for context at max_length {max_len}")
-    drop = len(c_ids) - allowed_c
-    truncated = drop > 0
-    if truncated:
-        c_ids = c_ids[drop:]
-        spans = [(max(s - drop, 0), max(e - drop, 0)) for s, e in spans]
-    ids = (
-        [tokenizer.bos_id]
-        + c_ids
-        + [tokenizer.sep_id]
-        + q_ids
-        + [tokenizer.sep_id]
-        + a_ids
-        + [tokenizer.eos_id]
-    )
-    hidden = encode(params, ids).hidden
-    c_rows = range(1, 1 + allowed_c)
-    q_start = 1 + allowed_c + 1
-    qa_rows = list(range(q_start, q_start + len(q_ids))) + list(
-        range(q_start + len(q_ids) + 1, q_start + len(q_ids) + 1 + len(a_ids))
-    )
+    sequences, spans_per, c_rows, qa_rows, c_lengths, qa_lengths = [], [], [], [], [], []
+    truncated = False
+    for j, turn_texts in zip(indices, turn_lists):
+        turn_ids = [ids_of(t) for t in (example.turns if turn_texts is None else turn_texts)]
+        a_ids = ids_of(example.options[j])
+        spans = []
+        pos = 0
+        for ids in turn_ids:
+            spans.append((pos, pos + len(ids)))
+            pos += len(ids)
+        c_ids = [i for ids in turn_ids for i in ids]
+        qa_len = len(q_ids) + len(a_ids)
+        if qa_len > budget:
+            raise ValueError(
+                f"example {example.example_id}: QA pair of {qa_len} tokens exceeds max_length {max_len}; QA is never truncated"
+            )
+        allowed_c = min(len(c_ids), int(budget * 0.75), budget - qa_len)
+        if allowed_c < 1:
+            raise ValueError(f"example {example.example_id}: no room for context at max_length {max_len}")
+        drop = len(c_ids) - allowed_c
+        if drop > 0:
+            truncated = True
+            c_ids = c_ids[drop:]
+            spans = [(max(s - drop, 0), max(e - drop, 0)) for s, e in spans]
+        ids = [tokenizer.bos_id] + c_ids + [tokenizer.sep_id] + q_ids + [tokenizer.sep_id] + a_ids + [tokenizer.eos_id]
+        if len(ids) > params.max_len:
+            raise ConfigurationError(f"input of {len(ids)} tokens overruns the encoder's {params.max_len} positions")
+        # Row offsets in the stacked hidden matrix.
+        start = sum(len(seq) for seq in sequences)
+        q_start = start + 1 + allowed_c + 1
+        a_start = q_start + len(q_ids) + 1
+        c_rows += range(start + 1, start + 1 + allowed_c)
+        qa_rows += list(range(q_start, q_start + len(q_ids))) + list(range(a_start, a_start + len(a_ids)))
+        sequences.append(ids)
+        spans_per.append(spans)
+        c_lengths.append(allowed_c)
+        qa_lengths.append(qa_len)
+    hidden = encode(params, *sequences).hidden
+    one = option_index is not None
     return EncodedPair(
         h_c=T.take_rows(hidden, c_rows),
         h_qa=T.take_rows(hidden, qa_rows),
-        turn_spans=spans,
+        turn_spans=spans_per[0] if one else spans_per,
         truncated=truncated,
+        c_lengths=None if one else tuple(c_lengths),
+        qa_lengths=None if one else tuple(qa_lengths),
     )
 
 
 def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> RefinedReprs:
     """Attend the context over its key-turn rows and over retrieved facts.
 
+    Each option's context attends over its own key-turn rows and over the
+    dialogue's facts `ck`, and its QA rows over its own facts; each of the
+    three is one `mha` call for all options. For a pair of several options
+    `key_turn_indices` and `qak` hold one entry per option, for a one-option
+    pair without lengths that option's entry itself.
+
     Only the ablation's paths run: without "kt" the key turns are ignored,
     without "k" the facts. Ignored inputs, empty selections and empty fact
-    lists fall back to identity (the unrefined rows pass through) and are
-    flagged as such.
+    lists fall back to identity (the option's unrefined rows pass through)
+    and are flagged as such.
     """
+    one = enc.c_lengths is None
+    if one:
+        key_turn_indices, qak = [key_turn_indices], [qak]
+        enc = EncodedPair(enc.h_c, enc.h_qa, [enc.turn_spans], enc.truncated, (enc.h_c.shape[0],), (enc.h_qa.shape[0],))
+    n = len(enc.c_lengths)
+    if len(key_turn_indices) != n or len(qak) != n:
+        raise ShapeError(f"refine: {n} options but {len(key_turn_indices)} key-turn and {len(qak)} fact lists")
     paths = PATHS[params.ablation]
     if "kt" not in paths:
-        key_turn_indices = ()
+        key_turn_indices = [()] * n
     if "k" not in paths:
-        ck = qak = ()
-    rows = []
-    for t in key_turn_indices:
-        if not 0 <= t < len(enc.turn_spans):
-            raise IndexError(f"key turn index {t} out of range for {len(enc.turn_spans)} turns")
-        s, e = enc.turn_spans[t]
-        rows.extend(range(s, e))
-    h_kt = T.take_rows(enc.h_c, rows) if rows else None
+        ck, qak = (), [()] * n
+    kt_rows = []
+    for start, spans, turns in zip(itertools.accumulate(enc.c_lengths, initial=0), enc.turn_spans, key_turn_indices):
+        rows = []
+        for t in turns:
+            if not 0 <= t < len(spans):
+                raise IndexError(f"key turn index {t} out of range for {len(spans)} turns")
+            s, e = spans[t]
+            rows.extend(range(start + s, start + e))
+        kt_rows.append(rows)
+    h_kt = T.take_rows(enc.h_c, [r for rows in kt_rows for r in rows]) if any(kt_rows) else None
+    qak_mat = T.stack_rows([f.r_k for facts in qak for f in facts]) if any(qak) else None
+    ck_mat = T.stack_rows([f.r_k for f in ck]) if ck else None
+    flags = (tuple(not rows for rows in kt_rows), (not ck,) * n, tuple(not facts for facts in qak))
+    if one:
+        flags = tuple(f[0] for f in flags)
     return RefinedReprs(
         h_kt=h_kt,
-        h_c_kt=mha(params.refine_kt, enc.h_c, h_kt, h_kt) if rows else enc.h_c,
-        h_c_k=_attend_facts(params.refine_ck, enc.h_c, ck),
-        h_qa_k=_attend_facts(params.refine_qak, enc.h_qa, qak),
-        kt_identity=not rows,
-        ck_identity=not ck,
-        qak_identity=not qak,
+        h_c_kt=_attend(params.refine_kt, enc.h_c, enc.c_lengths, h_kt, [len(rows) for rows in kt_rows]),
+        # The dialogue's facts are every option's keys: one segment pair of all rows.
+        h_c_k=_attend(params.refine_ck, enc.h_c, None, ck_mat, None),
+        h_qa_k=_attend(params.refine_qak, enc.h_qa, enc.qa_lengths, qak_mat, [len(facts) for facts in qak]),
+        kt_identity=flags[0],
+        ck_identity=flags[1],
+        qak_identity=flags[2],
     )
 
 
-def _attend_facts(p: MhaParams, h: Tensor, facts) -> Tensor:
-    if not facts:
+def _attend(p: MhaParams, h: Tensor, lengths, keys: Tensor | None, key_lengths) -> Tensor:
+    """Each option's rows of `h` over its own rows of `keys`, one `mha` call.
+
+    `key_lengths` has an entry per option; an option with none keeps its
+    rows of `h`, gathered back in place. No keys at all returns `h`.
+    """
+    if keys is None:
         return h
-    mat = T.stack_rows([f.r_k for f in facts])
-    return mha(p, h, mat, mat)
+    if lengths is None or all(key_lengths):
+        return mha(p, h, keys, keys, lengths, key_lengths)
+    keyed = [j for j, n in enumerate(key_lengths) if n]
+    starts = list(itertools.accumulate(lengths, initial=0))
+    rows = [r for j in keyed for r in range(starts[j], starts[j + 1])]
+    out = mha(p, T.take_rows(h, rows), keys, keys, [lengths[j] for j in keyed], [key_lengths[j] for j in keyed])
+    # Row r of the result: the op's output for a keyed option, else row r of h.
+    source = dict(zip(rows, range(len(rows))))
+    return T.take_rows(T.concat_rows([out, h]), [source.get(r, len(rows) + r) for r in range(starts[-1])])
 
 
-def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor) -> Tensor:
+def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor, c_lengths=None, qa_lengths=None) -> Tensor:
     """Attend context over QA and QA over context; mean-pool and concatenate.
 
-    Output width is 2*d_model: [mean(mha(h_c, h_qa, h_qa)) ; mean(mha(h_qa, h_c, h_c))].
+    Per option the output is [mean(mha(h_c, h_qa, h_qa)) ; mean(mha(h_qa,
+    h_c, h_c))], of width 2*d_model, each option's rows attending over its
+    own rows of the other side; one `mha` call per direction. With lengths,
+    h_c and h_qa stack the options' rows and the output is [options,
+    2*d_model]; without, they are one option's rows and the output is one
+    vector.
     """
     if h_c.shape[0] == 0 or h_qa.shape[0] == 0:
         raise ShapeError(f"dual_coattention: empty sequence ({h_c.shape} vs {h_qa.shape})")
-    m1 = mha(p1, h_c, h_qa, h_qa)
-    m2 = mha(p2, h_qa, h_c, h_c)
-    return T.concat_last_axis([T.mean_rows(m1), T.mean_rows(m2)])
+    one = c_lengths is None
+    if one:
+        c_lengths, qa_lengths = (h_c.shape[0],), (h_qa.shape[0],)
+    m1 = mha(p1, h_c, h_qa, h_qa, c_lengths, qa_lengths)
+    m2 = mha(p2, h_qa, h_c, h_c, qa_lengths, c_lengths)
+    pooled = T.concat_last_axis([T.segment_mean(m1, c_lengths), T.segment_mean(m2, qa_lengths)])
+    return T.reshape(pooled, pooled.shape[1:]) if one else pooled
 
 
 def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
-    """Scalar logit for one option; returns (logit, RefinedReprs).
+    """Logits of the pair's options; returns (logits, RefinedReprs).
 
     O_o is the co-attention of the plain rows. Each of the ablation's paths
     adds one co-attention over its refined rows; their concatenation goes
     through the fusion affine and is appended to O_o before the decoder.
+    The arguments are those of `refine`; a one-option pair without lengths
+    gives a scalar logit, any other pair one logit per option.
     """
     refined = refine(params, enc, key_turn_indices, ck, qak)
-    o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa)
+    lengths = (enc.c_lengths, enc.qa_lengths)
+    o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa, *lengths)
     paths = PATHS[params.ablation]
     if paths:
         sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
-        fused = T.concat_last_axis([dual_coattention(params.duma1, params.duma2, *sides[p]) for p in paths])
+        fused = T.concat_last_axis([dual_coattention(params.duma1, params.duma2, *sides[p], *lengths) for p in paths])
         o = T.concat_last_axis([o, T.affine(fused, params.fusion_w, params.fusion_b)])
-    return T.dot(params.decoder_w, o), refined
+    if o.ndim == 1:
+        return T.dot(params.decoder_w, o), refined
+    # In float64 each row sums the same products in the same order as T.dot.
+    logits = T.matmul(o, T.reshape(params.decoder_w, (o.shape[1], 1)))
+    return T.reshape(logits, (o.shape[0],)), refined
 
 
 @dataclass
@@ -361,37 +457,31 @@ class KktPipeline:
             for tid in ids
         ]
 
-    def option_logit(self, example: DialogueExample, option_index: int):
-        """Logit for one option plus bookkeeping flags."""
-        selected = ()
-        if self._needs_key_turns():
-            selected = self.provider.select(example, example.qa_text(option_index), self.k)
-        if self.ablation == "keyturns-only" and selected:
-            turns = [example.turns[i] for i in selected]
-            enc = encode_pair(self.params.enc, self.tokenizer, example, option_index, self.max_len, turns=turns)
-            key_turn_indices = tuple(range(len(turns)))
-        else:
-            enc = encode_pair(self.params.enc, self.tokenizer, example, option_index, self.max_len)
-            key_turn_indices = selected
-        ck = self.context_knowledge(example) if self._needs_knowledge() else []
-        qak = self.qa_knowledge(example, option_index) if self._needs_knowledge() else []
-        logit, refined = forward(self.params, enc, key_turn_indices, ck, qak)
-        return logit, enc, refined
-
     def predict(self, example: DialogueExample) -> PredictResult:
-        """Per-option logits, cross-entropy loss against gold, argmax prediction."""
+        """Logits of all options, cross-entropy loss against gold, argmax prediction.
+
+        The options run through every layer together: one encoder call, and
+        one `mha` call per refinement path and co-attention direction.
+        """
         self.prepare_knowledge([example])
-        logits = []
-        truncated = False
-        flags = []
-        for j in range(len(example.options)):
-            logit, enc, refined = self.option_logit(example, j)
-            logits.append(logit)
-            truncated = truncated or enc.truncated
-            flags.append(
-                {"kt_identity": refined.kt_identity, "ck_identity": refined.ck_identity, "qak_identity": refined.qak_identity}
-            )
-        vec = T.concat_last_axis([T.reshape(x, (1,)) for x in logits])
-        loss = T.cross_entropy_from_logits(vec, example.gold)
-        predicted = int(np.argmax(vec.data))
-        return PredictResult(predicted=predicted, logits=vec.data.copy(), loss=loss, truncated=truncated, flags=flags)
+        options = range(len(example.options))
+        selected = [
+            self.provider.select(example, example.qa_text(j), self.k) if self._needs_key_turns() else () for j in options
+        ]
+        turns = None
+        if self.ablation == "keyturns-only":
+            # Each option's context is rebuilt from its own selection, all of it key turns.
+            turns = [[example.turns[i] for i in chosen] if chosen else None for chosen in selected]
+            selected = [tuple(range(len(chosen))) for chosen in selected]
+        enc = encode_pair(self.params.enc, self.tokenizer, example, None, self.max_len, turns=turns)
+        knowledge = self._needs_knowledge()
+        ck = self.context_knowledge(example) if knowledge else []
+        qak = [self.qa_knowledge(example, j) if knowledge else [] for j in options]
+        logits, refined = forward(self.params, enc, selected, ck, qak)
+        flags = [
+            {"kt_identity": kt, "ck_identity": c, "qak_identity": qa}
+            for kt, c, qa in zip(refined.kt_identity, refined.ck_identity, refined.qak_identity)
+        ]
+        loss = T.cross_entropy_from_logits(logits, example.gold)
+        return PredictResult(predicted=int(np.argmax(logits.data)), logits=logits.data.copy(), loss=loss,
+                             truncated=enc.truncated, flags=flags)

@@ -48,11 +48,14 @@ Stacked sequences: several sequences can run through one set of ops as the
 rows of one matrix. Row-wise ops (gathers, adds, affine maps, layer norm,
 tanh) need nothing for that; ``attention`` and ``segment_mean`` take the
 sequences' ``lengths`` and work per segment on exact row slices, so no
-padding enters a reduction. In float64 each segment's values equal those of
-running its sequence alone, bit for bit, and with one segment the
-gradients do too, in the same summation order. With several segments the
-weight gradients are sums over all rows at once, so they may differ from
-per-sequence sums in the last bits.
+padding enters a reduction. ``attention`` also takes separate key lengths,
+so query segment i can attend over key segment i of another stacked
+matrix: one call for the cross-attentions of several answer options. In
+float64 each segment's values equal those of running its sequence alone,
+bit for bit, and with one segment the gradients do too, in the same
+summation order. With several segments the weight gradients are sums over
+all rows at once, so they may differ from per-sequence sums in the last
+bits.
 
 Grad mode: inside ``with no_grad():`` ops compute the same values but
 attach no parents and no backward function, so their outputs have
@@ -318,7 +321,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_rows_grad(y, g),))
 
 
-def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float, lengths=None) -> Tensor:
+def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float, lengths=None, key_lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention as one op, [m, d] -> [m, sum of head widths].
 
     ``wq``, ``wk`` and ``wv`` are equal-length lists of per-head
@@ -329,12 +332,15 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
     gradients are those of the per-head chain of matmul, transpose, mul,
     softmax_rows and concat_last_axis ops; see the module docstring.
 
-    ``lengths`` splits the rows of the queries and of the keys/values (then
-    equally many) into consecutive segments that attend only within
-    themselves: self-attention over the stacked rows of several sequences.
-    The projections run once over all rows; scores, softmax and the head
-    outputs run per segment on exact row slices. ``None`` is one segment of
-    all queries over all keys, and so is a single length.
+    ``lengths`` splits the query rows, and ``key_lengths`` the key/value
+    rows, into equally many consecutive segments, and query segment i
+    attends over key segment i only: several independent attentions stacked
+    into one call. Without ``key_lengths`` the keys are split like the
+    queries (then equally many), which is self-attention over the stacked
+    rows of several sequences. The projections run once over all rows;
+    scores, softmax and the head outputs run per segment pair on exact row
+    slices, with no padding or mask. ``None`` is one segment of all queries
+    over all keys, and so is a single length.
     """
     seqs = (q_seq, k_seq, v_seq)
     ws = (list(wq), list(wk), list(wv))
@@ -352,27 +358,31 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
         raise ShapeError(f"attention: projections {[w.shape[1:] for w in w3]} do not match inputs {[x.shape for x in seqs]}")
     if w3[0].shape[2] != w3[1].shape[2]:
         raise ShapeError(f"attention: query and key head widths differ: {w3[0].shape[2]} and {w3[1].shape[2]}")
-    # Row slices of the segments; one segment is all queries over all keys.
-    rows = [slice(None)]
+    # Row slices of the query and key segments; one pair is all queries over all keys.
+    q_rows = k_rows = [slice(None)]
+    if lengths is None and key_lengths is not None:
+        raise ShapeError("attention: key lengths need query lengths")
     if lengths is not None:
-        edges = _segment_edges(lengths, q_seq.shape[0], "attention")
-        if k_seq.shape[0] != q_seq.shape[0]:
-            raise ShapeError(f"attention: segments need as many keys as queries, got {q_seq.shape} and {k_seq.shape}")
-        if len(edges) > 2:
-            rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        q_edges = _segment_edges(lengths, q_seq.shape[0], "attention")
+        k_edges = _segment_edges(lengths if key_lengths is None else key_lengths, k_seq.shape[0], "attention")
+        if len(q_edges) != len(k_edges):
+            raise ShapeError(f"attention: {len(q_edges) - 1} query segments but {len(k_edges) - 1} key segments")
+        if len(q_edges) > 2:
+            q_rows, k_rows = ([slice(a, b) for a, b in zip(e, e[1:])] for e in (q_edges, k_edges))
     # One product per role: [h, rows, width].
     q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
     c = np.asarray(scale, dtype=q.dtype)
-    outs, kept = zip(*(_heads_forward(q[:, s], k[:, s], v[:, s], c) for s in rows))
-    out = np.concatenate(outs, axis=1) if len(rows) > 1 else outs[0]
+    outs, kept = zip(*(_heads_forward(q[:, a], k[:, b], v[:, b], c) for a, b in zip(q_rows, k_rows)))
+    out = np.concatenate(outs, axis=1) if len(outs) > 1 else outs[0]
     # For each role, the first role that passes the same tensor.
     slots = _slot_order(heads, (0, 0 if k_seq is q_seq else 1, 0 if v_seq is q_seq else 1 if v_seq is k_seq else 2))
 
     def backward(g):
         # Head i's output gradient is a view of g's i-th block of columns.
         gh = g.reshape(g.shape[0], heads, -1).transpose(1, 0, 2)
-        per = [_heads_backward(kp, gh[:, s], c) for s, kp in zip(rows, kept)]
-        gy = [np.concatenate(parts, axis=1) for parts in zip(*per)] if len(rows) > 1 else per[0]
+        per = [_heads_backward(kp, gh[:, a], c) for a, kp in zip(q_rows, kept)]
+        # Query gradients stack over the query rows, key and value gradients over the key rows.
+        gy = [np.concatenate(parts, axis=1) for parts in zip(*per)] if len(per) > 1 else per[0]
         g_seq = [gy[r] @ w3[r].transpose(0, 2, 1) for r in range(3)]
         g_w = [seqs[r].data.T @ gy[r] for r in range(3)]
         return [g_seq[r][i] for i, r in slots] + [g_w[r][i] for r in range(3) for i in range(heads)]
@@ -481,6 +491,19 @@ def stack_rows(xs) -> Tensor:
         return tuple(g)
 
     return _result(data, xs, backward)
+
+
+def concat_rows(xs) -> Tensor:
+    """Concatenate 2-D tensors of equal width along the row axis."""
+    xs = list(xs)
+    if not xs or any(t.ndim != 2 or t.shape[1] != xs[0].shape[1] for t in xs):
+        raise ShapeError(f"concat_rows: need 2-D inputs of one width, got {[t.shape for t in xs]}")
+    edges = list(itertools.accumulate((t.shape[0] for t in xs), initial=0))
+
+    def backward(g):
+        return tuple(g[lo:hi] for lo, hi in zip(edges, edges[1:]))
+
+    return _result(np.concatenate([t.data for t in xs], axis=0), xs, backward)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:

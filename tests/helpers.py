@@ -6,7 +6,8 @@ attention from explicit per-head numpy loops, retrieval from a full scan of
 the store, matmul from a bare triple loop. The library must agree with these,
 not the other way around. The exceptions are `chain_mha` and
 `chain_mha_segments`, which build attention from the library's smaller ops
-as the reference for the fused op.
+as the reference for the fused op, and `per_option_predict`, which runs the
+model's one-option calls as the reference for the all-options pass.
 """
 
 import math
@@ -15,6 +16,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
+from kkt import model
 from kkt import tensor as T
 from kkt.knowledge import content_words
 from kkt.tokenizer import tokenize
@@ -126,11 +128,17 @@ def naive_mha(wq, wk, wv, q, k, v):
     return np.concatenate(outs, axis=1), weights
 
 
-def chain_mha(params, q_seq, k_seq, v_seq):
+def chain_mha(params, q_seq, k_seq, v_seq, lengths=None, key_lengths=None):
     """Multi-head attention as a chain of per-head tensor ops, 8h+1 graph
     nodes: matmul projections, transpose, scale, softmax_rows, matmul, then
     concat_last_axis. `attention.mha` runs the single op `tensor.attention`
-    instead and must match this chain bit for bit in float64."""
+    instead and must match this chain bit for bit in float64. With several
+    segment pairs the chain runs per pair (`chain_mha_segments`) and the
+    segment outputs are stacked back into one matrix; `calls` counts every
+    call, so a test can tell that the chain really ran."""
+    chain_mha.calls += 1
+    if lengths is not None and len(lengths) > 1:
+        return T.concat_rows(chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths))
     scale = 1.0 / math.sqrt(params.d_head)
     heads = []
     for i in range(params.heads):
@@ -142,27 +150,59 @@ def chain_mha(params, q_seq, k_seq, v_seq):
     return T.concat_last_axis(heads)
 
 
-def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths):
-    """`chain_mha` run per segment of consecutive rows, the reference for
-    `tensor.attention` with `lengths`. As in the op, each projection is one
-    matmul over all rows; each segment then runs the chain's scores, softmax
-    and output ops on its own rows, gathered with `take_rows`. Returns the
-    output of every segment, in order."""
+chain_mha.calls = 0
+
+
+def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths=None):
+    """`chain_mha` run per segment pair, the reference for `tensor.attention`
+    with `lengths` and `key_lengths` (which default to `lengths`). As in the
+    op, each projection is one matmul over all rows; query segment i then
+    runs the chain's scores, softmax and output ops over key segment i, each
+    gathered with `take_rows`. Returns the output of every segment, in
+    order."""
     scale = 1.0 / math.sqrt(params.d_head)
     projections = [
         (T.matmul(q_seq, params.wq[i]), T.matmul(k_seq, params.wk[i]), T.matmul(v_seq, params.wv[i]))
         for i in range(params.heads)
     ]
-    edges = np.cumsum([0] + list(lengths))
+    q_edges = np.cumsum([0] + list(lengths))
+    k_edges = np.cumsum([0] + list(lengths if key_lengths is None else key_lengths))
     outs = []
-    for a, b in zip(edges, edges[1:]):
+    for a, b, ka, kb in zip(q_edges, q_edges[1:], k_edges, k_edges[1:]):
         heads = []
-        for projected in projections:
-            q, k, v = (T.take_rows(t, range(a, b)) for t in projected)
+        for pq, pk, pv in projections:
+            q = T.take_rows(pq, range(a, b))
+            k, v = (T.take_rows(t, range(ka, kb)) for t in (pk, pv))
             scores = T.mul(T.matmul(q, T.transpose(k)), scale)
             heads.append(T.matmul(T.softmax_rows(scores), v))
         outs.append(T.concat_last_axis(heads))
     return outs
+
+
+def per_option_predict(pipe, example):
+    """`KktPipeline.predict` as an option loop: each option encoded, refined,
+    fused and decoded alone through the one-option calls of `kkt.model`,
+    the logits then stacked. The reference for the all-options pass."""
+    pipe.prepare_knowledge([example])
+    logits, flags, truncated = [], [], False
+    for j in range(len(example.options)):
+        selected = pipe.provider.select(example, example.qa_text(j), pipe.k) if pipe._needs_key_turns() else ()
+        turns = None
+        if pipe.ablation == "keyturns-only" and selected:
+            turns = [example.turns[i] for i in selected]
+            selected = tuple(range(len(turns)))
+        enc = model.encode_pair(pipe.params.enc, pipe.tokenizer, example, j, pipe.max_len, turns=turns)
+        knowledge = pipe._needs_knowledge()
+        ck = pipe.context_knowledge(example) if knowledge else []
+        qak = pipe.qa_knowledge(example, j) if knowledge else []
+        logit, refined = model.forward(pipe.params, enc, selected, ck, qak)
+        logits.append(logit)
+        truncated = truncated or enc.truncated
+        flags.append({"kt_identity": refined.kt_identity, "ck_identity": refined.ck_identity,
+                      "qak_identity": refined.qak_identity})
+    vec = T.concat_last_axis([T.reshape(x, (1,)) for x in logits])
+    return model.PredictResult(predicted=int(np.argmax(vec.data)), logits=vec.data.copy(),
+                               loss=T.cross_entropy_from_logits(vec, example.gold), truncated=truncated, flags=flags)
 
 
 def mha_arrays(params):

@@ -146,10 +146,10 @@ def test_mha_adds_one_graph_node():
         assert [node for node in T._topo_order(out) if node._parents] == [out]
 
 
-def _op_and_chain_run(p, inputs, roles, lengths, weight):
+def _op_and_chain_run(p, inputs, roles, lengths, weight, key_lengths=None):
     """Outputs and leaf gradients of the op and of the per-head chain, both
-    weighted by `weight` and summed. The chain runs per segment when the op
-    has several; the op's output is split the same way."""
+    weighted by `weight` and summed. The chain runs per segment pair when
+    the op has several; the op's output is split the same way."""
     leaves = inputs + p.wq + p.wk + p.wv
     seqs = [inputs[r] for r in roles]
 
@@ -162,15 +162,15 @@ def _op_and_chain_run(p, inputs, roles, lengths, weight):
         return [o.data for o in outs], [t.grad for t in leaves]
 
     if lengths is None or len(lengths) == 1:
-        op = run(lambda: [T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths)])
+        op = run(lambda: [T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths, key_lengths)])
         return op, run(lambda: [helpers.chain_mha(p, *seqs)])
     edges = np.cumsum([0] + list(lengths))
 
     def op_segments():
-        out = T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths)
+        out = T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths, key_lengths)
         return [T.take_rows(out, range(a, b)) for a, b in zip(edges, edges[1:])]
 
-    return run(op_segments), run(lambda: helpers.chain_mha_segments(p, *seqs, lengths))
+    return run(op_segments), run(lambda: helpers.chain_mha_segments(p, *seqs, lengths, key_lengths))
 
 
 # Roles of the inputs: self-attention, keys and values shared, all distinct.
@@ -191,19 +191,39 @@ def test_attention_equals_the_per_head_chain_in_both_dtypes(h, d_head, roles, se
     data = [rng.standard_normal(shapes[min(r, 1)]) for r in range(max(roles) + 1)]
     p64 = MhaParams.init(h * d_head, h, np.random.default_rng(seed + 1))
     weight = rng.standard_normal((m, h * d_head))
+    _both_dtypes_match_the_chain(p64, data, roles, lengths, weight)
+
+
+def _both_dtypes_match_the_chain(p64, data, roles, lengths, weight, key_lengths=None):
+    # Bit for bit in float64, within rtol 1e-5 in float32.
     (out, grads), (want_out, want_grads) = _op_and_chain_run(
-        p64, [T.Tensor(x, requires_grad=True) for x in data], roles, lengths, weight)
-    # Bit for bit in float64.
+        p64, [T.Tensor(x, requires_grad=True) for x in data], roles, lengths, weight, key_lengths)
     assert [o.tobytes() for o in out] == [o.tobytes() for o in want_out]
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
     f32 = np.float32
     p32 = MhaParams(*([T.Tensor(w.data.astype(f32), requires_grad=True) for w in ws] for ws in (p64.wq, p64.wk, p64.wv)))
     (out, grads), (want_out, want_grads) = _op_and_chain_run(
-        p32, [T.Tensor(x.astype(f32), requires_grad=True) for x in data], roles, lengths, weight.astype(f32))
+        p32, [T.Tensor(x.astype(f32), requires_grad=True) for x in data], roles, lengths, weight.astype(f32), key_lengths)
     for got, want in zip(out + grads, want_out + want_grads):
         assert got.dtype == f32
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 3), d_head=st.integers(1, 3), roles=st.sampled_from([(0, 1, 1), (0, 1, 2)]),
+       pairs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_segment_pairs_equal_the_chain_per_pair_in_both_dtypes(h, d_head, roles, pairs, seed):
+    # Query segment i over key segment i, with query and key lengths drawn
+    # apart: the stacked cross-attentions of several answer options.
+    lengths, key_lengths = (list(side) for side in zip(*pairs))
+    rng = np.random.default_rng(seed)
+    shapes = [(sum(lengths), h * d_head), (sum(key_lengths), h * d_head)]
+    data = [rng.standard_normal(shapes[min(r, 1)]) for r in range(max(roles) + 1)]
+    p64 = MhaParams.init(h * d_head, h, np.random.default_rng(seed + 1))
+    weight = rng.standard_normal((sum(lengths), h * d_head))
+    _both_dtypes_match_the_chain(p64, data, roles, lengths, weight, key_lengths)
 
 
 @pytest.mark.parametrize("lengths", [None, [2, 3]])

@@ -12,7 +12,7 @@ from kkt import attention, model
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, MhaParams
 from kkt.data import gen_synthetic
-from kkt.keyturns import LeadingProvider, NliHead, NliProvider
+from kkt.keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider
 from kkt.knowledge import FactEmbedding, KnowledgeStore, KnowledgeTriple
 from kkt.model import (
     ABLATIONS,
@@ -141,6 +141,34 @@ def test_encode_pair_oversize_qa_rejected():
     ex = make_example(["m : hi there"], question="street " * 40)
     with pytest.raises(ValueError):
         encode_pair(params.enc, tk, ex, 0, 32)
+
+
+def test_encode_pair_all_options_stack_each_options_rows():
+    tk, params = small_setup()
+    ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
+    stacked = encode_pair(params.enc, tk, ex, None, 64)
+    alone = [encode_pair(params.enc, tk, ex, j, 64) for j in range(3)]
+    assert stacked.c_lengths == tuple(a.h_c.shape[0] for a in alone)
+    assert stacked.qa_lengths == tuple(a.h_qa.shape[0] for a in alone)
+    assert stacked.turn_spans == [a.turn_spans for a in alone]
+    assert stacked.h_c.data.tobytes() == np.concatenate([a.h_c.data for a in alone]).tobytes()
+    assert stacked.h_qa.data.tobytes() == np.concatenate([a.h_qa.data for a in alone]).tobytes()
+
+
+def test_encode_pair_rejects_inputs_past_the_position_table():
+    # Stacked rows would shift if the encoder cut a sequence, so it may not.
+    tk, params = small_setup()
+    ex = make_example(["m : " + "the bike is on the street . " * 12])
+    with pytest.raises(ConfigurationError, match="positions"):
+        encode_pair(params.enc, tk, ex, None, 128)
+
+
+def test_refine_needs_one_entry_per_option():
+    tk, params = small_setup()
+    ex = make_example(["m : the bike is on the street ."])
+    enc = encode_pair(params.enc, tk, ex, None, 64)
+    with pytest.raises(T.ShapeError):
+        refine(params, enc, [(0,), (0,)], [], [[], [], []])
 
 
 def test_encode_pair_option_index_checked():
@@ -368,10 +396,18 @@ def test_predict_gradients_match_the_op_chain(monkeypatch, ablation):
         KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64).predict(ex).loss.backward()
         return {name: t.grad for name, t in params.named_parameters().items() if t.grad is not None}
 
+    ops = []
+    attention_op = T.attention
+    monkeypatch.setattr(T, "attention", lambda *args: ops.append(args) or attention_op(*args))
     got = leaf_grads()
+    op_calls = len(ops)
     monkeypatch.setattr(model, "mha", helpers.chain_mha)
     monkeypatch.setattr(attention, "mha", helpers.chain_mha)
+    monkeypatch.setattr(helpers.chain_mha, "calls", 0)
     want = leaf_grads()
+    # Every attention of the pass went through the chain instead of the op.
+    assert len(ops) == op_calls > 0
+    assert helpers.chain_mha.calls == op_calls
     assert got.keys() == want.keys()
     if "kt" in PATHS[ablation]:
         assert all(np.allclose(got[name], want[name], rtol=1e-9, atol=1e-12) for name in want)
@@ -513,8 +549,84 @@ def test_keyturns_only_rebuilds_context_from_selection():
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
     tk, params = small_setup(seed=12, ablation="keyturns-only")
     pipe = KktPipeline(params, tk, provider=LeadingProvider(), k=1, p=2, max_len=64)
-    got, _, _ = pipe.option_logit(ex, 0)
+    got = pipe.predict(ex).logits[0]
     # Manual replica: context is just the first turn, fully selected.
     enc = encode_pair(params.enc, tk, ex, 0, 64, turns=[ex.turns[0]])
     want, _ = forward(params, enc, (0,), [], [])
-    assert got.item() == want.item()
+    assert got == want.item()
+
+
+# ---------------------------------------------------------------------------
+# all options in one pass
+
+def assert_matches_per_option(pipe, example):
+    """predict equals the option-by-option reference bit for bit (float64)."""
+    got, want = pipe.predict(example), helpers.per_option_predict(pipe, example)
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.loss.data.tobytes() == want.loss.data.tobytes()
+    assert (got.predicted, got.truncated, got.flags) == (want.predicted, want.truncated, want.flags)
+    return got
+
+
+_LONG_TURN = "m : the bike is on the street by the house and the shed in the garden"
+
+
+@st.composite
+def option_cases(draw):
+    """A random example of 2-4 options over long turns, so that short inputs
+    may cut one option's key turns and not another's, and a random untrained
+    float64 pipeline of any ablation, with the leading or the oracle
+    provider. Option words outside the graph give options without facts."""
+    options = draw(st.lists(_sentences, min_size=2, max_size=4))
+    turns = draw(st.lists(st.one_of(_sentences, st.just(_LONG_TURN)), min_size=1, max_size=4))
+    example = DialogueExample(turns=turns, question=draw(_sentences), options=options,
+                              gold=draw(st.integers(0, len(options) - 1)), dialogue_id="d", qa_index=0)
+    nouns = st.sampled_from(("bike", "street", "shed", "house"))
+    triples = draw(st.lists(st.tuples(nouns, nouns, st.sampled_from((0.5, 1.0, 2.0))), min_size=1, max_size=4))
+    planted = draw(st.one_of(st.none(), st.integers(0, len(turns) - 1)))
+    setup = dict(ablation=draw(st.sampled_from(ABLATIONS)), seed=draw(st.integers(0, 2**16)), triples=triples,
+                 k=draw(st.integers(0, len(turns))), p=draw(st.integers(0, 3)), max_len=draw(st.integers(24, 48)))
+    return example, planted, setup
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(option_cases())
+def test_all_options_pass_equals_the_option_loop(case):
+    example, planted, setup = case
+    pipe = _random_pipeline(nli=False, **setup)
+    if planted is not None:
+        pipe.provider = OracleProvider({example.example_id: planted})
+    assert_matches_per_option(pipe, example)
+
+
+def test_options_that_lose_their_key_turns_keep_their_rows():
+    # The long option pushes turn 0 (the only key turn) out of its context;
+    # the short one keeps it. Only one option has facts.
+    ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."],
+                      question="where ?", options=("street", "the bike is in the big shed by the house"), gold=1)
+    pipe = _random_pipeline("full", 3, False, [("bike", "shed", 1.0)], k=1, p=2, max_len=24)
+    result = assert_matches_per_option(pipe, ex)
+    assert [f["kt_identity"] for f in result.flags] == [False, True]
+    assert [f["qak_identity"] for f in result.flags] == [True, False]
+    assert result.truncated
+
+
+def test_one_encoder_call_and_option_independent_attention_calls(monkeypatch):
+    # One predict encodes all of its options' sequences in one call, and
+    # makes as many attention calls for 2 options as for 4.
+    encodes, ops = [], []
+    encode, attention_op = model.encode, T.attention
+    monkeypatch.setattr(model, "encode", lambda params, *seqs: encodes.append(len(seqs)) or encode(params, *seqs))
+    monkeypatch.setattr(T, "attention", lambda *args: ops.append(args) or attention_op(*args))
+    counts = []
+    for options in (("street", "shed"), ("street", "shed", "house", "garden")):
+        ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."], options=options)
+        pipe = _random_pipeline("full", 7, False, [("bike", "street", 1.0), ("bike", "shed", 2.0)], k=1, p=2, max_len=64)
+        pipe.prepare_knowledge([ex])
+        encodes.clear()
+        ops.clear()
+        assert not any(any(f.values()) for f in pipe.predict(ex).flags)
+        assert encodes == [len(options)]
+        counts.append(len(ops))
+    # One encoder layer, three refinements and three co-attention pairs.
+    assert counts == [1 + 3 + 6] * 2

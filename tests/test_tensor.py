@@ -310,6 +310,24 @@ def test_segments_must_cover_the_rows():
             T.attention(x, x, x, [w], [w], [w], 1.0, lengths)
 
 
+def test_segment_pairs_must_match_and_cover_the_rows():
+    q, kv, w = make(np.ones((3, 2))), make(np.ones((4, 2))), make(np.ones((2, 2)))
+    for lengths, key_lengths in (
+        ([1, 2], [4]),  # two query segments, one key segment
+        ([3], [2, 2]),  # one query segment, two key segments
+        ([1, 2], [1, 2]),  # key lengths sum to 3 of 4 rows
+        ([1, 1], [2, 2]),  # query lengths sum to 2 of 3 rows
+        ([1, 2], [4, 0]),  # an empty key segment
+        (None, [2, 2]),  # key lengths without query lengths
+    ):
+        with pytest.raises(T.ShapeError, match="attention"):
+            T.attention(q, kv, kv, [w], [w], [w], 1.0, lengths, key_lengths)
+    with pytest.raises(T.ShapeError, match="concat_rows"):
+        T.concat_rows([q, make(np.ones((2, 3)))])
+    with pytest.raises(T.ShapeError, match="concat_rows"):
+        T.concat_rows([])
+
+
 def test_backward_without_graph_rejected():
     with pytest.raises(ValueError):
         T.Tensor(np.array(1.0)).backward()
@@ -543,6 +561,17 @@ def _segmented_self_attention(m, n, k):
     return [(m + n, 3)] + [(3, 2)] * (3 * h), op
 
 
+def _attention_pairs(m, n, k):
+    """Two segment pairs: m then n queries over k then m keys, with
+    separate keys and values."""
+    h = (k - 1) % 3 + 1
+
+    def op(q, kk, v, *w):
+        return T.attention(q, kk, v, w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2), [m, n], [k, m])
+
+    return [(m + n, 3), (k + m, 3), (k + m, 3)] + [(3, 2)] * (3 * h), op
+
+
 # Each case maps the dims (m, n, k), each 1..4, to the input shapes and the op.
 OP_CASES = {
     "matmul": lambda m, n, k: ([(m, k), (k, n)], T.matmul),
@@ -570,6 +599,8 @@ OP_CASES = {
     "attention_shared_kv": _attention_case((0, 1, 1)),
     "attention_self": _attention_case((0, 0, 0)),
     "attention_segments": _segmented_self_attention,
+    "attention_pairs": _attention_pairs,
+    "concat_rows": lambda m, n, k: ([(m, n), (k, n)], lambda a, b: T.concat_rows([a, b, a])),
     "segment_mean": lambda m, n, k: ([(m + n + k, 3)], lambda x: T.segment_mean(x, [m, n, k])),
 }
 
