@@ -10,9 +10,10 @@ from kkt.keyturns import pool
 from kkt.tokenizer import Tokenizer
 
 # With identity projections and a zero query, attention is a plain average
-# of the value rows: every key scores the same.
-eye = T.Tensor(np.eye(2))
-p = MhaParams(wq=[eye], wk=[eye], wv=[eye])
+# of the value rows: every key scores the same. Each projection is one
+# [heads, d_model, d_head] tensor; here one head of identity weights.
+eye = T.Tensor(np.eye(2)[None])
+p = MhaParams(wq=eye, wk=eye, wv=eye)
 values = T.Tensor(np.array([[1.0, 2.0], [3.0, 8.0]]))
 keys = T.Tensor(np.array([[0.3, -0.7], [1.2, 0.4]]))
 query = T.Tensor(np.array([[0.0, 0.0]]))

@@ -11,8 +11,10 @@ scorer reads them, and it does its own pooling (`keyturns`).
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
 mapping is explicit in the consuming code. Each `mha` call is one graph
-node, the op `tensor.attention`, whatever the head count; the per-head
-projection matrices stay separate tensors, so checkpoints keep their names.
+node, the op `tensor.attention`, whatever the head count. Each role's
+projections are one [h, d_model, d_head] tensor, stored in checkpoints
+under one name per role (`duma1.wq`), so every head of a role has one
+width by shape.
 Self-attention over stacked sequences is that same `mha` call with the
 sequences' lengths, and stacked cross-attentions (query segment i over key
 segment i) add the keys' lengths.
@@ -20,7 +22,6 @@ segment i) add the keys' lengths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,47 +41,22 @@ class VocabularyError(ValueError):
 
 @dataclass
 class MhaParams:
-    """Per-head query/key/value projections, each d_model x d_head."""
+    """Query, key and value projections, each one [h, d_model, d_head]
+    tensor whose slice i is head i's d_model x d_head matrix."""
 
-    wq: list
-    wk: list
-    wv: list
-
-    @property
-    def heads(self) -> int:
-        return len(self.wq)
-
-    @property
-    def d_model(self) -> int:
-        return self.wq[0].shape[0]
-
-    @property
-    def d_head(self) -> int:
-        return self.wq[0].shape[1]
-
-    @property
-    def scale(self) -> float:
-        """The score scale 1/sqrt(d_head)."""
-        return 1.0 / math.sqrt(self.d_head)
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
 
     @classmethod
     def init(cls, d_model: int, h: int, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> "MhaParams":
         if h <= 0 or d_model % h != 0:
             raise ConfigurationError(f"d_model {d_model} is not divisible by head count {h}")
-        d_head = d_model // h
-
-        def mk():
-            return T.uniform_param((d_model, d_head), rng, dtype=dtype)
-
-        return cls(wq=[mk() for _ in range(h)], wk=[mk() for _ in range(h)], wv=[mk() for _ in range(h)])
+        shape = (h, d_model, d_model // h)
+        return cls(*(T.uniform_param(shape, rng, fan_in=d_model, dtype=dtype) for _ in range(3)))
 
     def named_parameters(self, prefix: str) -> dict:
-        out = {}
-        for i in range(self.heads):
-            out[f"{prefix}.wq{i}"] = self.wq[i]
-            out[f"{prefix}.wk{i}"] = self.wk[i]
-            out[f"{prefix}.wv{i}"] = self.wv[i]
-        return out
+        return {f"{prefix}.{role}": getattr(self, role) for role in ("wq", "wk", "wv")}
 
 
 def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=None, key_lengths=None) -> Tensor:
@@ -95,7 +71,7 @@ def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=
     """
     if k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"mha: key length {k_seq.shape} != value length {v_seq.shape}")
-    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, params.scale, lengths, key_lengths)
+    return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, lengths, key_lengths)
 
 
 def self_attention(params: MhaParams, x: Tensor, lengths=None) -> Tensor:

@@ -26,8 +26,11 @@ from .tensor import Tensor
 
 MAGIC = b"KKTC"
 # Version 2: each ablation stores only the tensors its wiring reads.
-FORMAT_VERSION = 2
-# The dimension limit of NumPy 1.x; kkt's own tensors have rank <= 2.
+# Version 3: each attention role is one [h, d_model, d_head] tensor
+# (`duma1.wq`), where version 2 stored one d_model x d_head matrix per head,
+# its name suffixed with the head's index.
+FORMAT_VERSION = 3
+# The dimension limit of NumPy 1.x; kkt's own tensors have rank <= 3.
 MAX_RANK = 32
 
 ABLATION_TAGS = {"full": 0, "kt": 1, "k": 2, "base": 3, "keyturns-only": 4}

@@ -24,14 +24,16 @@ operand's dtype and joins the data, never the graph.
 
 Attention is one op: ``attention`` runs all heads at once and adds one
 graph node, where the chain of matmul, transpose, mul, softmax_rows and
-concat_last_axis ops that computes the same adds 8h+1. Each role is
-projected by one product through its heads' weights stacked to [h, d,
-width]; scores, softmax and head outputs are batched products over the head
-axis. ``_matmul_data`` takes that batch axis, so float64 values equal the
-chain's bit for bit. The backward returns one gradient slot per (head,
-role), each a slice of one batched product in which every head keeps the
-chain's array layouts, since BLAS may round another layout differently: the
-query gradient goes through the transposed view of the keys' contiguous
+concat_last_axis ops that computes the same adds 8h+1. Each role's
+weights are one [h, d, width] tensor, head i's projection being slice i,
+and each role is projected by one product through it; scores, softmax and
+head outputs are batched products over the head axis, scaled by
+1/sqrt(width) of the keys. ``_matmul_data`` takes that batch axis, so
+float64 values equal the chain's bit for bit. The backward returns one
+gradient per weight tensor, and for the inputs one slot per (head, role),
+each a slice of one batched product in which every head keeps the chain's
+array layouts, since BLAS may round another layout differently: the query
+gradient goes through the transposed view of the keys' contiguous
 transposed copy, and the key gradient is (q^T gs)^T. A tensor that several
 roles of one call share (self-attention's input, or the keys and values of
 a cross-attention) receives its slots in the chain's order, head h-1 first
@@ -321,16 +323,18 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), lambda g: (_softmax_rows_grad(y, g),))
 
 
-def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: float, lengths=None, key_lengths=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one op, [m, d] -> [m, sum of head widths].
+def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              lengths=None, key_lengths=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op, [m, d] -> [m, h * d_v].
 
-    ``wq``, ``wk`` and ``wv`` are equal-length lists of per-head
-    projections. Head i is softmax((q_seq wq[i]) (k_seq wk[i])^T * scale)
-    (v_seq wv[i]), and the heads are concatenated along the last axis. All
-    heads run at once, as [h, rows, width] arrays, so the heads of one role
-    must share one shape (``ShapeError`` otherwise). The values and
-    gradients are those of the per-head chain of matmul, transpose, mul,
-    softmax_rows and concat_last_axis ops; see the module docstring.
+    ``wq``, ``wk`` and ``wv`` hold each role's projections as one [h, d_in,
+    width] tensor, head i's being slice i, so the head count is their first
+    axis and must agree, and the query and key widths must too (``ShapeError``
+    otherwise). Head i is softmax((q_seq wq[i]) (k_seq wk[i])^T /
+    sqrt(d_k)) (v_seq wv[i]), with d_k the key width ``wk.shape[2]``, and
+    the heads are concatenated along the last axis. The values and gradients
+    are those of the per-head chain of matmul, transpose, mul, softmax_rows
+    and concat_last_axis ops; see the module docstring.
 
     ``lengths`` splits the query rows, and ``key_lengths`` the key/value
     rows, into equally many consecutive segments, and query segment i
@@ -342,22 +346,14 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
     slices, with no padding or mask. ``None`` is one segment of all queries
     over all keys, and so is a single length.
     """
-    seqs = (q_seq, k_seq, v_seq)
-    ws = (list(wq), list(wk), list(wv))
-    heads = len(ws[0])
-    if heads == 0 or len(ws[1]) != heads or len(ws[2]) != heads:
-        raise ShapeError(f"attention: need equal, non-zero head counts, got {[len(w) for w in ws]}")
+    seqs, ws = (q_seq, k_seq, v_seq), (wq, wk, wv)
     if any(x.ndim != 2 for x in seqs) or k_seq.shape[0] != v_seq.shape[0]:
         raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {[x.shape for x in seqs]}")
-    # Each role's per-head weights as one [h, d, width] array.
-    try:
-        w3 = [np.array([w.data for w in role]) for role in ws]
-    except ValueError:
-        raise ShapeError(f"attention: the heads of one role differ in shape: {[[w.shape for w in r] for r in ws]}") from None
-    if any(w.ndim != 3 or w.shape[1] != x.shape[1] for x, w in zip(seqs, w3)):
-        raise ShapeError(f"attention: projections {[w.shape[1:] for w in w3]} do not match inputs {[x.shape for x in seqs]}")
-    if w3[0].shape[2] != w3[1].shape[2]:
-        raise ShapeError(f"attention: query and key head widths differ: {w3[0].shape[2]} and {w3[1].shape[2]}")
+    if any(w.ndim != 3 or w.shape[1] != x.shape[1] for x, w in zip(seqs, ws)):
+        raise ShapeError(f"attention: projections {[w.shape for w in ws]} are not [h, d_in, width] on {[x.shape for x in seqs]}")
+    heads = wq.shape[0]
+    if heads == 0 or wk.shape[0] != heads or wv.shape[0] != heads or wq.shape[2] != wk.shape[2]:
+        raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {[w.shape for w in ws]}")
     # Row slices of the query and key segments; one pair is all queries over all keys.
     q_rows = k_rows = [slice(None)]
     if lengths is None and key_lengths is not None:
@@ -369,9 +365,11 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
             raise ShapeError(f"attention: {len(q_edges) - 1} query segments but {len(k_edges) - 1} key segments")
         if len(q_edges) > 2:
             q_rows, k_rows = ([slice(a, b) for a, b in zip(e, e[1:])] for e in (q_edges, k_edges))
+    # The weights as they are now: optimizers rebind ``.data``, never write it.
+    w3 = [w.data for w in ws]
     # One product per role: [h, rows, width].
     q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
-    c = np.asarray(scale, dtype=q.dtype)
+    c = np.asarray(1.0 / math.sqrt(wk.shape[2]), dtype=q.dtype)
     outs, kept = zip(*(_heads_forward(q[:, a], k[:, b], v[:, b], c) for a, b in zip(q_rows, k_rows)))
     out = np.concatenate(outs, axis=1) if len(outs) > 1 else outs[0]
     # For each role, the first role that passes the same tensor.
@@ -384,10 +382,9 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq, wk, wv, scale: fl
         # Query gradients stack over the query rows, key and value gradients over the key rows.
         gy = [np.concatenate(parts, axis=1) for parts in zip(*per)] if len(per) > 1 else per[0]
         g_seq = [gy[r] @ w3[r].transpose(0, 2, 1) for r in range(3)]
-        g_w = [seqs[r].data.T @ gy[r] for r in range(3)]
-        return [g_seq[r][i] for i, r in slots] + [g_w[r][i] for r in range(3) for i in range(heads)]
+        return [g_seq[r][i] for i, r in slots] + [seqs[r].data.T @ gy[r] for r in range(3)]
 
-    parents = [seqs[r] for _, r in slots] + [w for role in ws for w in role]
+    parents = [seqs[r] for _, r in slots] + list(ws)
     return _result(out.transpose(1, 0, 2).reshape(out.shape[1], -1), parents, backward)
 
 

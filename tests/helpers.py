@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from kkt import model
 from kkt import tensor as T
+from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
 from kkt.knowledge import content_words
 from kkt.tokenizer import tokenize
 
@@ -114,9 +115,9 @@ def naive_softmax_rows(x):
 def naive_mha(wq, wk, wv, q, k, v):
     """Per-head loop attention. Returns (output, list of attention matrices).
 
-    wq/wk/wv are lists of raw [d_model x d_head] arrays.
+    wq/wk/wv are raw [h, d_model, d_head] arrays, head i's being wq[i].
     """
-    d_head = wq[0].shape[1]
+    d_head = wq.shape[2]
     outs, weights = [], []
     for i in range(len(wq)):
         qi = q @ wq[i]
@@ -135,22 +136,38 @@ def chain_mha(params, q_seq, k_seq, v_seq, lengths=None, key_lengths=None):
     instead and must match this chain bit for bit in float64. With several
     segment pairs the chain runs per pair (`chain_mha_segments`) and the
     segment outputs are stacked back into one matrix; `calls` counts every
-    call, so a test can tell that the chain really ran."""
+    call, so a test can tell that the chain really ran. Head i's weights
+    are `head_slices` of the rank-3 projections."""
     chain_mha.calls += 1
     if lengths is not None and len(lengths) > 1:
         return T.concat_rows(chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths))
-    scale = 1.0 / math.sqrt(params.d_head)
+    scale = 1.0 / math.sqrt(params.wk.shape[2])
     heads = []
-    for i in range(params.heads):
-        q = T.matmul(q_seq, params.wq[i])
-        k = T.matmul(k_seq, params.wk[i])
-        v = T.matmul(v_seq, params.wv[i])
+    for wq, wk, wv in zip(*map(head_slices, (params.wq, params.wk, params.wv))):
+        q = T.matmul(q_seq, wq)
+        k = T.matmul(k_seq, wk)
+        v = T.matmul(v_seq, wv)
         scores = T.mul(T.matmul(q, T.transpose(k)), scale)
         heads.append(T.matmul(T.softmax_rows(scores), v))
     return T.concat_last_axis(heads)
 
 
 chain_mha.calls = 0
+
+
+def head_slices(w):
+    """The heads of a rank-3 [h, d_model, d_head] projection as h graph
+    nodes, node i holding slice i; each sends its gradient back into slice
+    i of a zero array of the projection's shape."""
+    def head(i):
+        def backward(g):
+            full = np.zeros_like(w.data)
+            full[i] = g
+            return (full,)
+
+        return T._result(w.data[i], (w,), backward)
+
+    return [head(i) for i in range(w.shape[0])]
 
 
 def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths=None):
@@ -160,10 +177,10 @@ def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths=None):
     runs the chain's scores, softmax and output ops over key segment i, each
     gathered with `take_rows`. Returns the output of every segment, in
     order."""
-    scale = 1.0 / math.sqrt(params.d_head)
+    scale = 1.0 / math.sqrt(params.wk.shape[2])
     projections = [
-        (T.matmul(q_seq, params.wq[i]), T.matmul(k_seq, params.wk[i]), T.matmul(v_seq, params.wv[i]))
-        for i in range(params.heads)
+        (T.matmul(q_seq, wq), T.matmul(k_seq, wk), T.matmul(v_seq, wv))
+        for wq, wk, wv in zip(*map(head_slices, (params.wq, params.wk, params.wv)))
     ]
     q_edges = np.cumsum([0] + list(lengths))
     k_edges = np.cumsum([0] + list(lengths if key_lengths is None else key_lengths))
@@ -205,13 +222,22 @@ def per_option_predict(pipe, example):
                                loss=T.cross_entropy_from_logits(vec, example.gold), truncated=truncated, flags=flags)
 
 
+def format_2_blob(blob):
+    """A checkpoint rewritten as format 2 stored it: every rank-3 attention
+    tensor split into one matrix per head, named with the head's index
+    appended, under version 2."""
+    ck = parse_checkpoint(blob)
+    per_head = {}
+    for name, arr in ck.tensors.items():
+        per_head.update({f"{name}{i}": a for i, a in enumerate(arr)} if arr.ndim == 3 else {name: arr})
+    out = bytearray(checkpoint_bytes(per_head, ck.ablation))
+    out[4:8] = struct.pack("<I", 2)
+    return bytes(out)
+
+
 def mha_arrays(params):
     """Raw weight arrays of an MhaParams, for feeding the naive oracle."""
-    return (
-        [w.data for w in params.wq],
-        [w.data for w in params.wk],
-        [w.data for w in params.wv],
-    )
+    return params.wq.data, params.wk.data, params.wv.data
 
 
 def naive_duma(p1, p2, h_c, h_qa):

@@ -59,8 +59,8 @@ def _extra_fd_cases(seed):
     p = MhaParams.init(4, 2, rng, dtype=np.float64)
     p2 = MhaParams.init(4, 2, rng, dtype=np.float64)
     h_c, h_qa = r(4, 4), r(2, 4)
-    mha_leaves = [h_c, h_qa] + p.wq + p.wk + p.wv
-    duma_leaves = mha_leaves + p2.wq + p2.wk + p2.wv
+    mha_leaves = [h_c, h_qa, p.wq, p.wk, p.wv]
+    duma_leaves = mha_leaves + [p2.wq, p2.wk, p2.wv]
     return {
         "matmul": (lambda: T.sum_all(T.matmul(x, w)), [x, w]),
         "mean_rows": (lambda: T.dot(T.mean_rows(e), v1), [e, v1]),
@@ -68,7 +68,7 @@ def _extra_fd_cases(seed):
         "stack_rows": (lambda: T.sum_all(T.matmul(T.stack_rows([v1, v2]), w)), [v1, v2, w]),
         "cross_entropy": (lambda: T.cross_entropy_from_logits(logits, 1), [logits]),
         "mha": (lambda: T.sum_all(mha(p, h_c, h_qa, h_qa)), mha_leaves),
-        "self_attention": (lambda: T.sum_all(self_attention(p, h_c)), [h_c] + p.wq + p.wk + p.wv),
+        "self_attention": (lambda: T.sum_all(self_attention(p, h_c)), [h_c, p.wq, p.wk, p.wv]),
         "dual_coattention": (lambda: T.sum_all(dual_coattention(p, p2, h_c, h_qa)), duma_leaves),
     }
 

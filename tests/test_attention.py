@@ -24,8 +24,8 @@ def tens(x):
 
 
 def identity_params(d):
-    eye = np.eye(d)
-    return MhaParams(wq=[tens(eye)], wk=[tens(eye)], wv=[tens(eye)])
+    eye = np.eye(d)[None]
+    return MhaParams(wq=tens(eye), wk=tens(eye), wv=tens(eye))
 
 
 def rand_params(d, h, seed):
@@ -40,7 +40,7 @@ def tiny_encoder(vocab=12, d=8, h=2, layers=1, max_len=32, seed=0):
 # mha
 
 def test_mha_single_key_passes_value_through():
-    p = MhaParams(wq=[tens([[1.0]])], wk=[tens([[1.0]])], wv=[tens([[1.0]])])
+    p = MhaParams(wq=tens([[[1.0]]]), wk=tens([[[1.0]]]), wv=tens([[[1.0]]]))
     out = mha(p, tens([[1.0]]), tens([[1.0]]), tens([[5.0]]))
     assert np.array_equal(out.data, [[5.0]])
 
@@ -100,7 +100,7 @@ def test_mha_gradient_through_projections():
     q = T.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     k = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     v = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    leaves = [q, k, v] + p.wq + p.wk + p.wv
+    leaves = [q, k, v, p.wq, p.wk, p.wv]
     worst = helpers.gradcheck(lambda: T.sum_all(mha(p, q, k, v)), leaves)
     assert worst < 1e-4
 
@@ -139,18 +139,23 @@ def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
 
 
 def test_mha_adds_one_graph_node():
+    # Its parents are one input-gradient slot per (head, role), then the
+    # three rank-3 projections, not one weight per head.
     rng = np.random.default_rng(44)
-    p = rand_params(6, 3, seed=4)
     q, kv = (T.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((2, 6), (3, 6)))
-    for out in (mha(p, q, kv, kv), self_attention(p, q)):
-        assert [node for node in T._topo_order(out) if node._parents] == [out]
+    for h in (1, 3):
+        p = rand_params(6, h, seed=4)
+        for out in (mha(p, q, kv, kv), self_attention(p, q)):
+            assert [node for node in T._topo_order(out) if node._parents] == [out]
+            assert len(out._parents) == 3 * h + 3
+            assert out._parents[3 * h:] == (p.wq, p.wk, p.wv)
 
 
 def _op_and_chain_run(p, inputs, roles, lengths, weight, key_lengths=None):
     """Outputs and leaf gradients of the op and of the per-head chain, both
     weighted by `weight` and summed. The chain runs per segment pair when
     the op has several; the op's output is split the same way."""
-    leaves = inputs + p.wq + p.wk + p.wv
+    leaves = inputs + [p.wq, p.wk, p.wv]
     seqs = [inputs[r] for r in roles]
 
     def run(build):
@@ -162,12 +167,12 @@ def _op_and_chain_run(p, inputs, roles, lengths, weight, key_lengths=None):
         return [o.data for o in outs], [t.grad for t in leaves]
 
     if lengths is None or len(lengths) == 1:
-        op = run(lambda: [T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths, key_lengths)])
+        op = run(lambda: [T.attention(*seqs, p.wq, p.wk, p.wv, lengths, key_lengths)])
         return op, run(lambda: [helpers.chain_mha(p, *seqs)])
     edges = np.cumsum([0] + list(lengths))
 
     def op_segments():
-        out = T.attention(*seqs, p.wq, p.wk, p.wv, p.scale, lengths, key_lengths)
+        out = T.attention(*seqs, p.wq, p.wk, p.wv, lengths, key_lengths)
         return [T.take_rows(out, range(a, b)) for a, b in zip(edges, edges[1:])]
 
     return run(op_segments), run(lambda: helpers.chain_mha_segments(p, *seqs, lengths, key_lengths))
@@ -202,7 +207,7 @@ def _both_dtypes_match_the_chain(p64, data, roles, lengths, weight, key_lengths=
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
     f32 = np.float32
-    p32 = MhaParams(*([T.Tensor(w.data.astype(f32), requires_grad=True) for w in ws] for ws in (p64.wq, p64.wk, p64.wv)))
+    p32 = MhaParams(*(T.Tensor(w.data.astype(f32), requires_grad=True) for w in (p64.wq, p64.wk, p64.wv)))
     (out, grads), (want_out, want_grads) = _op_and_chain_run(
         p32, [T.Tensor(x.astype(f32), requires_grad=True) for x in data], roles, lengths, weight.astype(f32), key_lengths)
     for got, want in zip(out + grads, want_out + want_grads):
@@ -254,7 +259,7 @@ def test_attention_makes_no_product_per_head(monkeypatch, lengths):
 def test_self_attention_single_token_value_projection():
     rng = np.random.default_rng(3)
     wv = rng.standard_normal((3, 3))
-    p = MhaParams(wq=[tens(np.eye(3))], wk=[tens(np.eye(3))], wv=[tens(wv)])
+    p = MhaParams(wq=tens(np.eye(3)[None]), wk=tens(np.eye(3)[None]), wv=tens(wv[None]))
     x = rng.standard_normal((1, 3))
     out = self_attention(p, tens(x))
     assert np.allclose(out.data, x @ wv, atol=1e-12)
@@ -335,11 +340,12 @@ def test_encoder_parameter_names():
     enc = tiny_encoder(d=8, h=2, layers=2)
     names = enc.named_parameters("enc")
     assert "enc.tok_emb" in names and "enc.pos_emb" in names
-    assert "enc.block0.attn.wq0" in names and "enc.block1.attn.wv1" in names
+    assert "enc.block0.attn.wq" in names and "enc.block1.attn.wv" in names
+    assert names["enc.block0.attn.wk"].shape == (2, 8, 4)
     assert "enc.block1.ff_w2" in names and "enc.block0.ln2_gain" in names
     assert "enc.pooler_w" in names and "enc.pooler_b" in names
-    # 2 embeddings + 2 blocks x (6 heads + 4 ff + 4 ln) + pooler pair
-    assert len(names) == 2 + 2 * (6 + 4 + 4) + 2
+    # 2 embeddings + 2 blocks x (3 projections + 4 ff + 4 ln) + pooler pair
+    assert len(names) == 2 + 2 * (3 + 4 + 4) + 2
 
 
 def test_encoder_init_deterministic_by_seed():
@@ -379,7 +385,7 @@ def test_one_stacked_sequence_has_the_gradients_of_the_unsegmented_ops(ids, h, s
     enc = tiny_encoder(d=6, h=h, layers=2, seed=seed)
     sa = MhaParams.init(6, h, np.random.default_rng(seed + 1))
     weight = T.Tensor(np.random.default_rng(seed).standard_normal(6))
-    leaves = list(enc.named_parameters("enc").values()) + sa.wq + sa.wk + sa.wv
+    leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
 
     def grads(vector):
         for t in leaves:

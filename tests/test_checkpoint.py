@@ -20,7 +20,8 @@ from kkt.checkpoint import (
     save_checkpoint,
 )
 from kkt.model import KktParams
-from kkt.training import read_checkpoint
+from kkt.tokenizer import Tokenizer
+from kkt.training import RunConfig, read_checkpoint, restore_checkpoint
 
 
 def sample_named(seed=0):
@@ -114,11 +115,34 @@ def test_other_format_version_rejected():
 def test_format_1_blob_rejected_by_version():
     # Format 1 stored every refinement group for every ablation; its blobs
     # must fail on the version field, not on a tensor-name mismatch.
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     blob = bytearray(checkpoint_bytes(sample_named(), "kt"))
     blob[4:8] = struct.pack("<I", 1)
-    with pytest.raises(CheckpointError, match="offset 4: format version 1, this reader supports only 2"):
+    with pytest.raises(CheckpointError, match="offset 4: format version 1, this reader supports only 3"):
         parse_checkpoint(bytes(blob))
+
+
+def test_format_2_blob_rejected_by_version():
+    # Format 2 stored one matrix per attention head; its blobs must fail on
+    # the version field, not on a tensor-name mismatch.
+    blob = helpers.format_2_blob(MODEL_BLOB)
+    current = bytearray(blob)
+    current[4:8] = struct.pack("<I", FORMAT_VERSION)
+    duma1 = {name: t.shape for name, t in parse_checkpoint(bytes(current)).tensors.items() if name.startswith("duma1.")}
+    assert duma1 == {f"duma1.{role}{i}": (4, 2) for role in ("wq", "wk", "wv") for i in range(2)}
+    with pytest.raises(CheckpointError, match="offset 4: format version 2, this reader supports only 3"):
+        parse_checkpoint(blob)
+
+
+def test_head_count_mismatch_fails_on_the_projection_shape():
+    # Written at h=2 and restored at h=4 with the same d_model: the names
+    # agree, and the first rank-3 projection's shape does not.
+    vocab = Tokenizer.build(["the bike is on the street"])
+    params = KktParams.init(len(vocab), 8, 2, 1, 32, 16, "full", np.random.default_rng(0))
+    ckpt = parse_checkpoint(checkpoint_bytes(params.named_parameters(), "full"))
+    with pytest.raises(CheckpointError, match=r"^tensor enc\.block0\.attn\.wq: checkpoint shape \(2, 8, 4\) "
+                                              r"!= model shape \(4, 8, 2\)$"):
+        restore_checkpoint(ckpt, RunConfig(d_model=8, h=4, layers=1, max_length=16), vocab)
 
 
 def test_unknown_tag_byte_rejected():

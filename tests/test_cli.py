@@ -166,14 +166,18 @@ def test_eval_requires_sidecars(ws, tmp_path):
     assert "config.json" in err
 
 
-def _eval_with_format_version(ws, tmp_path, version):
-    blob = bytearray((ws["run"] / "model.kkt").read_bytes())
-    blob[4:8] = struct.pack("<I", version)
+def _eval_blob(ws, tmp_path, blob):
     patched = tmp_path / "model.kkt"
-    patched.write_bytes(bytes(blob))
+    patched.write_bytes(blob)
     for name in ("config.json", "vocab.txt"):
         (tmp_path / name).write_bytes((ws["run"] / name).read_bytes())
     return run_cli(["eval", "--ckpt", str(patched), "--data", str(ws["bundle"])])
+
+
+def _eval_with_format_version(ws, tmp_path, version):
+    blob = bytearray((ws["run"] / "model.kkt").read_bytes())
+    blob[4:8] = struct.pack("<I", version)
+    return _eval_blob(ws, tmp_path, bytes(blob))
 
 
 def test_eval_rejects_other_format_version(ws, tmp_path):
@@ -185,7 +189,24 @@ def test_eval_rejects_other_format_version(ws, tmp_path):
 def test_eval_rejects_a_format_1_checkpoint(ws, tmp_path):
     rc, _, err = _eval_with_format_version(ws, tmp_path, 1)
     assert rc == 2
-    assert "format version 1, this reader supports only 2" in err
+    assert "format version 1, this reader supports only 3" in err
+
+
+def test_eval_rejects_a_format_2_checkpoint(ws, tmp_path):
+    # The run's weights with one matrix per attention head, as format 2 stored them.
+    rc, _, err = _eval_blob(ws, tmp_path, helpers.format_2_blob((ws["run"] / "model.kkt").read_bytes()))
+    assert rc == 2
+    assert err.startswith("error:") and "format version 2, this reader supports only 3" in err
+
+
+def test_eval_under_another_head_count_names_the_tensor_and_both_shapes(ws, tmp_path):
+    cfg = tmp_path / "h4.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "h": 4}), encoding="utf-8")
+    rc, _, err = run_cli(["eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
+                          "--config", str(cfg)])
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "tensor enc.block0.attn.wq: checkpoint shape (2, 8, 4) != model shape (4, 8, 2)" in err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -272,8 +272,8 @@ def fact_encoder_fixture(seed=0):
 def test_encode_fact_single_token_identity_sa():
     tk = Tokenizer.build(["bike"])
     enc = tiny_encoder(vocab=len(tk))
-    eye = T.Tensor(np.eye(8))
-    sa = MhaParams(wq=[eye], wk=[eye], wv=[eye])
+    eye = T.Tensor(np.eye(8)[None])
+    sa = MhaParams(wq=eye, wk=eye, wv=eye)
     fe = FactEncoder(tk, enc, sa)
     r = fe.encode_fact(Fact(text="bike", source=None))
     hidden = encode(enc, tk.encode("bike")).hidden.data
@@ -337,7 +337,7 @@ def test_encode_facts_equals_encoding_each_fact_alone_bit_for_bit():
 
 def test_step_scope_serves_leaves_and_sends_their_gradient_back_once():
     _, enc, sa, fe = fact_encoder_fixture(seed=5)
-    leaves = list(enc.named_parameters("enc").values()) + sa.wq + sa.wk + sa.wv
+    leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
     weights = [T.Tensor(np.random.default_rng(i).standard_normal(8)) for i in range(3)]
 
     def grads(scoped):

@@ -193,8 +193,8 @@ def random_pair(rng, d=8, n_c=5, n_qa=3, spans=((0, 2), (2, 5))):
 def test_refine_single_fact_identity_projections():
     rng = np.random.default_rng(0)
     tk, params = small_setup()
-    eye = T.Tensor(np.eye(8))
-    params.refine_ck = MhaParams(wq=[eye], wk=[eye], wv=[eye])
+    eye = T.Tensor(np.eye(8)[None])
+    params.refine_ck = MhaParams(wq=eye, wk=eye, wv=eye)
     enc = random_pair(rng)
     fact = fake_fact(rng.standard_normal(8))
     out = refine(params, enc, (), [fact], [])
@@ -256,8 +256,8 @@ def test_refine_matches_naive_oracle():
 def test_duma_single_token_swaps_sides():
     x = np.array([[0.3, -1.2]])
     y = np.array([[2.0, 0.5]])
-    eye = T.Tensor(np.eye(2))
-    p = MhaParams(wq=[eye], wk=[eye], wv=[eye])
+    eye = T.Tensor(np.eye(2)[None])
+    p = MhaParams(wq=eye, wk=eye, wv=eye)
     out = dual_coattention(p, p, T.Tensor(x), T.Tensor(y))
     assert np.allclose(out.data, np.concatenate([y[0], x[0]]), atol=1e-12)
 
@@ -347,14 +347,14 @@ def test_kkt_params_named_parameters_complete():
     tk, params = small_setup()
     names = params.named_parameters()
     assert "decoder_w" in names and "fusion_w" in names
-    assert "enc.tok_emb" in names and "fact_sa.wq0" in names
-    assert "refine_kt.wk1" in names and "duma2.wv0" in names
-    # 1 block encoder: 2 emb + 14 block + 2 pooler = 18; mha groups of 6
-    # tensors: duma1 and duma2, plus fact_sa, refine_ck and refine_qak with
-    # "k" and refine_kt with "kt"; the fusion pair when there is a path; the
-    # decoder. full: 18 + 6 * 6 + 3, kt: 18 + 3 * 6 + 3, k: 18 + 5 * 6 + 3,
-    # base: 18 + 2 * 6 + 1.
-    counts = {"full": 57, "keyturns-only": 57, "kt": 39, "k": 51, "base": 31}
+    assert "enc.tok_emb" in names and "fact_sa.wq" in names
+    assert "refine_kt.wk" in names and "duma2.wv" in names
+    # 1 block encoder: 2 emb + 11 block + 2 pooler = 15; mha groups of 3
+    # tensors (wq, wk, wv): duma1 and duma2, plus fact_sa, refine_ck and
+    # refine_qak with "k" and refine_kt with "kt"; the fusion pair when there
+    # is a path; the decoder. full: 15 + 6 * 3 + 3, kt: 15 + 3 * 3 + 3,
+    # k: 15 + 5 * 3 + 3, base: 15 + 2 * 3 + 1.
+    counts = {"full": 36, "keyturns-only": 36, "kt": 27, "k": 33, "base": 22}
     for ablation in ABLATIONS:
         assert len(small_setup(ablation=ablation)[1].named_parameters()) == counts[ablation], ablation
 

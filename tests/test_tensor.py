@@ -287,13 +287,13 @@ def test_backward_from_a_seed_gradient():
 def test_one_segment_equals_the_unsegmented_ops_bit_for_bit():
     rng = np.random.default_rng(5)
     x = make(rng.standard_normal((4, 6)), grad=True)
-    w = [make(rng.standard_normal((6, 3)), grad=True) for _ in range(6)]
+    w = [make(rng.standard_normal((2, 6, 3)), grad=True) for _ in range(3)]
     weight = rng.standard_normal((1, 6))
 
     def run(lengths):
         for t in [x] + w:
             t.grad = None
-        att = T.attention(x, x, x, w[:2], w[2:4], w[4:], 0.5, lengths)
+        att = T.attention(x, x, x, *w, lengths)
         pooled = T.mean_rows(att) if lengths is None else T.reshape(T.segment_mean(att, lengths), (6,))
         T.dot(pooled, T.Tensor(weight[0])).backward()
         return [pooled.data.tobytes()] + [t.grad.tobytes() for t in [x] + w]
@@ -302,16 +302,16 @@ def test_one_segment_equals_the_unsegmented_ops_bit_for_bit():
 
 
 def test_segments_must_cover_the_rows():
-    x, w = make(np.ones((3, 2))), make(np.ones((2, 2)))
+    x, w = make(np.ones((3, 2))), make(np.ones((1, 2, 2)))
     for lengths in ([1, 1], [3, 0], [], [2, 2]):
         with pytest.raises(T.ShapeError):
             T.segment_mean(x, lengths)
         with pytest.raises(T.ShapeError):
-            T.attention(x, x, x, [w], [w], [w], 1.0, lengths)
+            T.attention(x, x, x, w, w, w, lengths)
 
 
 def test_segment_pairs_must_match_and_cover_the_rows():
-    q, kv, w = make(np.ones((3, 2))), make(np.ones((4, 2))), make(np.ones((2, 2)))
+    q, kv, w = make(np.ones((3, 2))), make(np.ones((4, 2))), make(np.ones((1, 2, 2)))
     for lengths, key_lengths in (
         ([1, 2], [4]),  # two query segments, one key segment
         ([3], [2, 2]),  # one query segment, two key segments
@@ -321,7 +321,7 @@ def test_segment_pairs_must_match_and_cover_the_rows():
         (None, [2, 2]),  # key lengths without query lengths
     ):
         with pytest.raises(T.ShapeError, match="attention"):
-            T.attention(q, kv, kv, [w], [w], [w], 1.0, lengths, key_lengths)
+            T.attention(q, kv, kv, w, w, w, lengths, key_lengths)
     with pytest.raises(T.ShapeError, match="concat_rows"):
         T.concat_rows([q, make(np.ones((2, 3)))])
     with pytest.raises(T.ShapeError, match="concat_rows"):
@@ -440,17 +440,18 @@ def test_finite_outputs_on_finite_inputs():
 
 
 def test_attention_rejects_mismatched_shapes():
-    x, w = make(np.zeros((2, 3))), make(np.zeros((3, 2)))
+    # Each role's weights are one [h, input width, head width] tensor.
+    x, w = make(np.zeros((2, 3))), make(np.zeros((1, 3, 2)))
+    w2 = make(np.zeros((2, 3, 2)))
     cases = [
-        (x, x, x, [], [], [], 1.0),  # no heads
-        (x, x, x, [w], [w, w], [w], 1.0),  # unequal head counts
-        (x, x, make(np.zeros((3, 3))), [w], [w], [w], 1.0),  # 2 keys, 3 values
-        (make(np.zeros(3)), x, x, [w], [w], [w], 1.0),  # 1-D queries
-        (make(np.zeros((2, 4))), x, x, [w], [w], [w], 1.0),  # input width 4, projection 3
-        (x, x, x, [w], [make(np.zeros((3, 1)))], [w], 1.0),  # query and key head widths
-        # The heads of one role run as one [h, rows, width] array.
-        (x, x, x, [w, w], [w, w], [w, make(np.zeros((3, 1)))], 1.0),  # value heads of two widths
-        (x, x, x, [w, make(np.zeros((2, 2)))], [w, w], [w, w], 1.0),  # query heads of two input widths
+        (x, x, x, *[make(np.zeros((0, 3, 2)))] * 3),  # no heads
+        (x, x, x, w, w2, w),  # unequal head counts
+        (x, x, x, w2, w2, w),  # value heads fewer than query and key heads
+        (x, x, make(np.zeros((3, 3))), w, w, w),  # 2 keys, 3 values
+        (make(np.zeros(3)), x, x, w, w, w),  # 1-D queries
+        (make(np.zeros((2, 4))), x, x, w, w, w),  # input width 4, projection 3
+        (x, x, x, w, make(np.zeros((1, 3, 1))), w),  # query and key head widths
+        (x, x, x, make(np.zeros((3, 2))), w, w),  # a rank-2 weight
     ]
     for args in cases:
         with pytest.raises(T.ShapeError, match="attention"):
@@ -544,9 +545,9 @@ def _attention_case(roles):
 
         def op(*xs):
             w = xs[len(seqs):]
-            return T.attention(*(xs[r] for r in roles), w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2))
+            return T.attention(*(xs[r] for r in roles), *w)
 
-        return seqs + [(3, 2)] * (3 * h), op
+        return seqs + [(h, 3, 2)] * 3, op
 
     return case
 
@@ -556,9 +557,9 @@ def _segmented_self_attention(m, n, k):
     h = (k - 1) % 3 + 1
 
     def op(x, *w):
-        return T.attention(x, x, x, w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2), lengths=[m, n])
+        return T.attention(x, x, x, *w, lengths=[m, n])
 
-    return [(m + n, 3)] + [(3, 2)] * (3 * h), op
+    return [(m + n, 3)] + [(h, 3, 2)] * 3, op
 
 
 def _attention_pairs(m, n, k):
@@ -567,9 +568,9 @@ def _attention_pairs(m, n, k):
     h = (k - 1) % 3 + 1
 
     def op(q, kk, v, *w):
-        return T.attention(q, kk, v, w[:h], w[h : 2 * h], w[2 * h :], 1 / math.sqrt(2), [m, n], [k, m])
+        return T.attention(q, kk, v, *w, [m, n], [k, m])
 
-    return [(m + n, 3), (k + m, 3), (k + m, 3)] + [(3, 2)] * (3 * h), op
+    return [(m + n, 3), (k + m, 3), (k + m, 3)] + [(h, 3, 2)] * 3, op
 
 
 # Each case maps the dims (m, n, k), each 1..4, to the input shapes and the op.

@@ -584,7 +584,7 @@ def test_evaluation_leaves_training_gradients_intact(f64_init, corpus):
         assert (g is None) == (after_eval[name] is None), name
         if g is not None:
             np.testing.assert_array_equal(after_eval[name], g, err_msg=name)
-    assert fresh["fact_sa.wq0"] is not None
+    assert fresh["fact_sa.wq"] is not None
 
 
 def test_step_scope_gives_the_per_example_gradients_of_a_batch(f64_init, corpus):
@@ -604,7 +604,7 @@ def test_step_scope_gives_the_per_example_gradients_of_a_batch(f64_init, corpus)
 
     want, got = step_grads(False), step_grads(True)
     assert sorted(got) == sorted(want)
-    assert {"fact_sa.wq0", "fact_sa.wv1", "enc.tok_emb", "enc.block0.attn.wk0"} <= set(got)
+    assert {"fact_sa.wq", "fact_sa.wv", "enc.tok_emb", "enc.block0.attn.wk"} <= set(got)
     for name, g in want.items():
         np.testing.assert_allclose(got[name], g, rtol=1e-10, atol=1e-15, err_msg=name)
 
