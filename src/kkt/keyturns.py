@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderParams, encode
+from .attention import ConfigurationError, EncoderParams, encode
 from .optim import Adam
 from .tokenizer import Tokenizer
 
@@ -62,6 +62,10 @@ def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: s
         + tokenizer.encode(hypothesis)
         + [tokenizer.eos_id]
     )
+    # `encode` would cut the hypothesis tail and [EOS], and so change the score.
+    if len(ids) > head.enc.max_len:
+        raise ConfigurationError(f"NLI pair ({premise!r}, {hypothesis!r}) has {len(ids)} tokens, more than the "
+                                 f"scorer encoder's {head.enc.max_len} positions (max_length)")
     return T.affine(pool(head.enc, encode(head.enc, ids).hidden), head.out_w, head.out_b)
 
 
@@ -69,6 +73,8 @@ def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str
     """Entailment log-probability of the (turn, question+option) pair.
 
     A plain float, computed under `T.no_grad()`: scoring builds no graph.
+    A pair longer than the scorer's position table raises
+    `ConfigurationError`, as does such a record in `train_nli_head`.
     """
     if not turn_text.strip() or not qa_text.strip():
         raise ValueError("score_turn: turn and QA text must be non-empty")

@@ -19,6 +19,7 @@ everything else is ignored for matching.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,18 +112,24 @@ class PosTagger:
             self.lexicon[word.lower()] = tag
 
     def tag(self, token: str) -> str:
+        # The lexicon first, so a changed lexicon is never answered from the rule cache.
         tag = self.lexicon.get(token)
-        if tag is not None:
+        return _rule_tag(token) if tag is None else tag
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _rule_tag(token: str) -> str:
+    """The tag of a token outside the lexicon: stoplist, suffix rules, then
+    length. It depends on the token alone, so it is computed once per token."""
+    if token in _STOPLIST or not token.isalpha():
+        return OTHER
+    for suffix, tag in _SUFFIX_RULES:
+        if token.endswith(suffix) and len(token) > len(suffix) + 1:
+            if suffix == "ing" and token in _ING_AUX:
+                return VERB
             return tag
-        if token in _STOPLIST or not token.isalpha():
-            return OTHER
-        for suffix, tag in _SUFFIX_RULES:
-            if token.endswith(suffix) and len(token) > len(suffix) + 1:
-                if suffix == "ing" and token in _ING_AUX:
-                    return VERB
-                return tag
-        # Longer unseen alphabetic tokens default to the open class.
-        return NOUN if len(token) >= 4 else OTHER
+    # Longer unseen alphabetic tokens default to the open class.
+    return NOUN if len(token) >= 4 else OTHER
 
 
 def tag_content_words(text: str, tagger: PosTagger | None = None) -> list[tuple[str, str]]:

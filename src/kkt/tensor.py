@@ -49,10 +49,17 @@ chain in the last bits; forward values do not.
 Stacked sequences: several sequences can run through one set of ops as the
 rows of one matrix. Row-wise ops (gathers, adds, affine maps, layer norm,
 tanh) need nothing for that; ``attention`` and ``segment_mean`` take the
-sequences' ``lengths`` and work per segment on exact row slices, so no
-padding enters a reduction. ``attention`` also takes separate key lengths,
-so query segment i can attend over key segment i of another stacked
-matrix: one call for the cross-attentions of several answer options. In
+sequences' ``lengths`` and work per segment on that segment's rows only, so
+no padding enters a reduction. ``attention`` also takes separate key
+lengths, so query segment i can attend over key segment i of another
+stacked matrix: one call for the cross-attentions of several answer
+options. Segments of one shape run as one batch: ``attention`` makes one
+set of batched products per distinct (query rows, key rows) shape, over a
+[h, segments, rows, width] array, and ``segment_mean`` one mean per
+distinct length. When one shape covers every segment, that array is a
+reshape of the stacked rows; otherwise rows are gathered by index and the
+results scattered back by row. Every row keeps its own products and
+reductions, in the chain's array layouts. In
 float64 each segment's values equal those of running its sequence alone,
 bit for bit, and with one segment the gradients do too, in the same
 summation order. With several segments the weight gradients are sums over
@@ -342,8 +349,9 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     into one call. Without ``key_lengths`` the keys are split like the
     queries (then equally many), which is self-attention over the stacked
     rows of several sequences. The projections run once over all rows;
-    scores, softmax and the head outputs run per segment pair on exact row
-    slices, with no padding or mask. ``None`` is one segment of all queries
+    scores, softmax and the head outputs run once per distinct (query rows,
+    key rows) shape of the segment pairs, batched over the pairs of that
+    shape, with no padding or mask. ``None`` is one segment of all queries
     over all keys, and so is a single length.
     """
     seqs, ws = (q_seq, k_seq, v_seq), (wq, wk, wv)
@@ -354,38 +362,48 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     heads = wq.shape[0]
     if heads == 0 or wk.shape[0] != heads or wv.shape[0] != heads or wq.shape[2] != wk.shape[2]:
         raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {[w.shape for w in ws]}")
-    # Row slices of the query and key segments; one pair is all queries over all keys.
-    q_rows = k_rows = [slice(None)]
     if lengths is None and key_lengths is not None:
         raise ShapeError("attention: key lengths need query lengths")
+    rows = (q_seq.shape[0], k_seq.shape[0])
+    # One group of one pair, all queries over all keys, unless lengths split them.
+    groups = (((0,), rows, (None, None)),)
     if lengths is not None:
-        q_edges = _segment_edges(lengths, q_seq.shape[0], "attention")
-        k_edges = _segment_edges(lengths if key_lengths is None else key_lengths, k_seq.shape[0], "attention")
-        if len(q_edges) != len(k_edges):
-            raise ShapeError(f"attention: {len(q_edges) - 1} query segments but {len(k_edges) - 1} key segments")
-        if len(q_edges) > 2:
-            q_rows, k_rows = ([slice(a, b) for a, b in zip(e, e[1:])] for e in (q_edges, k_edges))
+        q_lengths = tuple(lengths)
+        k_lengths = q_lengths if key_lengths is None else tuple(key_lengths)
+        if len(q_lengths) != len(k_lengths):
+            raise ShapeError(f"attention: {len(q_lengths)} query segments but {len(k_lengths)} key segments")
+        groups = _segment_groups("attention", (q_lengths, rows[0]), (k_lengths, rows[1]))
     # The weights as they are now: optimizers rebind ``.data``, never write it.
     w3 = [w.data for w in ws]
     # One product per role: [h, rows, width].
     q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
     c = np.asarray(1.0 / math.sqrt(wk.shape[2]), dtype=q.dtype)
-    outs, kept = zip(*(_heads_forward(q[:, a], k[:, b], v[:, b], c) for a, b in zip(q_rows, k_rows)))
-    out = np.concatenate(outs, axis=1) if len(outs) > 1 else outs[0]
+
+    def batch(x, idx, count, n):
+        # [h, rows, width] -> [h, count, n, width]: a reshape, or a gather by
+        # row into a new C-ordered array (``x[:, idx]`` would order it by row).
+        return (x if idx is None else np.take(x, idx, axis=1)).reshape(heads, count, n, x.shape[2])
+
+    outs, kept = zip(*(_heads_forward(batch(q, qi, len(seg), m), batch(k, ki, len(seg), n), batch(v, ki, len(seg), n), c)
+                       for seg, (m, n), (qi, ki) in groups))
+    out = _unbatch(outs, groups, 0, rows[0])
     # For each role, the first role that passes the same tensor.
     slots = _slot_order(heads, (0, 0 if k_seq is q_seq else 1, 0 if v_seq is q_seq else 1 if v_seq is k_seq else 2))
 
     def backward(g):
         # Head i's output gradient is a view of g's i-th block of columns.
-        gh = g.reshape(g.shape[0], heads, -1).transpose(1, 0, 2)
-        per = [_heads_backward(kp, gh[:, a], c) for a, kp in zip(q_rows, kept)]
-        # Query gradients stack over the query rows, key and value gradients over the key rows.
-        gy = [np.concatenate(parts, axis=1) for parts in zip(*per)] if len(per) > 1 else per[0]
+        gh = g.reshape(g.shape[0], heads, -1)
+        per = [_heads_backward(kp, (gh if qi is None else gh[qi]).reshape(len(seg), m, heads, -1).transpose(2, 0, 1, 3), c)
+               for kp, (seg, (m, _), (qi, _)) in zip(kept, groups)]
+        # Query gradients go back to the query rows, key and value gradients to the key rows.
+        gy = [_unbatch([p[r] for p in per], groups, min(r, 1), rows[min(r, 1)]) for r in range(3)]
         g_seq = [gy[r] @ w3[r].transpose(0, 2, 1) for r in range(3)]
         return [g_seq[r][i] for i, r in slots] + [seqs[r].data.T @ gy[r] for r in range(3)]
 
     parents = [seqs[r] for _, r in slots] + list(ws)
-    return _result(out.transpose(1, 0, 2).reshape(out.shape[1], -1), parents, backward)
+    # C order, as the chain's concatenation has, also for width-1 heads, where
+    # the reshape would be a column-major view and its gradient would follow.
+    return _result(np.ascontiguousarray(out.transpose(1, 0, 2).reshape(rows[0], -1)), parents, backward)
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,19 +413,31 @@ def _slot_order(heads, first):
 
 
 def _heads_forward(q, k, v, c):
-    # All heads over one segment: the output and what the backward needs.
-    kT = k.transpose(0, 2, 1).copy()
+    # All heads over a batch of segments of one shape: the output and what the backward needs.
+    kT = k.swapaxes(-1, -2).copy()
     scores = _matmul_data(q, kT)
     p = _softmax_rows_data(np.multiply(scores, c, out=scores))
     return _matmul_data(p, v), (q, kT, v, p)
 
 
 def _heads_backward(kept, gh, c):
-    # All heads' query, key and value gradients over one segment, in the chain's layouts.
+    # All heads' query, key and value gradients over that batch, in the chain's layouts.
     q, kT, v, p = kept
-    gs = _softmax_rows_grad(p, gh @ v.transpose(0, 2, 1))
+    gs = _softmax_rows_grad(p, gh @ v.swapaxes(-1, -2))
     gs *= c
-    return gs @ kT.transpose(0, 2, 1), (q.transpose(0, 2, 1) @ gs).transpose(0, 2, 1), p.transpose(0, 2, 1) @ gh
+    return gs @ kT.swapaxes(-1, -2), (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2), p.swapaxes(-1, -2) @ gh
+
+
+def _unbatch(parts, groups, side, rows):
+    # Each group's [h, count, n, width] array back into one [h, rows, width]
+    # array, every row in its place on the given side of the segment pairs.
+    h, width = parts[0].shape[0], parts[0].shape[-1]
+    if len(groups) == 1:
+        return parts[0].reshape(h, rows, width)
+    out = np.empty((h, rows, width), parts[0].dtype)
+    for part, (_, _, idx) in zip(parts, groups):
+        out[:, idx[side]] = part.reshape(h, -1, width)
+    return out
 
 
 def _segment_edges(lengths, rows, name):
@@ -417,15 +447,49 @@ def _segment_edges(lengths, rows, name):
     return list(itertools.accumulate(lengths, initial=0))
 
 
+@functools.lru_cache(maxsize=4096)
+def _segment_groups(name, *sides):
+    """The segments of a stacked call, grouped by shape so that each group
+    runs as one batch. ``sides`` holds one (lengths, rows) per stacked
+    matrix, with equally many segments; segment i's shape is its length on
+    every side. One (segments, shape, row indices) per shape, in order of
+    first appearance: the indices of its segments, its lengths, and for each
+    side the rows of those segments in order, or None where one shape
+    covers every segment and its rows are all rows in order. Cached, so the
+    index arrays are read-only."""
+    edges = [_segment_edges(lengths, rows, name) for lengths, rows in sides]
+    members = {}
+    for i, shape in enumerate(zip(*(map(int, lengths) for lengths, _ in sides))):
+        members.setdefault(shape, []).append(i)
+    if len(members) == 1:
+        (shape, segments), = members.items()
+        return ((tuple(segments), shape, (None,) * len(sides)),)
+    groups = []
+    for shape, segments in members.items():
+        idx = [np.concatenate([np.arange(e[i], e[i + 1]) for i in segments]) for e in edges]
+        for a in idx:
+            a.flags.writeable = False
+        groups.append((tuple(segments), shape, tuple(idx)))
+    return tuple(groups)
+
+
 def segment_mean(x: Tensor, lengths) -> Tensor:
     """Mean over the rows of each consecutive segment of a 2-D tensor,
     [sum(lengths), n] -> [len(lengths), n]. Row j is ``mean_rows`` of
-    segment j's rows, bit for bit."""
+    segment j's rows, bit for bit. Segments of one length are reduced as
+    one [segments, length, n] batch, each row keeping its own reduction."""
     if x.ndim != 2:
         raise ShapeError(f"segment_mean needs a 2-D tensor, got {x.shape}")
-    edges = _segment_edges(lengths, x.shape[0], "segment_mean")
-    counts = np.diff(edges)
-    data = np.stack([x.data[a:b].mean(axis=0) for a, b in zip(edges, edges[1:])])
+    lengths = tuple(lengths)
+    groups = _segment_groups("segment_mean", (lengths, x.shape[0]))
+    cols = x.shape[1]
+    if len(groups) == 1:
+        data = x.data.reshape(len(lengths), groups[0][1][0], cols).mean(axis=1)
+    else:
+        data = np.empty((len(lengths), cols), x.dtype)
+        for segments, (n,), (rows,) in groups:
+            data[list(segments)] = x.data[rows].reshape(len(segments), n, cols).mean(axis=1)
+    counts = np.asarray(lengths, dtype=np.intp)
     # Counts in the data's dtype: float32 gradients stay float32.
     per_row = counts.astype(x.dtype)[:, None]
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from kkt import attention
@@ -229,6 +229,62 @@ def test_segment_pairs_equal_the_chain_per_pair_in_both_dtypes(h, d_head, roles,
     p64 = MhaParams.init(h * d_head, h, np.random.default_rng(seed + 1))
     weight = rng.standard_normal((sum(lengths), h * d_head))
     _both_dtypes_match_the_chain(p64, data, roles, lengths, weight, key_lengths)
+
+
+def _interleaved_layouts():
+    """Segment pairs drawn from one to three distinct (query, key) shapes,
+    in an interleaved order, so that some shapes repeat and some do not."""
+    shapes = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3, unique=True)
+    return shapes.flatmap(lambda s: st.lists(st.sampled_from(s), min_size=2, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 3), d_head=st.integers(1, 3), roles=attention_roles, pairs=_interleaved_layouts(),
+       seed=st.integers(0, 2**16))
+@example(h=2, d_head=2, roles=(0, 1, 2), pairs=[(3, 2), (5, 2), (3, 4), (5, 2), (3, 2)], seed=3)
+def test_grouped_segment_pairs_equal_the_chain_per_pair_in_both_dtypes(h, d_head, roles, pairs, seed):
+    # Pairs of one shape run as one batch, gathered and scattered back by
+    # row when the shapes mix; each pair must still get the chain's values
+    # and gradients. Self-attention pairs a segment with itself.
+    lengths, key_lengths = (list(side) for side in zip(*pairs))
+    if roles[1] == 0:
+        key_lengths = None
+    rng = np.random.default_rng(seed)
+    shapes = [(sum(lengths), h * d_head), (sum(key_lengths or lengths), h * d_head)]
+    data = [rng.standard_normal(shapes[min(r, 1)]) for r in range(max(roles) + 1)]
+    p64 = MhaParams.init(h * d_head, h, np.random.default_rng(seed + 1))
+    weight = rng.standard_normal((sum(lengths), h * d_head))
+    _both_dtypes_match_the_chain(p64, data, roles, lengths, weight, key_lengths)
+
+
+@pytest.mark.parametrize("segments", [2, 5])
+def test_equal_shape_segments_make_no_product_per_segment(monkeypatch, segments):
+    # g segment pairs of one shape run as many matrix products, and one
+    # batched backward, as one pair: for self-attention and for stacked
+    # cross-attentions alike.
+    calls = []
+    matmul_data, heads_backward = T._matmul_data, T._heads_backward
+
+    def counted(a, b):
+        calls.append("product")
+        return matmul_data(a, b)
+
+    def counted_backward(*args):
+        calls.append("backward")
+        return heads_backward(*args)
+
+    monkeypatch.setattr(T, "_matmul_data", counted)
+    monkeypatch.setattr(T, "_heads_backward", counted_backward)
+    rng = np.random.default_rng(8)
+    p = rand_params(4, 2, seed=2)
+    counts = []
+    for g in (1, segments):
+        q = T.Tensor(rng.standard_normal((3 * g, 4)), requires_grad=True)
+        kv = tens(rng.standard_normal((2 * g, 4)))
+        calls.clear()
+        T.sum_all(T.add(self_attention(p, q, [3] * g), mha(p, q, kv, kv, [3] * g, [2] * g))).backward()
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == ["backward"] * 2 + ["product"] * 2 * (3 + 2)
 
 
 @pytest.mark.parametrize("lengths", [None, [2, 3]])

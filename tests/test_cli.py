@@ -97,13 +97,27 @@ def test_train_rejects_a_bad_config_field(ws, tmp_path, field, value):
 
 def test_train_with_facts_longer_than_max_length_exits_2(ws, tmp_path):
     # Facts are encoded whole; a position table shorter than a retrieved fact
-    # is a named input error, not a silently cut fact.
+    # is a named input error, not a silently cut fact. The leading provider
+    # keeps the bundle's NLI corpus out, whose pairs would overrun first.
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**SMALL_CONFIG, "max_length": 2}), encoding="utf-8")
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "max_length": 2, "key_turn_provider": "leading"}), encoding="utf-8")
     rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(cfg),
                           "--out", str(tmp_path / "out")])
     assert rc == 2
     assert re.match(r"error: fact '.+' has \d+ tokens, more than the encoder's 2 positions", err)
+
+
+def test_train_with_an_nli_record_longer_than_max_length_exits_2(ws, tmp_path):
+    # The scorer sees [BOS] premise [SEP] hypothesis [EOS] whole or not at
+    # all: a record over the 96 positions is a named input error.
+    nli = tmp_path / "nli.jsonl"
+    nli.write_text(json.dumps({"premise": " ".join(["hi"] * 90), "hypothesis": "a b c d e", "label": 1}) + "\n",
+                   encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]),
+                          "--nli", str(nli), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert re.match(r"error: NLI pair \('hi hi .+', 'a b c d e'\) has 98 tokens, more than the scorer encoder's "
+                    r"96 positions \(max_length\)", err)
 
 
 def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):

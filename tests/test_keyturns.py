@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kkt import keyturns
+from kkt.attention import ConfigurationError
 from kkt.keyturns import (
     CONTRADICTION,
     ENTAILMENT,
@@ -69,6 +70,19 @@ def test_score_turn_rejects_empty_text():
         score_turn(head, tk, "  ", "hello")
     with pytest.raises(ValueError):
         score_turn(head, tk, "hello", "")
+
+
+def test_nli_pair_that_overruns_the_positions_is_an_error():
+    # [BOS] turn [SEP] QA [EOS] must fit the scorer's 32 positions whole:
+    # a cut would drop the QA tail and [EOS] and change the score unseen.
+    tk = Tokenizer.build(["a b"])
+    head = make_head(tk)
+    turn, qa = " ".join(["a"] * 14), " ".join(["b"] * 15)
+    assert score_turn(head, tk, turn, qa) <= 0.0  # 32 tokens
+    with pytest.raises(ConfigurationError, match=r"has 33 tokens, more than the scorer encoder's 32 positions"):
+        score_turn(head, tk, turn + " a", qa)
+    with pytest.raises(ConfigurationError, match=r"has 33 tokens, more than the scorer encoder's 32 positions"):
+        train_nli_head(head, tk, [{"premise": turn, "hypothesis": qa + " b", "label": 1}], epochs=1)
 
 
 def test_score_turn_deterministic():

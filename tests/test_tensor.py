@@ -119,6 +119,27 @@ def test_mean_rows_hand_arithmetic():
     assert np.array_equal(T.mean_rows(make([[1.0, 3.0], [3.0, 5.0]])).data, [2.0, 4.0])
 
 
+segment_lengths = st.one_of(
+    st.tuples(st.integers(1, 20), st.integers(1, 5)).map(lambda t: [t[0]] * t[1]),  # equal
+    st.lists(st.integers(1, 20), min_size=2, max_size=6),  # mixed
+    st.integers(1, 20).map(lambda n: [n]),  # single
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lengths=segment_lengths, cols=st.integers(1, 5), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+def test_segment_mean_rows_equal_mean_rows_of_each_segment_bit_for_bit(lengths, cols, dtype, seed):
+    # Segments of one length are reduced as one batch; every row must keep
+    # its own segment's reduction, over up to 20 rows.
+    x = (np.random.default_rng(seed).standard_normal((sum(lengths), cols)) * 1e3).astype(dtype)
+    got = T.segment_mean(T.Tensor(x), lengths).data
+    edges = np.cumsum([0] + lengths)
+    assert got.dtype == dtype and got.shape == (len(lengths), cols)
+    for j, (a, b) in enumerate(zip(edges, edges[1:])):
+        assert got[j].tobytes() == T.mean_rows(T.Tensor(x[a:b].copy())).data.tobytes()
+
+
 def test_mean_rows_single_row_identity():
     assert np.array_equal(T.mean_rows(make([[7.0, 7.0]])).data, [7.0, 7.0])
 
