@@ -37,9 +37,9 @@ print("self-attention keeps the sequence shape:", x.shape, "->", sa.shape)
 vocab = Tokenizer.build(["the bike is on the street", "where is my bike"])
 enc = EncoderParams.init(len(vocab), 8, 2, 1, 32, 32, np.random.default_rng(1))
 ids = [vocab.bos_id] + vocab.encode("where is my bike") + [vocab.eos_id]
-result = encode(enc, ids)
-print("hidden rows:", result.hidden.shape)
+hidden = encode(enc, ids)
+print("hidden rows:", hidden.shape)
 
-# The turn scorer pools the first row into one sentence vector.
-pooled = pool(enc, result.hidden)
+# The turn scorer pools the first row into one sentence vector, a [1, d] row.
+pooled = pool(enc, hidden)
 print("pooled sentence vector:", pooled.shape, "values stay in (-1, 1):", np.round(pooled.data, 3))

@@ -3,10 +3,11 @@
 The encoder stands in for a large pre-trained language model: token plus
 learned position embeddings and a stack of post-norm blocks (attention, then
 a tanh feed-forward, each with a residual and layer norm). `encode` returns
-the hidden rows only, of one sequence or of several stacked into one
-matrix (one pass, each sequence attending over its own rows). Every encoder
-also carries tanh pooler weights for the first position; only the NLI turn
-scorer reads them, and it does its own pooling (`keyturns`).
+the hidden rows of one or more sequences stacked into one matrix (one pass,
+each sequence attending over its own rows); a sequence longer than the
+position table is an error, never cut. Every encoder also carries tanh
+pooler weights for the first position; only the NLI turn scorer reads them,
+and it does its own pooling (`keyturns`).
 
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
@@ -69,8 +70,6 @@ def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=
     `lengths` and `key_lengths` split the queries and the keys into segment
     pairs, each attending only within itself (see `tensor.attention`).
     """
-    if k_seq.shape[0] != v_seq.shape[0]:
-        raise ShapeError(f"mha: key length {k_seq.shape} != value length {v_seq.shape}")
     return T.attention(q_seq, k_seq, v_seq, params.wq, params.wk, params.wv, lengths, key_lengths)
 
 
@@ -159,32 +158,22 @@ class EncoderParams:
         return out
 
 
-@dataclass
-class EncodeResult:
-    """Hidden rows of every encoded sequence, stacked in input order;
-    `lengths` gives each sequence's row count."""
-
-    hidden: Tensor
-    truncated: bool
-    lengths: tuple
-
-
 def _block_forward(block: BlockParams, x: Tensor, lengths) -> Tensor:
     a = T.layer_norm(T.add(x, self_attention(block.attn, x, lengths)), block.ln1_gain, block.ln1_bias)
     ff = T.affine(T.tanh(T.affine(a, block.ff_w1, block.ff_b1)), block.ff_w2, block.ff_b2)
     return T.layer_norm(T.add(a, ff), block.ln2_gain, block.ln2_bias)
 
 
-def encode(params: EncoderParams, *sequences) -> EncodeResult:
+def encode(params: EncoderParams, *sequences) -> Tensor:
     """Run the encoder over one or more sequences of token ids in one pass.
 
-    The rows of all sequences are stacked into one [sum of lengths, d]
-    matrix, so the embeddings, layer norms, affines and tanh of the stack
-    are one op each, and self-attention runs per sequence on its own rows.
-    Every op but attention works row by row, so in float64 each sequence's
-    rows equal those of encoding it alone, bit for bit; one sequence is
-    simply the one-segment case. Sequences longer than the position table
-    are truncated to max_len, and `truncated` flags whether any was.
+    Returns the hidden rows of all sequences stacked in input order, one
+    [sum of lengths, d] matrix, so the embeddings, layer norms, affines and
+    tanh of the stack are one op each, and self-attention runs per sequence
+    on its own rows. Every op but attention works row by row, so in float64
+    each sequence's rows equal those of encoding it alone, bit for bit; one
+    sequence is simply the one-segment case. A sequence longer than the
+    position table raises `ShapeError`.
     """
     if not sequences:
         raise ShapeError("encode: no token sequences")
@@ -192,16 +181,16 @@ def encode(params: EncoderParams, *sequences) -> EncodeResult:
     for ids in seqs:
         if not ids:
             raise ShapeError("encode: empty token sequence")
+        if len(ids) > params.max_len:
+            raise ShapeError(f"encode: sequence of {len(ids)} tokens overruns the {params.max_len} positions")
         if min(ids) < 0 or max(ids) >= params.vocab_size:
             raise VocabularyError(
                 f"token id out of range for vocabulary of {params.vocab_size}: {ids}"
             )
-    truncated = any(len(ids) > params.max_len for ids in seqs)
-    seqs = [ids[: params.max_len] for ids in seqs]
     lengths = tuple(len(ids) for ids in seqs)
     tokens = [i for ids in seqs for i in ids]
     positions = [j for n in lengths for j in range(n)]
     x = T.add(T.take_rows(params.tok_emb, tokens), T.take_rows(params.pos_emb, positions))
     for block in params.blocks:
         x = _block_forward(block, x, lengths)
-    return EncodeResult(hidden=x, truncated=truncated, lengths=lengths)
+    return x

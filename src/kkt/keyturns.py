@@ -49,9 +49,9 @@ class NliHead:
 
 
 def pool(enc: EncoderParams, hidden: T.Tensor) -> T.Tensor:
-    """Sentence vector tanh(affine(h[0])) over the encoder's pooler weights."""
-    first = T.reshape(T.take_rows(hidden, [0]), (enc.d_model,))
-    return T.tanh(T.affine(first, enc.pooler_w, enc.pooler_b))
+    """Sentence vector tanh(affine(h[0])) over the encoder's pooler weights,
+    as a [1, d_model] row."""
+    return T.tanh(T.affine(T.take_rows(hidden, [0]), enc.pooler_w, enc.pooler_b))
 
 
 def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> T.Tensor:
@@ -62,11 +62,10 @@ def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: s
         + tokenizer.encode(hypothesis)
         + [tokenizer.eos_id]
     )
-    # `encode` would cut the hypothesis tail and [EOS], and so change the score.
     if len(ids) > head.enc.max_len:
         raise ConfigurationError(f"NLI pair ({premise!r}, {hypothesis!r}) has {len(ids)} tokens, more than the "
                                  f"scorer encoder's {head.enc.max_len} positions (max_length)")
-    return T.affine(pool(head.enc, encode(head.enc, ids).hidden), head.out_w, head.out_b)
+    return T.reshape(T.affine(pool(head.enc, encode(head.enc, ids)), head.out_w, head.out_b), (3,))
 
 
 def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str) -> float:

@@ -347,8 +347,8 @@ class FactEncoder:
                 if len(seq) > self.enc.max_len:
                     raise FactTooLongError(f"fact {text!r} has {len(seq)} tokens, more than the "
                                            f"encoder's {self.enc.max_len} positions (max_length)")
-            hidden = encode(self.enc, *ids)
-            pooled = T.segment_mean(self_attention(self.sa, hidden.hidden, hidden.lengths), hidden.lengths)
+            lengths = [len(seq) for seq in ids]
+            pooled = T.segment_mean(self_attention(self.sa, encode(self.enc, *ids), lengths), lengths)
             if grad and self._step is not None:
                 vectors = [T.Tensor(row, requires_grad=True) for row in pooled.data]
                 self._step.append((pooled, vectors))

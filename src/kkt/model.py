@@ -14,8 +14,8 @@ co-attention is one `mha` call in which option i's queries attend over
 option i's keys only (segment pairs of `tensor.attention`, on exact row
 slices). So in float64 each option's values, and every logit, equal those
 of running the option alone, bit for bit. `encode_pair`, `refine`,
-`dual_coattention` and `forward` take the stacked options; called with one
-option and no lengths they take and return that option's values alone.
+`dual_coattention` and `forward` take the stacked options only; one option
+alone is an example with that one option, run through the same code.
 
 Ablation wiring lives in one table, PATHS: each ablation names the
 refinement paths it fuses next to the plain co-attention output O_o, in
@@ -88,31 +88,30 @@ class EncodedPair:
     H_c holds each option's context rows and H_qa its question+option rows;
     `c_lengths` and `qa_lengths` give each option's row counts, and
     `turn_spans` holds one list per option of where each turn's tokens sit
-    in that option's own context rows. A pair of one option may leave the
-    lengths None; its `turn_spans` is then that option's list itself.
-    `truncated` flags whether any option's context was cut.
+    in that option's own context rows. `truncated` flags whether any
+    option's context was cut.
     """
 
     h_c: Tensor
     h_qa: Tensor
     turn_spans: list
     truncated: bool
-    c_lengths: tuple | None = None
-    qa_lengths: tuple | None = None
+    c_lengths: tuple
+    qa_lengths: tuple
 
 
 @dataclass
 class RefinedReprs:
-    """Refined rows, stacked like the pair's. Each flag is one bool per
-    option, or a bare bool for a one-option pair without lengths."""
+    """Refined rows, stacked like the pair's. Each flag is a tuple of one
+    bool per option."""
 
     h_kt: Tensor | None
     h_c_kt: Tensor
     h_c_k: Tensor
     h_qa_k: Tensor
-    kt_identity: bool | tuple
-    ck_identity: bool | tuple
-    qak_identity: bool | tuple
+    kt_identity: tuple
+    ck_identity: tuple
+    qak_identity: tuple
 
 
 @dataclass
@@ -177,8 +176,9 @@ class KktParams:
         return out
 
 
-def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueExample, option_index: int | None, max_len: int, turns=None) -> EncodedPair:
-    """Encode [BOS] turns [SEP] question [SEP] option [EOS] and split the rows.
+def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueExample, max_len: int, turns=None) -> EncodedPair:
+    """Encode [BOS] turns [SEP] question [SEP] option [EOS] of every option
+    of the example, in one encoder call, and split the rows.
 
     H_c holds the turn-token rows and H_qa the question+option rows; the
     four specials and the middle separator belong to neither. When the whole
@@ -186,19 +186,9 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
     (the QA side is never cut) and the context additionally never takes more
     than 75% of the non-special budget.
 
-    `option_index` None encodes every option of the example, in one encoder
-    call, into a pair of several options; `turns` is then None or one entry
-    per option, a list of turn texts or None for the example's turns. An
-    int encodes that one option, over `turns` or the example's turns, into
-    a one-option pair without lengths. Each distinct text is tokenized once.
+    `turns` is None or one entry per option, a list of turn texts or None
+    for the example's turns. Each distinct text is tokenized once.
     """
-    n = len(example.options)
-    if option_index is None:
-        indices, turn_lists = range(n), turns or [None] * n
-    elif 0 <= option_index < n:
-        indices, turn_lists = [option_index], [turns]
-    else:
-        raise IndexError(f"option index {option_index} out of range")
     token_ids = {}
 
     def ids_of(text):
@@ -210,9 +200,9 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
     budget = max_len - 4
     sequences, spans_per, c_rows, qa_rows, c_lengths, qa_lengths = [], [], [], [], [], []
     truncated = False
-    for j, turn_texts in zip(indices, turn_lists):
+    for option, turn_texts in zip(example.options, turns or [None] * len(example.options)):
         turn_ids = [ids_of(t) for t in (example.turns if turn_texts is None else turn_texts)]
-        a_ids = ids_of(example.options[j])
+        a_ids = ids_of(option)
         spans = []
         pos = 0
         for ids in turn_ids:
@@ -245,15 +235,14 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
         spans_per.append(spans)
         c_lengths.append(allowed_c)
         qa_lengths.append(qa_len)
-    hidden = encode(params, *sequences).hidden
-    one = option_index is not None
+    hidden = encode(params, *sequences)
     return EncodedPair(
         h_c=T.take_rows(hidden, c_rows),
         h_qa=T.take_rows(hidden, qa_rows),
-        turn_spans=spans_per[0] if one else spans_per,
+        turn_spans=spans_per,
         truncated=truncated,
-        c_lengths=None if one else tuple(c_lengths),
-        qa_lengths=None if one else tuple(qa_lengths),
+        c_lengths=tuple(c_lengths),
+        qa_lengths=tuple(qa_lengths),
     )
 
 
@@ -262,19 +251,14 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
 
     Each option's context attends over its own key-turn rows and over the
     dialogue's facts `ck`, and its QA rows over its own facts; each of the
-    three is one `mha` call for all options. For a pair of several options
-    `key_turn_indices` and `qak` hold one entry per option, for a one-option
-    pair without lengths that option's entry itself.
+    three is one `mha` call for all options. `key_turn_indices` and `qak`
+    hold one entry per option.
 
     Only the ablation's paths run: without "kt" the key turns are ignored,
     without "k" the facts. Ignored inputs, empty selections and empty fact
     lists fall back to identity (the option's unrefined rows pass through)
     and are flagged as such.
     """
-    one = enc.c_lengths is None
-    if one:
-        key_turn_indices, qak = [key_turn_indices], [qak]
-        enc = EncodedPair(enc.h_c, enc.h_qa, [enc.turn_spans], enc.truncated, (enc.h_c.shape[0],), (enc.h_qa.shape[0],))
     n = len(enc.c_lengths)
     if len(key_turn_indices) != n or len(qak) != n:
         raise ShapeError(f"refine: {n} options but {len(key_turn_indices)} key-turn and {len(qak)} fact lists")
@@ -295,18 +279,15 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
     h_kt = T.take_rows(enc.h_c, [r for rows in kt_rows for r in rows]) if any(kt_rows) else None
     qak_mat = T.stack_rows([f.r_k for facts in qak for f in facts]) if any(qak) else None
     ck_mat = T.stack_rows([f.r_k for f in ck]) if ck else None
-    flags = (tuple(not rows for rows in kt_rows), (not ck,) * n, tuple(not facts for facts in qak))
-    if one:
-        flags = tuple(f[0] for f in flags)
     return RefinedReprs(
         h_kt=h_kt,
         h_c_kt=_attend(params.refine_kt, enc.h_c, enc.c_lengths, h_kt, [len(rows) for rows in kt_rows]),
         # The dialogue's facts are every option's keys: one segment pair of all rows.
         h_c_k=_attend(params.refine_ck, enc.h_c, None, ck_mat, None),
         h_qa_k=_attend(params.refine_qak, enc.h_qa, enc.qa_lengths, qak_mat, [len(facts) for facts in qak]),
-        kt_identity=flags[0],
-        ck_identity=flags[1],
-        qak_identity=flags[2],
+        kt_identity=tuple(not rows for rows in kt_rows),
+        ck_identity=(not ck,) * n,
+        qak_identity=tuple(not facts for facts in qak),
     )
 
 
@@ -329,25 +310,18 @@ def _attend(p: MhaParams, h: Tensor, lengths, keys: Tensor | None, key_lengths) 
     return T.take_rows(T.concat_rows([out, h]), [source.get(r, len(rows) + r) for r in range(starts[-1])])
 
 
-def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor, c_lengths=None, qa_lengths=None) -> Tensor:
+def dual_coattention(p1: MhaParams, p2: MhaParams, h_c: Tensor, h_qa: Tensor, c_lengths, qa_lengths) -> Tensor:
     """Attend context over QA and QA over context; mean-pool and concatenate.
 
-    Per option the output is [mean(mha(h_c, h_qa, h_qa)) ; mean(mha(h_qa,
-    h_c, h_c))], of width 2*d_model, each option's rows attending over its
-    own rows of the other side; one `mha` call per direction. With lengths,
-    h_c and h_qa stack the options' rows and the output is [options,
-    2*d_model]; without, they are one option's rows and the output is one
-    vector.
+    h_c and h_qa stack the options' rows, split by the lengths. Per option
+    the output row is [mean(mha(h_c, h_qa, h_qa)) ; mean(mha(h_qa, h_c,
+    h_c))], of width 2*d_model, each option's rows attending over its own
+    rows of the other side; one `mha` call per direction. The output is
+    [options, 2*d_model].
     """
-    if h_c.shape[0] == 0 or h_qa.shape[0] == 0:
-        raise ShapeError(f"dual_coattention: empty sequence ({h_c.shape} vs {h_qa.shape})")
-    one = c_lengths is None
-    if one:
-        c_lengths, qa_lengths = (h_c.shape[0],), (h_qa.shape[0],)
     m1 = mha(p1, h_c, h_qa, h_qa, c_lengths, qa_lengths)
     m2 = mha(p2, h_qa, h_c, h_c, qa_lengths, c_lengths)
-    pooled = T.concat_last_axis([T.segment_mean(m1, c_lengths), T.segment_mean(m2, qa_lengths)])
-    return T.reshape(pooled, pooled.shape[1:]) if one else pooled
+    return T.concat_last_axis([T.segment_mean(m1, c_lengths), T.segment_mean(m2, qa_lengths)])
 
 
 def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
@@ -356,8 +330,7 @@ def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
     O_o is the co-attention of the plain rows. Each of the ablation's paths
     adds one co-attention over its refined rows; their concatenation goes
     through the fusion affine and is appended to O_o before the decoder.
-    The arguments are those of `refine`; a one-option pair without lengths
-    gives a scalar logit, any other pair one logit per option.
+    The arguments are those of `refine`; the logits are one per option.
     """
     refined = refine(params, enc, key_turn_indices, ck, qak)
     lengths = (enc.c_lengths, enc.qa_lengths)
@@ -367,9 +340,6 @@ def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
         sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
         fused = T.concat_last_axis([dual_coattention(params.duma1, params.duma2, *sides[p], *lengths) for p in paths])
         o = T.concat_last_axis([o, T.affine(fused, params.fusion_w, params.fusion_b)])
-    if o.ndim == 1:
-        return T.dot(params.decoder_w, o), refined
-    # In float64 each row sums the same products in the same order as T.dot.
     logits = T.matmul(o, T.reshape(params.decoder_w, (o.shape[1], 1)))
     return T.reshape(logits, (o.shape[0],)), refined
 
@@ -473,7 +443,7 @@ class KktPipeline:
             # Each option's context is rebuilt from its own selection, all of it key turns.
             turns = [[example.turns[i] for i in chosen] if chosen else None for chosen in selected]
             selected = [tuple(range(len(chosen))) for chosen in selected]
-        enc = encode_pair(self.params.enc, self.tokenizer, example, None, self.max_len, turns=turns)
+        enc = encode_pair(self.params.enc, self.tokenizer, example, self.max_len, turns=turns)
         knowledge = self._needs_knowledge()
         ck = self.context_knowledge(example) if knowledge else []
         qak = [self.qa_knowledge(example, j) if knowledge else [] for j in options]

@@ -6,6 +6,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+# Moment decay rates and the denominator's guard, as in Kingma & Ba (2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam over named parameters.
@@ -15,12 +18,9 @@ class Adam:
     ``t`` counts applied steps.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, warmup_steps=0):
+    def __init__(self, params, lr=1e-3, warmup_steps=0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.warmup_steps = int(warmup_steps)
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -35,7 +35,7 @@ class Adam:
         """Apply one update from the gradients currently on the parameters."""
         lr = self.current_lr()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -48,7 +48,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = p.data - update.astype(p.data.dtype)
 
     def zero_grad(self):

@@ -86,6 +86,8 @@ import math
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+# Added to each row variance in `layer_norm`.
+LAYER_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -611,55 +613,45 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` for ``x`` of rank 1 or 2.
+    """Affine map ``x @ w + b`` of a 2-D ``x``, one output row per input row.
 
     The bias is applied per row; that row-wise add is part of this op's
     contract, not general broadcasting.
     """
     if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
         raise ShapeError(f"affine: weight {w.shape} and bias {b.shape} do not agree")
-    vector_in = x.ndim == 1
-    x2 = x.data[None, :] if vector_in else x.data
-    if x2.ndim != 2 or x2.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: input {x.shape} does not match weight {w.shape}")
-    data = _matmul_data(x2, w.data) + b.data[None, :]
-    if vector_in:
-        data = data[0]
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine: input {x.shape} is not 2-D rows matching weight {w.shape}")
+    data = _matmul_data(x.data, w.data) + b.data[None, :]
 
     def backward(g):
-        g2 = g[None, :] if vector_in else g
-        gx = g2 @ w.data.T
-        return gx[0] if vector_in else gx, x2.T @ g2, g2.sum(axis=0)
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _result(data, (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
-    vector_in = x.ndim == 1
-    x2 = x.data[None, :] if vector_in else x.data
-    if x2.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 1-D or 2-D tensor, got {x.shape}")
-    n = x2.shape[1]
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row of a 2-D tensor to zero mean / unit variance
+    (``LAYER_NORM_EPS`` added to the variance), then scale and shift."""
+    if x.ndim != 2:
+        raise ShapeError(f"layer_norm needs a 2-D tensor, got {x.shape}")
+    n = x.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {n}")
-    mu = x2.mean(axis=1, keepdims=True)
-    var = ((x2 - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x2 - mu) * inv
+    mu = x.data.mean(axis=1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (x.data - mu) * inv
     data = xhat * gain.data[None, :] + bias.data[None, :]
-    if vector_in:
-        data = data[0]
 
     def backward(g):
-        g2 = g[None, :] if vector_in else g
-        gh = g2 * gain.data[None, :]
+        gh = g * gain.data[None, :]
         gx = inv * (
             gh
             - gh.mean(axis=1, keepdims=True)
             - xhat * (gh * xhat).mean(axis=1, keepdims=True)
         )
-        return gx[0] if vector_in else gx, (g2 * xhat).sum(axis=0), g2.sum(axis=0)
+        return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _result(data, (x, gain, bias), backward)
 

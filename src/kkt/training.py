@@ -98,17 +98,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown config fields {unknown}")
         return cls(**obj)
 
-    @classmethod
-    def paper_defaults(cls, **overrides) -> "RunConfig":
-        """The published fine-tuning hyperparameters, kept for documentation.
-
-        They target a very large pre-trained encoder on a GPU cluster; on
-        this desk-scale stand-in they train far too slowly to be useful.
-        """
-        base = {"learning_rate": 1e-5, "batch_size": 1, "epochs": 3, "warmup_steps": 50}
-        base.update(overrides)
-        return cls(**base)
-
 
 def effective_seed(config: RunConfig) -> int:
     env = os.environ.get("KKT_SEED")

@@ -6,10 +6,12 @@ attention from explicit per-head numpy loops, retrieval from a full scan of
 the store, matmul from a bare triple loop. The library must agree with these,
 not the other way around. The exceptions are `chain_mha` and
 `chain_mha_segments`, which build attention from the library's smaller ops
-as the reference for the fused op, and `per_option_predict`, which runs the
-model's one-option calls as the reference for the all-options pass.
+as the reference for the fused op, and `per_option_predict`, which runs
+each option alone through the model as the reference for the all-options
+pass.
 """
 
+import copy
 import math
 import struct
 
@@ -196,28 +198,37 @@ def chain_mha_segments(params, q_seq, k_seq, v_seq, lengths, key_lengths=None):
     return outs
 
 
+def one_option(example, j):
+    """A copy of the example holding option j alone. `kkt.model` reads no
+    other field that depends on the option count, so the copy runs option j
+    through the stacked code as a stack of one."""
+    alone = copy.copy(example)
+    alone.options = [example.options[j]]
+    return alone
+
+
 def per_option_predict(pipe, example):
     """`KktPipeline.predict` as an option loop: each option encoded, refined,
-    fused and decoded alone through the one-option calls of `kkt.model`,
-    the logits then stacked. The reference for the all-options pass."""
+    fused and decoded alone, as a one-option example, the logits then
+    stacked. The reference for the all-options pass."""
     pipe.prepare_knowledge([example])
     logits, flags, truncated = [], [], False
     for j in range(len(example.options)):
         selected = pipe.provider.select(example, example.qa_text(j), pipe.k) if pipe._needs_key_turns() else ()
         turns = None
         if pipe.ablation == "keyturns-only" and selected:
-            turns = [example.turns[i] for i in selected]
-            selected = tuple(range(len(turns)))
-        enc = model.encode_pair(pipe.params.enc, pipe.tokenizer, example, j, pipe.max_len, turns=turns)
+            turns = [[example.turns[i] for i in selected]]
+            selected = tuple(range(len(selected)))
+        enc = model.encode_pair(pipe.params.enc, pipe.tokenizer, one_option(example, j), pipe.max_len, turns=turns)
         knowledge = pipe._needs_knowledge()
         ck = pipe.context_knowledge(example) if knowledge else []
         qak = pipe.qa_knowledge(example, j) if knowledge else []
-        logit, refined = model.forward(pipe.params, enc, selected, ck, qak)
+        logit, refined = model.forward(pipe.params, enc, [selected], ck, [qak])
         logits.append(logit)
         truncated = truncated or enc.truncated
-        flags.append({"kt_identity": refined.kt_identity, "ck_identity": refined.ck_identity,
-                      "qak_identity": refined.qak_identity})
-    vec = T.concat_last_axis([T.reshape(x, (1,)) for x in logits])
+        flags.append({"kt_identity": refined.kt_identity[0], "ck_identity": refined.ck_identity[0],
+                      "qak_identity": refined.qak_identity[0]})
+    vec = T.concat_last_axis(logits)
     return model.PredictResult(predicted=int(np.argmax(vec.data)), logits=vec.data.copy(),
                                loss=T.cross_entropy_from_logits(vec, example.gold), truncated=truncated, flags=flags)
 
@@ -241,9 +252,10 @@ def mha_arrays(params):
 
 
 def naive_duma(p1, p2, h_c, h_qa):
+    """One option's co-attention output, a [1, 2 * d_model] row."""
     m1, _ = naive_mha(*mha_arrays(p1), h_c, h_qa, h_qa)
     m2, _ = naive_mha(*mha_arrays(p2), h_qa, h_c, h_c)
-    return np.concatenate([m1.mean(axis=0), m2.mean(axis=0)])
+    return np.concatenate([m1.mean(axis=0), m2.mean(axis=0)])[None]
 
 
 def naive_refine(params, h_c, h_qa, spans, key_turns, ck_rows, qak_rows):

@@ -69,7 +69,7 @@ def _extra_fd_cases(seed):
         "cross_entropy": (lambda: T.cross_entropy_from_logits(logits, 1), [logits]),
         "mha": (lambda: T.sum_all(mha(p, h_c, h_qa, h_qa)), mha_leaves),
         "self_attention": (lambda: T.sum_all(self_attention(p, h_c)), [h_c, p.wq, p.wk, p.wv]),
-        "dual_coattention": (lambda: T.sum_all(dual_coattention(p, p2, h_c, h_qa)), duma_leaves),
+        "dual_coattention": (lambda: T.sum_all(dual_coattention(p, p2, h_c, h_qa, (4,), (2,))), duma_leaves),
     }
 
 
@@ -176,7 +176,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         nc, nqa = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         p1, p2 = rand_mha(d, h), rand_mha(d, h)
         h_c, h_qa = rng.standard_normal((nc, d)), rng.standard_normal((nqa, d))
-        got = dual_coattention(p1, p2, T.Tensor(h_c), T.Tensor(h_qa)).data
+        got = dual_coattention(p1, p2, T.Tensor(h_c), T.Tensor(h_qa), (nc,), (nqa,)).data
         want = helpers.naive_duma(p1, p2, h_c, h_qa)
         worst = max(worst, float(np.max(np.abs(got - want))))
         count += 1
@@ -187,16 +187,21 @@ def test_criterion_2_oracle_equivalence(capsys):
         nc = int(rng.integers(2, 9))
         cut = int(rng.integers(1, nc))
         spans = [(0, cut), (cut, nc)]
+        # Draws in this order: context rows, QA row count, QA rows.
+        h_c = T.Tensor(rng.standard_normal((nc, d)))
+        nqa = int(rng.integers(1, 9))
         enc = EncodedPair(
-            h_c=T.Tensor(rng.standard_normal((nc, d))),
-            h_qa=T.Tensor(rng.standard_normal((int(rng.integers(1, 9)), d))),
-            turn_spans=spans,
+            h_c=h_c,
+            h_qa=T.Tensor(rng.standard_normal((nqa, d))),
+            turn_spans=[spans],
             truncated=False,
+            c_lengths=(nc,),
+            qa_lengths=(nqa,),
         )
         key_turns = tuple(t for t in range(2) if rng.random() < 0.7)
         ck = [fake_fact(rng.standard_normal(d)) for _ in range(int(rng.integers(0, 3)))]
         qak = [fake_fact(rng.standard_normal(d)) for _ in range(int(rng.integers(0, 3)))]
-        got = refine(params, enc, key_turns, ck, qak)
+        got = refine(params, enc, [key_turns], ck, [qak])
         ck_rows = np.array([f.r_k.data for f in ck]).reshape(len(ck), d)
         qak_rows = np.array([f.r_k.data for f in qak]).reshape(len(qak), d)
         _, h_c_kt, h_c_k, h_qa_k = helpers.naive_refine(

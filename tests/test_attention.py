@@ -129,7 +129,7 @@ def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
         params = enc.named_parameters("enc")
         for t in params.values():
             t.grad = None
-        T.sum_all(T.mul(encode(enc, ids).hidden, weight)).backward()
+        T.sum_all(T.mul(encode(enc, ids), weight)).backward()
         return {name: t.grad.tobytes() for name, t in params.items() if t.grad is not None}
 
     got = leaf_grads()
@@ -345,18 +345,17 @@ def test_self_attention_matches_naive_oracle():
 
 def test_encode_minimal_sequence_shapes():
     enc = tiny_encoder()
-    res = encode(enc, [2, 4])  # [BOS, EOS]
-    assert res.hidden.shape == (2, 8)
-    assert pool(enc, res.hidden).shape == (8,)
-    assert not res.truncated
+    hidden = encode(enc, [2, 4])  # [BOS, EOS]
+    assert hidden.shape == (2, 8)
+    assert pool(enc, hidden).shape == (1, 8)
 
 
 def test_encode_deterministic():
     enc = tiny_encoder()
     a = encode(enc, [2, 7, 9, 4])
     b = encode(enc, [2, 7, 9, 4])
-    assert np.array_equal(a.hidden.data, b.hidden.data)
-    assert np.array_equal(pool(enc, a.hidden).data, pool(enc, b.hidden).data)
+    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(pool(enc, a).data, pool(enc, b).data)
 
 
 def test_encode_pooled_within_tanh_range():
@@ -365,7 +364,7 @@ def test_encode_pooled_within_tanh_range():
     for _ in range(100):
         n = int(rng.integers(1, 16))
         ids = rng.integers(0, 12, size=n).tolist()
-        pooled = pool(enc, encode(enc, ids).hidden).data
+        pooled = pool(enc, encode(enc, ids)).data
         assert np.all(pooled > -1.0) and np.all(pooled < 1.0)
 
 
@@ -377,11 +376,14 @@ def test_encode_rejects_out_of_range_ids():
         encode(enc, [-1])
 
 
-def test_encode_truncates_overlength_with_flag():
+def test_encode_rejects_overlength_sequences():
+    # A cut sequence would shift the rows of the ones stacked after it.
     enc = tiny_encoder(max_len=8)
-    res = encode(enc, list(range(10)) + [2, 4])
-    assert res.truncated
-    assert res.hidden.shape == (8, 8)
+    assert encode(enc, list(range(8))).shape == (8, 8)
+    with pytest.raises(T.ShapeError, match="positions"):
+        encode(enc, list(range(10)) + [2, 4])
+    with pytest.raises(T.ShapeError, match="positions"):
+        encode(enc, [2, 4], list(range(9)))
 
 
 def test_encode_output_rows_match_input_length():
@@ -389,7 +391,7 @@ def test_encode_output_rows_match_input_length():
     enc = tiny_encoder()
     for n in (1, 3, 11):
         ids = rng.integers(0, 12, size=n).tolist()
-        assert encode(enc, ids).hidden.shape == (n, 8)
+        assert encode(enc, ids).shape == (n, 8)
 
 
 def test_encoder_parameter_names():
@@ -422,13 +424,16 @@ sequences = st.lists(st.lists(st.integers(min_value=0, max_value=11), min_size=1
 def test_stacked_encoding_equals_encoding_each_sequence_bit_for_bit(seqs, h, layers, max_len):
     enc = tiny_encoder(d=4, h=h, layers=layers, max_len=max_len, seed=len(seqs))
     sa = MhaParams.init(4, h, np.random.default_rng(h))
+    if any(len(s) > max_len for s in seqs):
+        with pytest.raises(T.ShapeError):
+            encode(enc, *seqs)
+        return
     stacked = encode(enc, *seqs)
-    assert stacked.lengths == tuple(min(len(s), max_len) for s in seqs)
-    assert stacked.truncated == any(len(s) > max_len for s in seqs)
-    pooled = T.segment_mean(self_attention(sa, stacked.hidden, stacked.lengths), stacked.lengths).data
-    rows = np.split(stacked.hidden.data, np.cumsum(stacked.lengths)[:-1])
+    lengths = [len(s) for s in seqs]
+    pooled = T.segment_mean(self_attention(sa, stacked, lengths), lengths).data
+    rows = np.split(stacked.data, np.cumsum(lengths)[:-1])
     for j, ids in enumerate(seqs):
-        alone = encode(enc, ids).hidden
+        alone = encode(enc, ids)
         assert rows[j].tobytes() == alone.data.tobytes()
         assert pooled[j].tobytes() == T.mean_rows(self_attention(sa, alone)).data.tobytes()
 
@@ -451,10 +456,10 @@ def test_one_stacked_sequence_has_the_gradients_of_the_unsegmented_ops(ids, h, s
         return [r.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in leaves]
 
     def segmented():
-        res = encode(enc, ids)
-        return T.reshape(T.segment_mean(self_attention(sa, res.hidden, res.lengths), res.lengths), (6,))
+        lengths = [len(ids)]
+        return T.reshape(T.segment_mean(self_attention(sa, encode(enc, ids), lengths), lengths), (6,))
 
-    assert grads(segmented) == grads(lambda: T.mean_rows(self_attention(sa, encode(enc, ids).hidden)))
+    assert grads(segmented) == grads(lambda: T.mean_rows(self_attention(sa, encode(enc, ids))))
 
 
 def test_encode_needs_a_sequence():

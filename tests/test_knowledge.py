@@ -276,7 +276,7 @@ def test_encode_fact_single_token_identity_sa():
     sa = MhaParams(wq=eye, wk=eye, wv=eye)
     fe = FactEncoder(tk, enc, sa)
     r = fe.encode_fact(Fact(text="bike", source=None))
-    hidden = encode(enc, tk.encode("bike")).hidden.data
+    hidden = encode(enc, tk.encode("bike")).data
     assert np.allclose(r.data, hidden[0], atol=1e-12)
 
 
@@ -291,7 +291,7 @@ def test_encode_fact_matches_step_by_step_oracle():
     tk, enc, sa, fe = fact_encoder_fixture(seed=3)
     fact = Fact(text="virus causes disease", source=None)
     got = fe.encode_fact(fact).data
-    hidden = encode(enc, tk.encode(fact.text)).hidden.data
+    hidden = encode(enc, tk.encode(fact.text)).data
     attended, _ = helpers.naive_mha(*helpers.mha_arrays(sa), hidden, hidden, hidden)
     assert np.max(np.abs(got - attended.mean(axis=0))) < 1e-10
 

@@ -83,18 +83,19 @@ def test_example_id_and_qa_text():
 def test_encode_pair_spans_round_trip():
     tk, params = small_setup()
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
-    enc = encode_pair(params.enc, tk, ex, 0, 64)
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
+    spans, = enc.turn_spans
     c_ids = [i for t in ex.turns for i in tk.encode(t)]
-    for turn, (s, e) in zip(ex.turns, enc.turn_spans):
+    for turn, (s, e) in zip(ex.turns, spans):
         assert c_ids[s:e] == tk.encode(turn)
-    assert enc.turn_spans[0][0] == 0
-    assert enc.turn_spans[-1][1] == enc.h_c.shape[0]
+    assert spans[0][0] == 0
+    assert spans[-1][1] == enc.h_c.shape[0]
 
 
 def test_encode_pair_partition_counts():
     tk, params = small_setup()
     ex = make_example(["m : the bike is on the street ."])
-    enc = encode_pair(params.enc, tk, ex, 0, 64)
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
     n_c = len(tk.encode(ex.turns[0]))
     n_qa = len(tk.encode(ex.question)) + len(tk.encode(ex.options[0]))
     total = n_c + n_qa + 4  # BOS, two SEPs, EOS
@@ -107,8 +108,8 @@ def test_encode_pair_partition_counts():
 def test_encode_pair_deterministic():
     tk, params = small_setup()
     ex = make_example(["m : the bike is on the street ."])
-    a = encode_pair(params.enc, tk, ex, 0, 64)
-    b = encode_pair(params.enc, tk, ex, 0, 64)
+    a = encode_pair(params.enc, tk, ex, 64)
+    b = encode_pair(params.enc, tk, ex, 64)
     assert np.array_equal(a.h_c.data, b.h_c.data)
     assert np.array_equal(a.h_qa.data, b.h_qa.data)
 
@@ -117,14 +118,15 @@ def test_encode_pair_truncates_context_from_front():
     long_turn = "m : " + "street " * 30
     tk, params = small_setup(texts=[long_turn])
     ex = make_example([long_turn, "w : we could walk to the shed ."])
-    enc = encode_pair(params.enc, tk, ex, 0, 32)
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 32)
+    spans, = enc.turn_spans
     assert enc.truncated
     # QA side is untouched by truncation.
     n_qa = len(tk.encode(ex.question)) + len(tk.encode(ex.options[0]))
     assert enc.h_qa.shape[0] == n_qa
     # Front turns collapse to empty clipped spans, the tail span survives.
-    assert enc.turn_spans[0] == (0, 0) or enc.turn_spans[0][1] < enc.turn_spans[1][1]
-    assert enc.turn_spans[-1][1] == enc.h_c.shape[0]
+    assert spans[0] == (0, 0) or spans[0][1] < spans[1][1]
+    assert spans[-1][1] == enc.h_c.shape[0]
 
 
 def test_encode_pair_context_capped_at_three_quarters():
@@ -132,7 +134,7 @@ def test_encode_pair_context_capped_at_three_quarters():
     tk, params = small_setup(texts=[long_turn])
     ex = make_example([long_turn])
     max_len = 40
-    enc = encode_pair(params.enc, tk, ex, 0, max_len)
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), max_len)
     assert enc.h_c.shape[0] == int((max_len - 4) * 0.75)
 
 
@@ -140,17 +142,17 @@ def test_encode_pair_oversize_qa_rejected():
     tk, params = small_setup(texts=["street " * 40])
     ex = make_example(["m : hi there"], question="street " * 40)
     with pytest.raises(ValueError):
-        encode_pair(params.enc, tk, ex, 0, 32)
+        encode_pair(params.enc, tk, helpers.one_option(ex, 0), 32)
 
 
 def test_encode_pair_all_options_stack_each_options_rows():
     tk, params = small_setup()
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
-    stacked = encode_pair(params.enc, tk, ex, None, 64)
-    alone = [encode_pair(params.enc, tk, ex, j, 64) for j in range(3)]
+    stacked = encode_pair(params.enc, tk, ex, 64)
+    alone = [encode_pair(params.enc, tk, helpers.one_option(ex, j), 64) for j in range(3)]
     assert stacked.c_lengths == tuple(a.h_c.shape[0] for a in alone)
     assert stacked.qa_lengths == tuple(a.h_qa.shape[0] for a in alone)
-    assert stacked.turn_spans == [a.turn_spans for a in alone]
+    assert stacked.turn_spans == [a.turn_spans[0] for a in alone]
     assert stacked.h_c.data.tobytes() == np.concatenate([a.h_c.data for a in alone]).tobytes()
     assert stacked.h_qa.data.tobytes() == np.concatenate([a.h_qa.data for a in alone]).tobytes()
 
@@ -160,22 +162,15 @@ def test_encode_pair_rejects_inputs_past_the_position_table():
     tk, params = small_setup()
     ex = make_example(["m : " + "the bike is on the street . " * 12])
     with pytest.raises(ConfigurationError, match="positions"):
-        encode_pair(params.enc, tk, ex, None, 128)
+        encode_pair(params.enc, tk, ex, 128)
 
 
 def test_refine_needs_one_entry_per_option():
     tk, params = small_setup()
     ex = make_example(["m : the bike is on the street ."])
-    enc = encode_pair(params.enc, tk, ex, None, 64)
+    enc = encode_pair(params.enc, tk, ex, 64)
     with pytest.raises(T.ShapeError):
         refine(params, enc, [(0,), (0,)], [], [[], [], []])
-
-
-def test_encode_pair_option_index_checked():
-    tk, params = small_setup()
-    ex = make_example(["m : hi there"])
-    with pytest.raises(IndexError):
-        encode_pair(params.enc, tk, ex, 5, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +180,10 @@ def random_pair(rng, d=8, n_c=5, n_qa=3, spans=((0, 2), (2, 5))):
     return EncodedPair(
         h_c=T.Tensor(rng.standard_normal((n_c, d))),
         h_qa=T.Tensor(rng.standard_normal((n_qa, d))),
-        turn_spans=list(spans),
+        turn_spans=[list(spans)],
         truncated=False,
+        c_lengths=(n_c,),
+        qa_lengths=(n_qa,),
     )
 
 
@@ -197,7 +194,7 @@ def test_refine_single_fact_identity_projections():
     params.refine_ck = MhaParams(wq=eye, wk=eye, wv=eye)
     enc = random_pair(rng)
     fact = fake_fact(rng.standard_normal(8))
-    out = refine(params, enc, (), [fact], [])
+    out = refine(params, enc, [()], [fact], [[]])
     # One key: attention weights are all 1, every row becomes the fact vector.
     assert np.allclose(out.h_c_k.data, np.tile(fact.r_k.data, (5, 1)), atol=1e-12)
 
@@ -206,7 +203,7 @@ def test_refine_full_selection_recovers_h_c():
     rng = np.random.default_rng(1)
     tk, params = small_setup()
     enc = random_pair(rng)
-    out = refine(params, enc, (0, 1), [], [])
+    out = refine(params, enc, [(0, 1)], [], [[]])
     assert np.array_equal(out.h_kt.data, enc.h_c.data)
 
 
@@ -214,8 +211,8 @@ def test_refine_empty_inputs_fall_back_to_identity():
     rng = np.random.default_rng(2)
     tk, params = small_setup()
     enc = random_pair(rng)
-    out = refine(params, enc, (), [], [])
-    assert out.kt_identity and out.ck_identity and out.qak_identity
+    out = refine(params, enc, [()], [], [[]])
+    assert out.kt_identity == out.ck_identity == out.qak_identity == (True,)
     assert out.h_kt is None
     assert out.h_c_kt is enc.h_c
     assert out.h_c_k is enc.h_c
@@ -226,7 +223,7 @@ def test_refine_bad_turn_index():
     rng = np.random.default_rng(3)
     tk, params = small_setup()
     with pytest.raises(IndexError):
-        refine(params, random_pair(rng), (7,), [], [])
+        refine(params, random_pair(rng), [(7,)], [], [[]])
 
 
 def test_refine_matches_naive_oracle():
@@ -237,11 +234,11 @@ def test_refine_matches_naive_oracle():
         key_turns = tuple(i for i in range(2) if rng.random() < 0.7)
         ck = [fake_fact(rng.standard_normal(8)) for _ in range(int(rng.integers(0, 3)))]
         qak = [fake_fact(rng.standard_normal(8)) for _ in range(int(rng.integers(0, 3)))]
-        got = refine(params, enc, key_turns, ck, qak)
+        got = refine(params, enc, [key_turns], ck, [qak])
         ck_rows = np.array([f.r_k.data for f in ck]).reshape(len(ck), 8)
         qak_rows = np.array([f.r_k.data for f in qak]).reshape(len(qak), 8)
         h_kt, h_c_kt, h_c_k, h_qa_k = helpers.naive_refine(
-            params, enc.h_c.data, enc.h_qa.data, enc.turn_spans, key_turns, ck_rows, qak_rows
+            params, enc.h_c.data, enc.h_qa.data, enc.turn_spans[0], key_turns, ck_rows, qak_rows
         )
         assert np.max(np.abs(got.h_c_kt.data - h_c_kt)) < 1e-10
         assert np.max(np.abs(got.h_c_k.data - h_c_k)) < 1e-10
@@ -258,8 +255,8 @@ def test_duma_single_token_swaps_sides():
     y = np.array([[2.0, 0.5]])
     eye = T.Tensor(np.eye(2)[None])
     p = MhaParams(wq=eye, wk=eye, wv=eye)
-    out = dual_coattention(p, p, T.Tensor(x), T.Tensor(y))
-    assert np.allclose(out.data, np.concatenate([y[0], x[0]]), atol=1e-12)
+    out = dual_coattention(p, p, T.Tensor(x), T.Tensor(y), (1,), (1,))
+    assert np.allclose(out.data, np.concatenate([y, x], axis=1), atol=1e-12)
 
 
 def test_duma_output_width_for_random_shapes():
@@ -269,9 +266,9 @@ def test_duma_output_width_for_random_shapes():
         n_c, n_qa = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         out = dual_coattention(
             params.duma1, params.duma2,
-            T.Tensor(rng.standard_normal((n_c, 8))), T.Tensor(rng.standard_normal((n_qa, 8))),
+            T.Tensor(rng.standard_normal((n_c, 8))), T.Tensor(rng.standard_normal((n_qa, 8))), (n_c,), (n_qa,),
         )
-        assert out.shape == (16,)
+        assert out.shape == (1, 16)
 
 
 def test_duma_matches_naive_oracle():
@@ -280,7 +277,7 @@ def test_duma_matches_naive_oracle():
     for _ in range(20):
         h_c = rng.standard_normal((int(rng.integers(1, 8)), 8))
         h_qa = rng.standard_normal((int(rng.integers(1, 8)), 8))
-        got = dual_coattention(params.duma1, params.duma2, T.Tensor(h_c), T.Tensor(h_qa)).data
+        got = dual_coattention(params.duma1, params.duma2, T.Tensor(h_c), T.Tensor(h_qa), (len(h_c),), (len(h_qa),)).data
         want = helpers.naive_duma(params.duma1, params.duma2, h_c, h_qa)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -288,7 +285,7 @@ def test_duma_matches_naive_oracle():
 def test_duma_rejects_empty_sequences():
     tk, params = small_setup()
     with pytest.raises(T.ShapeError):
-        dual_coattention(params.duma1, params.duma2, T.Tensor(np.zeros((0, 8))), T.Tensor(np.zeros((1, 8))))
+        dual_coattention(params.duma1, params.duma2, T.Tensor(np.zeros((0, 8))), T.Tensor(np.zeros((1, 8))), (0,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +296,11 @@ def test_forward_finite_scalar_all_ablations():
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
     for ablation in ABLATIONS:
         tk, params = small_setup(seed=8, ablation=ablation)
-        enc = encode_pair(params.enc, tk, ex, 0, 64)
+        enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
         ck = [fake_fact(rng.standard_normal(8))]
-        logit, _ = forward(params, enc, (0,), ck, ck)
-        assert logit.shape == ()
-        assert np.isfinite(logit.item())
+        logit, _ = forward(params, enc, [(0,)], ck, [ck])
+        assert logit.shape == (1,)
+        assert np.isfinite(logit.data[0])
 
 
 def test_forward_decoder_gradient_is_fused_output():
@@ -312,9 +309,9 @@ def test_forward_decoder_gradient_is_fused_output():
     ex = make_example(["m : the bike is on the street ."])
 
     def loss_fn():
-        enc = encode_pair(params.enc, tk, ex, 0, 64)
-        logit, _ = forward(params, enc, (0,), [], [])
-        return logit
+        enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
+        logit, _ = forward(params, enc, [(0,)], [], [[]])
+        return T.reshape(logit, ())
 
     worst = helpers.gradcheck(loss_fn, [params.decoder_w])
     assert worst < 1e-8
@@ -325,11 +322,12 @@ def test_forward_empty_knowledge_equals_baseline_path():
     # onto the plain DUMA of (H_c, H_QA), bit for bit.
     tk, params = small_setup(seed=10)
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
-    enc = encode_pair(params.enc, tk, ex, 0, 64)
-    refined = refine(params, enc, (0, 1), [], [])
-    assert refined.ck_identity and refined.qak_identity
-    o_k = dual_coattention(params.duma1, params.duma2, refined.h_c_k, refined.h_qa_k)
-    o_o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa)
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
+    refined = refine(params, enc, [(0, 1)], [], [[]])
+    assert refined.ck_identity == refined.qak_identity == (True,)
+    lengths = (enc.c_lengths, enc.qa_lengths)
+    o_k = dual_coattention(params.duma1, params.duma2, refined.h_c_k, refined.h_qa_k, *lengths)
+    o_o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa, *lengths)
     assert np.array_equal(o_k.data, o_o.data)
 
 
@@ -421,9 +419,9 @@ def test_missing_path_ignores_its_inputs():
     fact = fake_fact(rng.standard_normal(8))
     for ablation in ABLATIONS:
         paths = PATHS[ablation]
-        out = refine(small_setup(ablation=ablation)[1], enc, (0,), [fact], [fact])
-        assert out.kt_identity == ("kt" not in paths)
-        assert out.ck_identity == out.qak_identity == ("k" not in paths)
+        out = refine(small_setup(ablation=ablation)[1], enc, [(0,)], [fact], [[fact]])
+        assert out.kt_identity == ("kt" not in paths,)
+        assert out.ck_identity == out.qak_identity == ("k" not in paths,)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +549,9 @@ def test_keyturns_only_rebuilds_context_from_selection():
     pipe = KktPipeline(params, tk, provider=LeadingProvider(), k=1, p=2, max_len=64)
     got = pipe.predict(ex).logits[0]
     # Manual replica: context is just the first turn, fully selected.
-    enc = encode_pair(params.enc, tk, ex, 0, 64, turns=[ex.turns[0]])
-    want, _ = forward(params, enc, (0,), [], [])
-    assert got == want.item()
+    enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64, turns=[[ex.turns[0]]])
+    want, _ = forward(params, enc, [(0,)], [], [[]])
+    assert got == want.data[0]
 
 
 # ---------------------------------------------------------------------------

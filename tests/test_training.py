@@ -105,15 +105,6 @@ def test_config_accepts_range_boundaries():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def test_paper_defaults_preset():
-    cfg = RunConfig.paper_defaults()
-    assert cfg.learning_rate == 1e-5
-    assert cfg.batch_size == 1
-    assert cfg.epochs == 3
-    assert cfg.warmup_steps == 50
-    assert RunConfig.paper_defaults(epochs=9).epochs == 9
-
-
 # ---------------------------------------------------------- seed/fingerprint
 
 
