@@ -40,7 +40,8 @@ dialogue = [
     "w : the blue signal maybe",
 ]
 qa = "the signal matters"
-turn_scores = [score_turn(head, vocab, t, qa) for t in dialogue]
+# One call scores every (turn, QA) pair, in one encoder pass over the stack.
+turn_scores = score_turn(head, vocab, [(t, qa) for t in dialogue])
 for t, s in zip(dialogue, turn_scores):
     print(f"  {s:8.4f}  {t}")
 best = select_key_turns(turn_scores, k=1)

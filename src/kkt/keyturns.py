@@ -5,6 +5,8 @@ small encoder with a 3-class output (contradiction, entailment, neutral);
 the entailment log-probability is the relevance score, so scores are always
 <= 0. The k highest-scoring turns become the key turns, re-emitted in
 dialogue order so downstream extraction preserves discourse order.
+`score_turn` scores a list of pairs in one stacked encoder pass; the NLI
+provider scores all uncached pairs of an example, every option's, in one call.
 
 Every provider selects through that one rule, `select_key_turns`: the NLI
 provider with the entailment scores, the leading provider with equal scores
@@ -23,6 +25,8 @@ from .optim import Adam
 from .tokenizer import Tokenizer
 
 CONTRADICTION, ENTAILMENT, NEUTRAL = 0, 1, 2
+# Records per stacked pass of `train_nli_head`'s accuracy check, which bounds its memory.
+NLI_CHUNK = 32
 
 
 @dataclass
@@ -48,13 +52,13 @@ class NliHead:
         return out
 
 
-def pool(enc: EncoderParams, hidden: T.Tensor) -> T.Tensor:
-    """Sentence vector tanh(affine(h[0])) over the encoder's pooler weights,
-    as a [1, d_model] row."""
-    return T.tanh(T.affine(T.take_rows(hidden, [0]), enc.pooler_w, enc.pooler_b))
+def pool(enc: EncoderParams, hidden: T.Tensor, starts=(0,)) -> T.Tensor:
+    """Sentence vectors tanh(affine(h[s])) over the encoder's pooler weights,
+    one [len(starts), d_model] row per start row of a stacked sequence."""
+    return T.tanh(T.affine(T.take_rows(hidden, starts), enc.pooler_w, enc.pooler_b))
 
 
-def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> T.Tensor:
+def _nli_ids(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> list:
     ids = (
         [tokenizer.bos_id]
         + tokenizer.encode(premise)
@@ -65,22 +69,32 @@ def _nli_logits(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: s
     if len(ids) > head.enc.max_len:
         raise ConfigurationError(f"NLI pair ({premise!r}, {hypothesis!r}) has {len(ids)} tokens, more than the "
                                  f"scorer encoder's {head.enc.max_len} positions (max_length)")
-    return T.reshape(T.affine(pool(head.enc, encode(head.enc, ids)), head.out_w, head.out_b), (3,))
+    return ids
 
 
-def score_turn(head: NliHead, tokenizer: Tokenizer, turn_text: str, qa_text: str) -> float:
-    """Entailment log-probability of the (turn, question+option) pair.
+def _nli_logits(head: NliHead, sequences) -> T.Tensor:
+    """[n, 3] logits of n `_nli_ids` sequences, encoded in one stacked pass."""
+    starts = np.cumsum([0] + [len(ids) for ids in sequences[:-1]])
+    return T.affine(pool(head.enc, encode(head.enc, *sequences), starts), head.out_w, head.out_b)
 
-    A plain float, computed under `T.no_grad()`: scoring builds no graph.
-    A pair longer than the scorer's position table raises
+
+def score_turn(head: NliHead, tokenizer: Tokenizer, pairs) -> tuple:
+    """Entailment log-probability of each (turn, question+option) pair.
+
+    One plain float per pair, in order, from one encoder pass over all the
+    pairs under `T.no_grad()`: scoring builds no graph. Each score has the
+    bits of scoring its pair alone in float64 (and agrees to rounding in
+    float32). Every pair is checked before any is encoded: empty text
+    raises `ValueError`, and a pair longer than the scorer's position table
     `ConfigurationError`, as does such a record in `train_nli_head`.
     """
-    if not turn_text.strip() or not qa_text.strip():
+    if any(not turn.strip() or not qa.strip() for turn, qa in pairs):
         raise ValueError("score_turn: turn and QA text must be non-empty")
+    sequences = [_nli_ids(head, tokenizer, turn, qa) for turn, qa in pairs]
     with T.no_grad():
-        logits = _nli_logits(head, tokenizer, turn_text, qa_text)
-        # log softmax(logits)[ENTAILMENT] is exactly minus the cross entropy.
-        return -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
+        logits = _nli_logits(head, sequences)
+        # log softmax(row)[ENTAILMENT] is exactly minus the row's cross entropy.
+        return tuple(-T.cross_entropy_from_logits(T.Tensor(row), ENTAILMENT).item() for row in logits.data)
 
 
 def select_key_turns(scores, k: int) -> tuple:
@@ -105,6 +119,8 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
     for rec in records:
         if rec["label"] not in (0, 1, 2):
             raise ValueError(f"NLI label must be 0, 1 or 2, got {rec['label']!r}")
+    # Every record is tokenized and length-checked before the first step.
+    sequences = [_nli_ids(head, tokenizer, rec["premise"], rec["hypothesis"]) for rec in records]
     params = head.named_parameters()
     opt = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
@@ -113,22 +129,18 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
         order = rng.permutation(len(records))
         total = 0.0
         for i in order:
-            rec = records[int(i)]
-            logits = _nli_logits(head, tokenizer, rec["premise"], rec["hypothesis"])
-            loss = T.cross_entropy_from_logits(logits, rec["label"])
+            logits = T.reshape(_nli_logits(head, [sequences[int(i)]]), (3,))
+            loss = T.cross_entropy_from_logits(logits, records[int(i)]["label"])
             opt.zero_grad()
             loss.backward()
             opt.step()
             total += loss.item()
         losses.append(total / max(len(records), 1))
-    correct = 0
     with T.no_grad():
-        for rec in records:
-            logits = _nli_logits(head, tokenizer, rec["premise"], rec["hypothesis"])
-            if int(np.argmax(logits.data)) == rec["label"]:
-                correct += 1
-    accuracy = correct / len(records) if records else 0.0
-    return {"epochs": epochs, "loss_curve": losses, "train_accuracy": accuracy, "n": len(records)}
+        rows = [row for i in range(0, len(records), NLI_CHUNK)
+                for row in _nli_logits(head, sequences[i : i + NLI_CHUNK]).data]
+    correct = sum(int(np.argmax(row)) == rec["label"] for row, rec in zip(rows, records))
+    return {"epochs": epochs, "loss_curve": losses, "train_accuracy": correct / max(len(records), 1), "n": len(records)}
 
 
 class NliProvider:
@@ -136,7 +148,9 @@ class NliProvider:
 
     Score lists are cached by content (turns, QA text): the head is frozen
     while the provider serves, so equal inputs always score equally, and a
-    second epoch or another k reuses the scores.
+    second epoch or another k reuses the scores. A miss scores the turns
+    against the asked QA text and every option's QA text not yet cached,
+    all in one `score_turn` call, so the example's other options hit.
     """
 
     def __init__(self, head: NliHead, tokenizer: Tokenizer):
@@ -146,10 +160,14 @@ class NliProvider:
 
     def scores(self, example, qa_text: str) -> tuple:
         """The entailment log-probability of every turn, in dialogue order."""
-        key = (tuple(example.turns), qa_text)
-        if key not in self._cache:
-            self._cache[key] = tuple(score_turn(self.head, self.tokenizer, turn, qa_text) for turn in example.turns)
-        return self._cache[key]
+        turns = tuple(example.turns)
+        if (turns, qa_text) not in self._cache:
+            asked = [qa_text] + [example.qa_text(j) for j in range(len(example.options))]
+            qas = [qa for qa in dict.fromkeys(asked) if (turns, qa) not in self._cache]
+            flat = score_turn(self.head, self.tokenizer, [(turn, qa) for qa in qas for turn in turns])
+            for i, qa in enumerate(qas):
+                self._cache[turns, qa] = flat[i * len(turns) : (i + 1) * len(turns)]
+        return self._cache[turns, qa_text]
 
     def select(self, example, qa_text: str, k: int) -> tuple:
         return select_key_turns(self.scores(example, qa_text), k)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kkt import keyturns
-from kkt.attention import ConfigurationError
+from kkt import tensor as T
+from kkt.attention import ConfigurationError, encode
 from kkt.keyturns import (
     CONTRADICTION,
     ENTAILMENT,
@@ -52,7 +53,7 @@ def test_score_turn_uniform_logits_is_ln_third():
     head = make_head(tk)
     head.out_w.data[:] = 0.0
     head.out_b.data[:] = 0.0
-    score = score_turn(head, tk, "m : hello there", "what happened ? nothing")
+    (score,) = score_turn(head, tk, [("m : hello there", "what happened ? nothing")])
     assert abs(score - math.log(1.0 / 3.0)) < 1e-12
 
 
@@ -60,16 +61,16 @@ def test_score_turn_is_log_probability():
     tk = Tokenizer.build(["m : hello", "w : goodbye", "what was said ? hello"])
     head = make_head(tk, seed=3)
     for turn in ("m : hello", "w : goodbye"):
-        assert score_turn(head, tk, turn, "what was said ? hello") <= 0.0
+        assert score_turn(head, tk, [(turn, "what was said ? hello")])[0] <= 0.0
 
 
 def test_score_turn_rejects_empty_text():
     tk = Tokenizer.build(["hello"])
     head = make_head(tk)
     with pytest.raises(ValueError):
-        score_turn(head, tk, "  ", "hello")
+        score_turn(head, tk, [("  ", "hello")])
     with pytest.raises(ValueError):
-        score_turn(head, tk, "hello", "")
+        score_turn(head, tk, [("hello", "")])
 
 
 def test_nli_pair_that_overruns_the_positions_is_an_error():
@@ -78,18 +79,56 @@ def test_nli_pair_that_overruns_the_positions_is_an_error():
     tk = Tokenizer.build(["a b"])
     head = make_head(tk)
     turn, qa = " ".join(["a"] * 14), " ".join(["b"] * 15)
-    assert score_turn(head, tk, turn, qa) <= 0.0  # 32 tokens
+    assert score_turn(head, tk, [(turn, qa)])[0] <= 0.0  # 32 tokens
     with pytest.raises(ConfigurationError, match=r"has 33 tokens, more than the scorer encoder's 32 positions"):
-        score_turn(head, tk, turn + " a", qa)
+        score_turn(head, tk, [(turn + " a", qa)])
     with pytest.raises(ConfigurationError, match=r"has 33 tokens, more than the scorer encoder's 32 positions"):
         train_nli_head(head, tk, [{"premise": turn, "hypothesis": qa + " b", "label": 1}], epochs=1)
+
+
+WORDS = ["m", "w", ":", "the", "lamp", "turned", "green", "red", "we", "waited", "what", "?"]
+
+
+@st.composite
+def nli_pairs(draw, max_tokens):
+    # A (turn, QA) pair whose ids, with [BOS], [SEP] and [EOS], fit in `max_tokens`.
+    words = st.sampled_from(WORDS)
+    turn = draw(st.lists(words, min_size=1, max_size=max_tokens - 4))
+    qa = draw(st.lists(words, min_size=1, max_size=max_tokens - 3 - len(turn)))
+    return " ".join(turn), " ".join(qa)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_scores_equal_one_pair_scores(data):
+    tk = Tokenizer.build([" ".join(WORDS)])
+    distinct = data.draw(st.lists(nli_pairs(32), min_size=1, max_size=6), label="distinct")
+    pairs = data.draw(st.lists(st.sampled_from(distinct), min_size=0, max_size=11), label="pairs")
+    # One pair exactly at the scorer's 32 positions: 14 + 15 words plus 3 markers.
+    full = (" ".join(["lamp"] * 14), " ".join(["green"] * 15))
+    pairs.insert(data.draw(st.integers(0, len(pairs)), label="at"), full)
+    turn, qa = pairs[0]
+    ids = [tk.bos_id] + tk.encode(turn) + [tk.sep_id] + tk.encode(qa) + [tk.eos_id]
+    for dtype in (np.float64, np.float32):
+        head = NliHead.init(len(tk), 8, 2, 1, 32, 32, np.random.default_rng(7), dtype=dtype)
+        batched = score_turn(head, tk, pairs)
+        alone = [score_turn(head, tk, [pair])[0] for pair in pairs]
+        assert len(batched) == len(pairs)
+        if dtype is np.float64:
+            assert list(batched) == alone
+        else:
+            np.testing.assert_allclose(batched, alone, rtol=1e-5)
+        # A one-pair call is minus the cross entropy of the pair's own logits, bit for bit.
+        with T.no_grad():
+            logits = T.reshape(T.affine(pool(head.enc, encode(head.enc, ids)), head.out_w, head.out_b), (3,))
+        assert alone[0] == -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
 
 
 def test_score_turn_deterministic():
     tk = Tokenizer.build(["m : the train is late", "why is he late ? the train"])
     head = make_head(tk, seed=5)
-    a = score_turn(head, tk, "m : the train is late", "why is he late ? the train")
-    b = score_turn(head, tk, "m : the train is late", "why is he late ? the train")
+    a = score_turn(head, tk, [("m : the train is late", "why is he late ? the train")])
+    b = score_turn(head, tk, [("m : the train is late", "why is he late ? the train")])
     assert a == b
 
 
@@ -187,6 +226,11 @@ def test_train_nli_head_learns_separable_corpus():
     report = train_nli_head(head, tk, corpus, epochs=30, lr=3e-3, seed=0)
     assert report["n"] == 60
     assert report["train_accuracy"] >= 0.95
+    # The accuracy pass runs in stacked chunks; it counts as a pass over each record alone does.
+    with T.no_grad():
+        alone = [keyturns._nli_logits(head, [keyturns._nli_ids(head, tk, r["premise"], r["hypothesis"])]).data[0]
+                 for r in corpus]
+    assert report["train_accuracy"] == sum(int(np.argmax(z)) == r["label"] for z, r in zip(alone, corpus)) / 60
     assert len(report["loss_curve"]) == 30
 
 
@@ -206,6 +250,19 @@ def test_train_nli_head_deterministic():
     r1 = train_nli_head(make_head(tk, seed=4), tk, corpus, epochs=2, seed=9)
     r2 = train_nli_head(make_head(tk, seed=4), tk, corpus, epochs=2, seed=9)
     assert r1["loss_curve"] == r2["loss_curve"]
+
+
+def test_train_nli_head_checks_every_record_before_the_first_step():
+    # The last record overruns the 32 positions; no parameter may move before that is found.
+    tk = Tokenizer.build(["a b"])
+    head = make_head(tk)
+    corpus = [{"premise": "a", "hypothesis": "b", "label": i % 3} for i in range(3)]
+    corpus.append({"premise": " ".join(["a"] * 15), "hypothesis": " ".join(["b"] * 15), "label": 1})
+    before = {k: v.data.copy() for k, v in head.named_parameters().items()}
+    with pytest.raises(ConfigurationError, match=r"has 33 tokens"):
+        train_nli_head(head, tk, corpus, epochs=1, seed=0)
+    for name, t in head.named_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def test_train_nli_head_rejects_bad_label():
@@ -274,7 +331,7 @@ def test_nli_provider_matches_direct_scoring():
     tk = Tokenizer.build(turns + [qa])
     head = make_head(tk, seed=6)
     provider = NliProvider(head, tk)
-    want = select_key_turns([score_turn(head, tk, t, qa) for t in turns], 2)
+    want = select_key_turns([score_turn(head, tk, [(t, qa)])[0] for t in turns], 2)
     ex = make_example(turns)
     assert provider.select(ex, qa, 2) == want
     # Second call is served from the cache and stays identical.
@@ -286,13 +343,35 @@ def test_nli_provider_scores_each_turn_once_across_k(monkeypatch):
     qa = "what turned ? green"
     tk = Tokenizer.build(turns + [qa])
     provider = NliProvider(make_head(tk, seed=6), tk)
-    calls = []
+    scored = []
     real = keyturns.score_turn
-    monkeypatch.setattr(keyturns, "score_turn", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(keyturns, "score_turn", lambda head, tk, pairs: scored.extend(pairs) or real(head, tk, pairs))
     ex = make_example(turns)
     picks = [provider.select(ex, qa, k) for k in (1, 2, 3, 1)]
-    assert len(calls) == len(turns)
+    for j in range(len(ex.options)):
+        provider.select(ex, ex.qa_text(j), 2)
+    # The asked QA text and every option's QA text, each pair exactly once.
+    qas = [qa] + [ex.qa_text(j) for j in range(len(ex.options))]
+    assert sorted(scored) == sorted((turn, q) for q in qas for turn in turns)
     assert picks == [select_key_turns(provider.scores(ex, qa), k) for k in (1, 2, 3, 1)]
+
+
+def test_nli_provider_scores_an_example_in_one_encoder_pass(monkeypatch):
+    turns = ["m : the lamp turned green", "w : dinner was quiet", "m : we waited outside"]
+    ex = make_example(turns, question="what turned ?", options=("green", "red", "blue"))
+    tk = Tokenizer.build(turns + [ex.qa_text(j) for j in range(3)])
+    provider = NliProvider(make_head(tk, seed=6), tk)
+    calls = []
+    real = keyturns.encode
+    monkeypatch.setattr(keyturns, "encode", lambda *args: calls.append(len(args) - 1) or real(*args))
+    provider.select(ex, ex.qa_text(0), 2)
+    assert calls == [len(turns) * len(ex.options)]
+    for j in (1, 2):
+        provider.select(ex, ex.qa_text(j), 2)
+    for k in (1, 3):
+        for j in range(3):
+            provider.select(ex, ex.qa_text(j), k)
+    assert len(calls) == 1
 
 
 def test_nli_provider_cache_is_keyed_by_content():
