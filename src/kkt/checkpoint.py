@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -69,10 +68,6 @@ def checkpoint_bytes(named: dict, ablation: str) -> bytes:
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(arr.astype("<f4").tobytes())
     return b"".join(parts)
-
-
-def save_checkpoint(path, named: dict, ablation: str):
-    Path(path).write_bytes(checkpoint_bytes(named, ablation))
 
 
 class _Reader:

@@ -127,6 +127,11 @@ class Dataset:
         return out
 
 
+def _check_strings(items, where, what):
+    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+        raise SchemaError(f"{where}: {what} must be a list of strings, got {items!r:.60}")
+
+
 def dataset_from_obj(obj, label="dataset") -> Dataset:
     """Examples of a parsed dataset file; any other layout is a `SchemaError`
     naming `label`."""
@@ -137,6 +142,7 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{label}: dialogue entry must be [turns, qas, id], got {type(entry)}")
         turns, qas, did = entry
+        _check_strings(turns, f"{label}: {did}", "turns")
         if not isinstance(qas, list):
             raise SchemaError(f"{label}: {did}: qas must be a list of question objects, got {type(qas).__name__}")
         for qi, qa in enumerate(qas):
@@ -145,8 +151,9 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
             missing = {"question", "choice", "answer"} - set(qa)
             if missing:
                 raise SchemaError(f"{label}: {did} question {qi} missing fields {sorted(missing)}")
-            if not isinstance(qa["choice"], list):
-                raise SchemaError(f"{label}: {did} question {qi}: choice must be a list, got {type(qa['choice']).__name__}")
+            if not isinstance(qa["question"], str):
+                raise SchemaError(f"{label}: {did} question {qi}: question must be a string, got {qa['question']!r:.60}")
+            _check_strings(qa["choice"], f"{label}: {did} question {qi}", "choice")
             if qa["answer"] not in qa["choice"]:
                 raise SchemaError(f"{label}: {did} question {qi}: answer {qa['answer']!r} not among choices")
             examples.append(
@@ -179,10 +186,6 @@ class SyntheticBundle:
     lexicon_text: str
     nli_records: list
     meta: dict
-
-    def planted_turns(self) -> dict:
-        """example id -> planted turn index, for the oracle key-turn provider."""
-        return planted_turns_from_meta(self.meta)
 
 
 def planted_turns_from_meta(meta, label="meta") -> dict:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -258,14 +257,9 @@ def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInpu
     return GraphInputs(triples, surfaces, PosTagger(lexicon), raw)
 
 
-def serialize_kg(store: KnowledgeStore, path):
-    """Write the retained triples back out in loadable TSV form."""
-    lines = [f"{t.relation}\t{t.head}\t{t.tail}\t{t.weight:g}" for t in store.triples]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
 @dataclass
 class FactEmbedding:
+    # The fact's vector as one [1, d] row (see `FactEncoder`).
     r_k: T.Tensor
     fact: Fact
     triple_id: int
@@ -275,12 +269,13 @@ class FactEncoder:
     """Encodes fact sentences to vectors, caching by fact text and grad mode.
 
     A fact's vector is the mean over its tokens of its last hidden states,
-    self-attended by `sa`. `encode_facts` puts every uncached fact of a call
-    through the encoder at once: one `encode` over the stacked sequences,
-    one segmented self-attention and one `T.segment_mean`. In float64 each
-    vector equals that of encoding its fact alone, bit for bit. A fact with
-    more tokens than the encoder has positions raises `FactTooLongError`
-    rather than being cut.
+    self-attended by `sa`, as one [1, d] row, so that refinement joins a
+    fact list into its keys with `T.concat_rows`. `encode_facts` puts every
+    uncached fact of a call through the encoder at once: one `encode` over
+    the stacked sequences, one segmented self-attention and one
+    `T.segment_mean`. In float64 each vector equals that of encoding its
+    fact alone, bit for bit. A fact with more tokens than the encoder has
+    positions raises `FactTooLongError` rather than being cut.
 
     An embedding built inside `T.no_grad()` carries no graph, so it is
     served only inside `no_grad` again; graph-building callers get one with
@@ -289,13 +284,14 @@ class FactEncoder:
     change; it drops every entry.
 
     Training runs each optimizer step inside `with encoder.step():`. There a
-    graph-building caller is served a leaf holding the vector's value, whose
+    graph-building caller is served a leaf holding the row's value, whose
     `.grad` collects across the step's per-example `backward()` calls. On
-    leaving the scope the summed gradients go back through the facts'
-    encoder graph, one `backward` per encoder call (one per step when the
-    step's facts are encoded together), and the cache is dropped. So the
-    encoder graph of a fact is walked once per step, not once per example
-    that reads the fact, and each example's graph stops at the leaves.
+    leaving the scope the leaves' summed gradients, concatenated, go back
+    through the facts' encoder graph, one `backward` per encoder call (one
+    per step when the step's facts are encoded together), and the cache is
+    dropped. So the encoder graph of a fact is walked once per step, not
+    once per example that reads the fact, and each example's graph stops at
+    the leaves.
     Outside a scope, `backward()` from any output reaches the encoder
     weights directly.
     """
@@ -323,14 +319,15 @@ class FactEncoder:
             yield
             for pooled, leaves in self._step:
                 if any(leaf.grad is not None for leaf in leaves):
-                    pooled.backward(np.stack([leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-                                              for leaf in leaves]))
+                    pooled.backward(np.concatenate([leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+                                                    for leaf in leaves]))
         finally:
             self._step = None
             self.invalidate()
 
     def encode_fact(self, fact: Fact) -> T.Tensor:
-        """r = mean over tokens of self-attended last hidden states of the fact."""
+        """r = mean over tokens of self-attended last hidden states of the
+        fact, a [1, d] row."""
         hit = self._cache.get((fact.text, T.is_grad_enabled()))
         return hit if hit is not None else self.encode_facts([fact])[0]
 
@@ -350,10 +347,10 @@ class FactEncoder:
             lengths = [len(seq) for seq in ids]
             pooled = T.segment_mean(self_attention(self.sa, encode(self.enc, *ids), lengths), lengths)
             if grad and self._step is not None:
-                vectors = [T.Tensor(row, requires_grad=True) for row in pooled.data]
+                vectors = [T.Tensor(pooled.data[j : j + 1], requires_grad=True) for j in range(len(texts))]
                 self._step.append((pooled, vectors))
             else:
-                vectors = [T.reshape(T.take_rows(pooled, [j]), pooled.shape[1:]) for j in range(len(texts))]
+                vectors = [T.take_rows(pooled, [j]) for j in range(len(texts))]
             self._cache.update(((text, grad), r) for text, r in zip(texts, vectors))
         return [self._cache[f.text, grad] for f in facts]
 

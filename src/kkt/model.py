@@ -277,8 +277,8 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
             rows.extend(range(start + s, start + e))
         kt_rows.append(rows)
     h_kt = T.take_rows(enc.h_c, [r for rows in kt_rows for r in rows]) if any(kt_rows) else None
-    qak_mat = T.stack_rows([f.r_k for facts in qak for f in facts]) if any(qak) else None
-    ck_mat = T.stack_rows([f.r_k for f in ck]) if ck else None
+    qak_mat = T.concat_rows([f.r_k for facts in qak for f in facts]) if any(qak) else None
+    ck_mat = T.concat_rows([f.r_k for f in ck]) if ck else None
     return RefinedReprs(
         h_kt=h_kt,
         h_c_kt=_attend(params.refine_kt, enc.h_c, enc.c_lengths, h_kt, [len(rows) for rows in kt_rows]),

@@ -1,10 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what the dialogue-comprehension model needs: matrix
-products, row softmax, row means (whole or per segment), concatenation,
-affine maps, layer norm, tanh, row gathers, multi-head attention and a
-cross-entropy head. Nothing here broadcasts except scalar-against-tensor;
-anything else must reshape explicitly.
+The op set is what the dialogue-comprehension model runs: matrix products,
+elementwise add and mul, per-segment row means, concatenation along rows and
+along the last axis, affine maps, layer norm, tanh, row gathers, reshape,
+multi-head attention and a cross-entropy head. Three more ops are reference
+code that the model never calls: ``softmax_rows``, ``transpose`` and
+``sum_all``. The per-head op chain that ``attention`` is checked against bit
+for bit is built from them, and so are the tests' losses and the autodiff
+demo.
+
+Elementwise ops do not broadcast. ``add`` and ``mul`` take a Tensor, then a
+Tensor of exactly its shape or a Python number. The number is a constant:
+it is cast to the tensor's dtype and joins the data, never the graph. A
+Tensor of any other shape, rank 0 included, raises ``ShapeError``.
 
 Precision policy: float64 is the verification dtype. In float64, matrix
 products accumulate sequentially over the inner axis, so results are
@@ -18,9 +26,7 @@ parents receive them, so only leaves (tensors created with
 ``requires_grad=True``) keep a ``.grad``; interior nodes never hold one.
 ``backward()`` may be called repeatedly: each call adds the exact gradient
 of that graph to every leaf's ``.grad``, and it may start from a given seed
-gradient instead of ones. A Python number or numpy array
-passed to ``add`` or ``mul`` is a constant: it is cast to the tensor
-operand's dtype and joins the data, never the graph.
+gradient instead of ones.
 
 Attention is one op: ``attention`` runs all heads at once and adds one
 graph node, where the chain of matmul, transpose, mul, softmax_rows and
@@ -126,32 +132,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul(other, -1.0))
-        return add(self, -float(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self, grad=None):
         """Add the gradient of this tensor to ``.grad`` of every reachable leaf.
@@ -263,53 +243,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def _operands(a, b, name):
-    """Tensor operand first (IEEE + and * commute exactly), then the other
-    operand: a Tensor, or a constant cast to the first one's dtype."""
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=DEFAULT_DTYPE))
+def _operand(a, b, name):
+    """The data of ``b`` and the parents of an elementwise op on ``a``: a
+    Tensor ``b`` of ``a``'s shape is a parent; a number is cast to ``a``'s
+    dtype and joins the data, never the graph."""
     if not isinstance(b, Tensor):
-        b = np.asarray(b, dtype=a.dtype)
-    _check_elementwise(a, b, name)
-    return a, b
+        return np.asarray(float(b), dtype=a.dtype), (a,)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} differ (elementwise ops do not broadcast)")
+    return b.data, (a, b)
 
 
-def add(a, b) -> Tensor:
-    """Elementwise sum; shapes must match exactly, or one side is a scalar."""
-    a, b = _operands(a, b, "add")
-    if not isinstance(b, Tensor):
-        return _result(a.data + b, (a,), lambda g: (_fit(g, a),))
-    data = a.data + b.data
-
-    def backward(g):
-        return _fit(g, a), _fit(g, b)
-
-    return _result(data, (a, b), backward)
+def add(a: Tensor, b) -> Tensor:
+    """Elementwise sum of a Tensor and a Tensor of its shape or a number."""
+    b_data, parents = _operand(a, b, "add")
+    return _result(a.data + b_data, parents, lambda g: (g, g))
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise product; shapes must match exactly, or one side is a scalar."""
-    a, b = _operands(a, b, "mul")
-    if not isinstance(b, Tensor):
-        return _result(a.data * b, (a,), lambda g: (_fit(g * b, a),))
-    data = a.data * b.data
-
-    def backward(g):
-        return _fit(g * b.data, a), _fit(g * a.data, b)
-
-    return _result(data, (a, b), backward)
-
-
-def _fit(g, x):
-    # A scalar operand of an elementwise op receives the summed gradient.
-    return g if x.shape == g.shape else g.sum()
-
-
-def _check_elementwise(a, b, name):
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} differ (only scalar broadcasting is allowed)")
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product of a Tensor and a Tensor of its shape or a number."""
+    b_data, parents = _operand(a, b, "mul")
+    if len(parents) == 1:
+        return _result(a.data * b_data, parents, lambda g: (g * b_data,))
+    return _result(a.data * b_data, parents, lambda g: (g * b_data, g * a.data))
 
 
 def _softmax_rows_data(x):
@@ -477,7 +433,7 @@ def _segment_groups(name, *sides):
 
 def segment_mean(x: Tensor, lengths) -> Tensor:
     """Mean over the rows of each consecutive segment of a 2-D tensor,
-    [sum(lengths), n] -> [len(lengths), n]. Row j is ``mean_rows`` of
+    [sum(lengths), n] -> [len(lengths), n]. Row j is the numpy mean of
     segment j's rows, bit for bit. Segments of one length are reduced as
     one [segments, length, n] batch, each row keeping its own reduction."""
     if x.ndim != 2:
@@ -501,21 +457,6 @@ def segment_mean(x: Tensor, lengths) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over the row axis of a 2-D tensor [m, n] -> [n]; m must be >= 1."""
-    if x.ndim != 2:
-        raise ShapeError(f"mean_rows needs a 2-D tensor, got {x.shape}")
-    m = x.shape[0]
-    if m == 0:
-        raise ShapeError("mean_rows: empty sequence (0 rows)")
-    data = x.data.mean(axis=0)
-
-    def backward(g):
-        return (np.repeat(g[None, :] / m, m, axis=0),)
-
-    return _result(data, (x,), backward)
-
-
 def concat_last_axis(xs) -> Tensor:
     """Concatenate tensors along their last axis; all other dims must agree.
     A single tensor is returned as it is, without a graph node."""
@@ -535,23 +476,6 @@ def concat_last_axis(xs) -> Tensor:
     def backward(g):
         edges = list(itertools.accumulate((t.shape[-1] for t in xs), initial=0))
         return tuple(g[..., lo:hi] for lo, hi in zip(edges, edges[1:]))
-
-    return _result(data, xs, backward)
-
-
-def stack_rows(xs) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D tensor, one per row."""
-    xs = list(xs)
-    if not xs:
-        raise ShapeError("stack_rows: no inputs")
-    n = xs[0].shape
-    for t in xs:
-        if t.ndim != 1 or t.shape != n:
-            raise ShapeError(f"stack_rows: need equal-length 1-D inputs, got {[t.shape for t in xs]}")
-    data = np.stack([t.data for t in xs], axis=0)
-
-    def backward(g):
-        return tuple(g)
 
     return _result(data, xs, backward)
 
@@ -664,18 +588,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - y * y),)
 
     return _result(y, (x,), backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two 1-D tensors of equal length -> scalar."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: need equal-length 1-D tensors, got {a.shape} and {b.shape}")
-    data = _matmul_data(a.data[None, :], b.data[:, None])[0, 0]
-
-    def backward(g):
-        return g * b.data, g * a.data
-
-    return _result(data, (a, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ import helpers
 from kkt import tensor as T
 from kkt.attention import MhaParams, mha, self_attention
 from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
-from kkt.data import gen_synthetic, write_bundle
+from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
 from kkt.keyturns import LeadingProvider, select_key_turns
 from kkt.knowledge import PosTagger, load_kg, rank_triples, read_graph
 from kkt.model import DialogueExample, EncodedPair, KktParams, KktPipeline, dual_coattention, refine
@@ -54,7 +54,7 @@ def _extra_fd_cases(seed):
 
     x, w = r(3, 4), r(4, 2)
     e = r(5, 4)
-    v1, v2 = r(4), r(4)
+    v1, v2 = r(1, 4), r(1, 4)
     logits = r(3)
     p = MhaParams.init(4, 2, rng, dtype=np.float64)
     p2 = MhaParams.init(4, 2, rng, dtype=np.float64)
@@ -63,9 +63,9 @@ def _extra_fd_cases(seed):
     duma_leaves = mha_leaves + [p2.wq, p2.wk, p2.wv]
     return {
         "matmul": (lambda: T.sum_all(T.matmul(x, w)), [x, w]),
-        "mean_rows": (lambda: T.dot(T.mean_rows(e), v1), [e, v1]),
-        "concat_last_axis": (lambda: T.dot(T.concat_last_axis([v1, v2]), T.concat_last_axis([v2, v1])), [v1, v2]),
-        "stack_rows": (lambda: T.sum_all(T.matmul(T.stack_rows([v1, v2]), w)), [v1, v2, w]),
+        "segment_mean": (lambda: T.sum_all(T.mul(T.segment_mean(e, [2, 3]), T.concat_rows([v1, v2]))), [e, v1, v2]),
+        "concat_last_axis": (lambda: T.sum_all(T.mul(T.concat_last_axis([v1, v2]), T.concat_last_axis([v2, v1]))), [v1, v2]),
+        "concat_rows": (lambda: T.sum_all(T.matmul(T.concat_rows([v1, v2]), w)), [v1, v2, w]),
         "cross_entropy": (lambda: T.cross_entropy_from_logits(logits, 1), [logits]),
         "mha": (lambda: T.sum_all(mha(p, h_c, h_qa, h_qa)), mha_leaves),
         "self_attention": (lambda: T.sum_all(self_attention(p, h_c)), [h_c, p.wq, p.wk, p.wv]),
@@ -353,7 +353,7 @@ def test_criterion_7_keyturn_trend(capsys):
     rep = gen_synthetic(seed=11, n=510, mode="keyturn-signal", split="dev")
     planted = {}
     for b in (tr, sel, rep):
-        planted.update(b.planted_turns())
+        planted.update(planted_turns_from_meta(b.meta))
 
     cfg_b = RunConfig(
         d_model=24, h=2, layers=1, k=1, p=2, epochs=8, batch_size=8,

@@ -1,5 +1,7 @@
 """Multi-head attention and the encoder stand-in."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -163,7 +165,7 @@ def _op_and_chain_run(p, inputs, roles, lengths, weight, key_lengths=None):
             t.grad = None
         outs = build()
         w = np.split(weight, np.cumsum([o.shape[0] for o in outs])[:-1])
-        sum(T.sum_all(T.mul(o, T.Tensor(wj))) for o, wj in zip(outs, w)).backward()
+        functools.reduce(T.add, [T.sum_all(T.mul(o, T.Tensor(wj))) for o, wj in zip(outs, w)]).backward()
         return [o.data for o in outs], [t.grad for t in leaves]
 
     if lengths is None or len(lengths) == 1:
@@ -435,31 +437,30 @@ def test_stacked_encoding_equals_encoding_each_sequence_bit_for_bit(seqs, h, lay
     for j, ids in enumerate(seqs):
         alone = encode(enc, ids)
         assert rows[j].tobytes() == alone.data.tobytes()
-        assert pooled[j].tobytes() == T.mean_rows(self_attention(sa, alone)).data.tobytes()
+        assert pooled[j].tobytes() == self_attention(sa, alone).data.mean(axis=0).tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(ids=sequences.map(lambda s: s[0]), h=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**16))
 def test_one_stacked_sequence_has_the_gradients_of_the_unsegmented_ops(ids, h, seed):
     # Every leaf gradient, through the encoder, a segmented self-attention
-    # and a segment mean, is bit-identical to the unsegmented ops'.
+    # and a segment mean, is bit-identical to that through an unsegmented
+    # self-attention.
     enc = tiny_encoder(d=6, h=h, layers=2, seed=seed)
     sa = MhaParams.init(6, h, np.random.default_rng(seed + 1))
-    weight = T.Tensor(np.random.default_rng(seed).standard_normal(6))
+    weight = np.random.default_rng(seed).standard_normal((1, 6))
     leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
 
     def grads(vector):
         for t in leaves:
             t.grad = None
         r = vector()
-        T.dot(r, weight).backward()
+        r.backward(weight)
         return [r.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in leaves]
 
-    def segmented():
-        lengths = [len(ids)]
-        return T.reshape(T.segment_mean(self_attention(sa, encode(enc, ids), lengths), lengths), (6,))
-
-    assert grads(segmented) == grads(lambda: T.mean_rows(self_attention(sa, encode(enc, ids))))
+    lengths = [len(ids)]
+    segmented = grads(lambda: T.segment_mean(self_attention(sa, encode(enc, ids), lengths), lengths))
+    assert segmented == grads(lambda: T.segment_mean(self_attention(sa, encode(enc, ids)), lengths))
 
 
 def test_encode_needs_a_sequence():

@@ -17,7 +17,6 @@ from kkt.checkpoint import (
     assign_named,
     checkpoint_bytes,
     parse_checkpoint,
-    save_checkpoint,
 )
 from kkt.model import KktParams
 from kkt.tokenizer import Tokenizer
@@ -155,7 +154,7 @@ def test_unknown_tag_byte_rejected():
 def test_save_load_file(tmp_path):
     named = sample_named(seed=1)
     path = tmp_path / "model.kkt"
-    save_checkpoint(path, named, "keyturns-only")
+    path.write_bytes(checkpoint_bytes(named, "keyturns-only"))
     blob, ck = read_checkpoint(path)
     assert blob == path.read_bytes()
     assert ck.ablation == "keyturns-only"

@@ -437,6 +437,22 @@ def test_dataset_of_the_wrong_shape_names_its_file(tmp_path, obj):
     assert err.startswith(f"error: {bad}: ")
 
 
+def test_dataset_field_of_the_wrong_type_names_file_dialogue_and_question(tmp_path):
+    # A number among the turns, as the question or among the choices, and
+    # turns given as one string, each fail as a named input error.
+    cases = {
+        "turn": ([[["m : hi", 3], [GOOD_QA], "d1"]], "d1: turns"),
+        "question": ([[["m : hi"], [{**GOOD_QA, "question": 7}], "d1"]], "d1 question 0: question"),
+        "choice": ([[["m : hi"], [{**GOOD_QA, "choice": ["a", 2, "c"]}], "d1"]], "d1 question 0: choice"),
+        "turns-string": ([["m : hi", [GOOD_QA], "d1"]], "d1: turns"),
+    }
+    for name, (obj, where) in cases.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        rc, _, err = run_cli(["train", "--data", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2 and err.startswith(f"error: {bad}: {where} must be"), (name, err)
+
+
 @pytest.mark.parametrize("grid", ['[1]', '{"k": 3}', '{"k": [1], "q": [2]}', '{"p": [1.5]}', '{"k": [true]}', '"k"'])
 def test_sweep_grid_that_is_not_integer_lists_names_the_flag(ws, grid):
     rc, _, err = run_cli(["sweep", "--grid", grid, "--data", str(ws["bundle"])])

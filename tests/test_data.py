@@ -138,7 +138,7 @@ def test_world_assignment_is_location_balanced():
 
 def test_planted_turns_mapping():
     bundle = gen_synthetic(seed=2, n=8, mode="keyturn-signal")
-    planted = bundle.planted_turns()
+    planted = planted_turns_from_meta(bundle.meta)
     assert set(planted) == {ex.example_id for ex in bundle.dataset.examples}
     for eid, turn in planted.items():
         assert bundle.meta["examples"][eid]["planted_turn"] == turn

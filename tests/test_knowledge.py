@@ -24,7 +24,6 @@ from kkt.knowledge import (
     rank_triples,
     read_graph,
     rewrite_triple,
-    serialize_kg,
     tag_content_words,
 )
 from kkt.keyturns import LeadingProvider
@@ -242,22 +241,6 @@ def test_load_surfaces_malformed_line_reports_position(tmp_path):
         read_graph(surfaces_path=path)
 
 
-def test_serialize_round_trip(tmp_path):
-    src = tmp_path / "kg.tsv"
-    src.write_text(
-        "atlocation\tbike\tstreet\t2\nisa\tcat\tanimal\t1.5\nrel\tdog\tyard\t0.25\n",
-        encoding="utf-8",
-    )
-    vocab = vocab_over("bike street cat animal dog yard")
-    store = load_kg(read_graph(src).triples, 0.0, vocab)
-    out = tmp_path / "round.tsv"
-    serialize_kg(store, out)
-    back = load_kg(read_graph(out).triples, 0.0, vocab)
-    assert [(t.relation, t.head, t.tail, t.weight) for t in back.triples] == [
-        (t.relation, t.head, t.tail, t.weight) for t in store.triples
-    ]
-
-
 # ---------------------------------------------------------------------------
 # fact encoding
 
@@ -306,7 +289,7 @@ def test_encode_fact_longer_than_the_position_table_rejected():
     tk = Tokenizer.build(["a b c d e f g"])
     enc = tiny_encoder(vocab=len(tk), max_len=4)
     fe = FactEncoder(tk, enc, MhaParams.init(8, 2, np.random.default_rng(1)))
-    assert fe.encode_fact(Fact(text="a b c d", source=None)).shape == (8,)
+    assert fe.encode_fact(Fact(text="a b c d", source=None)).shape == (1, 8)
     with pytest.raises(FactTooLongError, match=r"'a b c d e f g' has 7 tokens, more than the encoder's 4 positions"):
         fe.encode_facts([Fact(text="a b", source=None), Fact(text="a b c d e f g", source=None)])
 
@@ -338,7 +321,7 @@ def test_encode_facts_equals_encoding_each_fact_alone_bit_for_bit():
 def test_step_scope_serves_leaves_and_sends_their_gradient_back_once():
     _, enc, sa, fe = fact_encoder_fixture(seed=5)
     leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
-    weights = [T.Tensor(np.random.default_rng(i).standard_normal(8)) for i in range(3)]
+    weights = [T.Tensor(np.random.default_rng(i).standard_normal((1, 8))) for i in range(3)]
 
     def grads(scoped):
         for t in leaves:
@@ -351,7 +334,7 @@ def test_step_scope_serves_leaves_and_sends_their_gradient_back_once():
                 rs = [fe.encode_fact(FACTS[i]) for i in picks]
                 if scoped:
                     assert all(not r._parents and r.requires_grad for r in rs)
-                T.add(T.dot(rs[0], weights[picks[0]]), T.dot(rs[1], weights[picks[1]])).backward()
+                T.add(*(T.sum_all(T.mul(r, weights[i])) for r, i in zip(rs, picks))).backward()
             if scoped:
                 assert all(t.grad is None for t in leaves)
         return [t.grad for t in leaves]
@@ -500,7 +483,7 @@ def test_retrieve_returns_embeddings_with_ids():
     out = pipeline.context_knowledge(ex)
     assert len(out) == 1
     assert out[0].triple_id == 0
-    assert out[0].r_k.shape == (8,)
+    assert out[0].r_k.shape == (1, 8)
     assert np.array_equal(out[0].r_k.data, pipeline.fact_encoder.encode_fact(store.facts[0]).data)
 
 

@@ -48,7 +48,7 @@ def small_setup(seed=0, d=8, h=2, ablation="full", texts=()):
 
 
 def fake_fact(vec):
-    return FactEmbedding(r_k=T.Tensor(np.asarray(vec, dtype=np.float64)), fact=None, triple_id=0)
+    return FactEmbedding(r_k=T.Tensor(np.asarray(vec, dtype=np.float64)[None]), fact=None, triple_id=0)
 
 
 # ---------------------------------------------------------------------------

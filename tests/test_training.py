@@ -14,7 +14,7 @@ from kkt import knowledge
 from kkt import tensor as T
 from kkt.attention import encode
 from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
-from kkt.data import gen_synthetic, write_bundle
+from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
 from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
 from kkt.knowledge import read_graph
 from kkt.model import ABLATIONS
@@ -436,7 +436,7 @@ def test_every_ablation_restores_its_checkpoint(corpus, ablation):
 
 def test_oracle_provider_from_config(run, corpus):
     cfg = _small_cfg(key_turn_provider="oracle")
-    planted = corpus["bundle"].planted_turns()
+    planted = planted_turns_from_meta(corpus["bundle"].meta)
     pipe = pipeline_from_checkpoint(run["result"].best_blob(), cfg, run["result"].vocab, planted=planted)
     assert isinstance(pipe.provider, OracleProvider)
 
@@ -503,7 +503,7 @@ def test_train_fingerprint_hashes_every_input(corpus):
         "surfaces_path": paths["surfaces"],
         "lexicon_path": paths["lexicon"],
         "nli_corpus": [{"premise": "a", "hypothesis": "b", "label": 1}],
-        "planted": corpus["bundle"].planted_turns(),
+        "planted": planted_turns_from_meta(corpus["bundle"].meta),
     }
     plain = train(cfg, dataset, kg_path=paths["kg"]).fingerprint
     seen = {plain}
