@@ -30,12 +30,11 @@ store = load_kg(iter_kg_triples(KG, "kg.tsv"), 1.0, vocab, SURFACES, tagger)
 # usedfor/bike/exercise sits below the 1.0 weight threshold and is gone.
 print(f"loaded {len(store)} of 5 triples (threshold 1.0)")
 for tid, triple in enumerate(store.triples):
-    fact = rewrite_triple(triple, SURFACES)
-    print(f"  [{tid}] w={triple.weight:.1f}  {fact.text!r}")
+    print(f"  [{tid}] w={triple.weight:.1f}  {rewrite_triple(triple, SURFACES)!r}")
 print()
 
 # Ranking: weight first, then how many distinct query words matched,
 # then fact text, then id. Same inputs, same order, every time.
 for p in (1, 3):
     ids = rank_triples(store, [turn], p)
-    print(f"top-{p} for the turn: {[(i, store.facts[i].text) for i in ids]}")
+    print(f"top-{p} for the turn: {[(i, store.facts[i]) for i in ids]}")

@@ -5,8 +5,6 @@ from .attention import EncoderParams, MhaParams, encode, mha, self_attention
 from .data import Dataset, SyntheticBundle, gen_synthetic, load_dataset, write_bundle
 from .keyturns import NliHead, score_turn, select_key_turns, train_nli_head
 from .knowledge import (
-    Fact,
-    FactEmbedding,
     KnowledgeStore,
     KnowledgeTriple,
     PosTagger,

@@ -136,7 +136,7 @@ def _cmd_retrieve(args):
         vocab = Tokenizer.load(args.vocab)
     else:
         # Without a model vocabulary, admit every graph word so nothing is dropped.
-        vocab = Tokenizer.build([rewrite_triple(t, graph.surfaces).text for t in graph.triples] + texts)
+        vocab = Tokenizer.build([rewrite_triple(t, graph.surfaces) for t in graph.triples] + texts)
     store = load_store(graph, args.threshold, vocab)
     ids = rank_triples(store, texts, args.top_p)
     _emit(
@@ -151,7 +151,7 @@ def _cmd_retrieve(args):
                     "head": store.triples[tid].head,
                     "tail": store.triples[tid].tail,
                     "weight": store.triples[tid].weight,
-                    "fact": store.facts[tid].text,
+                    "fact": store.facts[tid],
                 }
                 for rank, tid in enumerate(ids)
             ],

@@ -143,6 +143,8 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
             raise SchemaError(f"{label}: dialogue entry must be [turns, qas, id], got {type(entry)}")
         turns, qas, did = entry
         _check_strings(turns, f"{label}: {did}", "turns")
+        if not turns or not all(t.strip() for t in turns):
+            raise SchemaError(f"{label}: {did}: turns must be a non-empty list of non-blank strings, got {turns!r:.60}")
         if not isinstance(qas, list):
             raise SchemaError(f"{label}: {did}: qas must be a list of question objects, got {type(qas).__name__}")
         for qi, qa in enumerate(qas):
@@ -154,6 +156,9 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
             if not isinstance(qa["question"], str):
                 raise SchemaError(f"{label}: {did} question {qi}: question must be a string, got {qa['question']!r:.60}")
             _check_strings(qa["choice"], f"{label}: {did} question {qi}", "choice")
+            if len(qa["choice"]) < 2:
+                raise SchemaError(f"{label}: {did} question {qi}: choice must be a list of at least 2 strings, "
+                                  f"got {qa['choice']!r:.60}")
             if qa["answer"] not in qa["choice"]:
                 raise SchemaError(f"{label}: {did} question {qi}: answer {qa['answer']!r} not among choices")
             examples.append(

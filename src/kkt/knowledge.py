@@ -154,26 +154,21 @@ class KnowledgeTriple:
     weight: float
 
 
-@dataclass(frozen=True)
-class Fact:
-    text: str
-    source: KnowledgeTriple
-
-
-def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> Fact:
-    """Render a triple as `head <surface(relation)> tail`.
+def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> str:
+    """The triple's fact sentence, `head <surface(relation)> tail`.
 
     Unknown relations fall back to the raw relation id as the infix.
     """
     infix = (surface_table or {}).get(t.relation, t.relation)
-    return Fact(text=f"{t.head} {infix} {t.tail}", source=t)
+    return f"{t.head} {infix} {t.tail}"
 
 
 @dataclass
 class KnowledgeStore:
     """Filtered triples plus an inverted index from surface word to triple ids.
 
-    Triple ids are positions in the retained `triples` list (load order).
+    Triple ids are positions in the retained `triples` list (load order),
+    and `facts[tid]` is the fact sentence of triple `tid`.
     """
 
     triples: list = field(default_factory=list)
@@ -257,27 +252,19 @@ def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInpu
     return GraphInputs(triples, surfaces, PosTagger(lexicon), raw)
 
 
-@dataclass
-class FactEmbedding:
-    # The fact's vector as one [1, d] row (see `FactEncoder`).
-    r_k: T.Tensor
-    fact: Fact
-    triple_id: int
-
-
 class FactEncoder:
-    """Encodes fact sentences to vectors, caching by fact text and grad mode.
+    """Encodes fact sentences to vectors, caching by sentence and grad mode.
 
-    A fact's vector is the mean over its tokens of its last hidden states,
-    self-attended by `sa`, as one [1, d] row, so that refinement joins a
-    fact list into its keys with `T.concat_rows`. `encode_facts` puts every
-    uncached fact of a call through the encoder at once: one `encode` over
-    the stacked sequences, one segmented self-attention and one
-    `T.segment_mean`. In float64 each vector equals that of encoding its
-    fact alone, bit for bit. A fact with more tokens than the encoder has
-    positions raises `FactTooLongError` rather than being cut.
+    A fact is its sentence, a `str`. Its vector is the mean over its tokens
+    of its last hidden states, self-attended by `sa`, as one [1, d] row
+    Tensor, so that refinement joins fact rows into keys with `T.concat_rows`.
+    `encode_facts` puts every uncached fact of a call through the encoder at
+    once: one `encode` over the stacked sequences, one segmented
+    self-attention and one `T.segment_mean`. In float64 each vector equals
+    that of encoding its fact alone, bit for bit. A fact longer than the
+    encoder's positions raises `FactTooLongError` rather than being cut.
 
-    An embedding built inside `T.no_grad()` carries no graph, so it is
+    A row built inside `T.no_grad()` carries no graph, so it is
     served only inside `no_grad` again; graph-building callers get one with
     a graph, and gradients keep reaching the encoder and self-attention
     weights after an evaluation. Call `invalidate` whenever those weights
@@ -325,17 +312,17 @@ class FactEncoder:
             self._step = None
             self.invalidate()
 
-    def encode_fact(self, fact: Fact) -> T.Tensor:
+    def encode_fact(self, fact: str) -> T.Tensor:
         """r = mean over tokens of self-attended last hidden states of the
-        fact, a [1, d] row."""
-        hit = self._cache.get((fact.text, T.is_grad_enabled()))
+        fact sentence, a [1, d] row."""
+        hit = self._cache.get((fact, T.is_grad_enabled()))
         return hit if hit is not None else self.encode_facts([fact])[0]
 
     def encode_facts(self, facts) -> list:
-        """The vector of every fact, in order; the uncached ones go through
-        the encoder in one call."""
+        """The row of every fact sentence, in order; the uncached ones go
+        through the encoder in one call."""
         grad = T.is_grad_enabled()
-        texts = list(dict.fromkeys(f.text for f in facts if (f.text, grad) not in self._cache))
+        texts = list(dict.fromkeys(f for f in facts if (f, grad) not in self._cache))
         if texts:
             ids = [self.tokenizer.encode(text) for text in texts]
             for text, seq in zip(texts, ids):
@@ -352,7 +339,7 @@ class FactEncoder:
             else:
                 vectors = [T.take_rows(pooled, [j]) for j in range(len(texts))]
             self._cache.update(((text, grad), r) for text, r in zip(texts, vectors))
-        return [self._cache[f.text, grad] for f in facts]
+        return [self._cache[f, grad] for f in facts]
 
 
 def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:
@@ -372,6 +359,6 @@ def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:
             matches[tid] = matches.get(tid, 0) + 1
     order = sorted(
         matches,
-        key=lambda tid: (-store.triples[tid].weight, -matches[tid], store.facts[tid].text, tid),
+        key=lambda tid: (-store.triples[tid].weight, -matches[tid], store.facts[tid], tid),
     )
     return order[:p]

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ConfigurationError, EncoderParams, MhaParams, encode, mha
-from .knowledge import FactEmbedding, FactEncoder, KnowledgeStore, rank_triples
+from .knowledge import FactEncoder, KnowledgeStore, rank_triples
 from .tensor import ShapeError, Tensor
 from .tokenizer import Tokenizer
 
@@ -250,9 +250,9 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
     """Attend the context over its key-turn rows and over retrieved facts.
 
     Each option's context attends over its own key-turn rows and over the
-    dialogue's facts `ck`, and its QA rows over its own facts; each of the
-    three is one `mha` call for all options. `key_turn_indices` and `qak`
-    hold one entry per option.
+    dialogue's fact rows `ck` ([1, d] Tensors), and its QA rows over its own
+    list of fact rows in `qak`; each of the three is one `mha` call for all
+    options. `key_turn_indices` and `qak` hold one entry per option.
 
     Only the ablation's paths run: without "kt" the key turns are ignored,
     without "k" the facts. Ignored inputs, empty selections and empty fact
@@ -277,17 +277,17 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
             rows.extend(range(start + s, start + e))
         kt_rows.append(rows)
     h_kt = T.take_rows(enc.h_c, [r for rows in kt_rows for r in rows]) if any(kt_rows) else None
-    qak_mat = T.concat_rows([f.r_k for facts in qak for f in facts]) if any(qak) else None
-    ck_mat = T.concat_rows([f.r_k for f in ck]) if ck else None
+    qak_mat = T.concat_rows([r for rows in qak for r in rows]) if any(qak) else None
+    ck_mat = T.concat_rows(ck) if ck else None
     return RefinedReprs(
         h_kt=h_kt,
         h_c_kt=_attend(params.refine_kt, enc.h_c, enc.c_lengths, h_kt, [len(rows) for rows in kt_rows]),
         # The dialogue's facts are every option's keys: one segment pair of all rows.
         h_c_k=_attend(params.refine_ck, enc.h_c, None, ck_mat, None),
-        h_qa_k=_attend(params.refine_qak, enc.h_qa, enc.qa_lengths, qak_mat, [len(facts) for facts in qak]),
+        h_qa_k=_attend(params.refine_qak, enc.h_qa, enc.qa_lengths, qak_mat, [len(rows) for rows in qak]),
         kt_identity=tuple(not rows for rows in kt_rows),
         ck_identity=(not ck,) * n,
-        qak_identity=tuple(not facts for facts in qak),
+        qak_identity=tuple(not rows for rows in qak),
     )
 
 
@@ -356,12 +356,12 @@ class PredictResult:
 class KktPipeline:
     """Bundles parameters, tokenizer, knowledge store and key-turn provider.
 
-    Owns the caches: ranked fact ids per dialogue text (context knowledge is
-    shared across a dialogue's questions) and per QA text, plus the fact
-    encoder's embedding cache, which training drops after every optimizer
-    step (`FactEncoder.step`). `prepare_knowledge` encodes the facts of a
-    list of examples in one call; `predict` calls it for its own example.
-    Only an ablation with path "k" has a fact encoder; without it
+    Owns the caches: the top-p fact sentences per query, the texts ranked
+    against (a dialogue's turns, shared across its questions, or one
+    question+option text), and the fact encoder's rows, which training drops
+    after every optimizer step (`FactEncoder.step`). `prepare_knowledge`
+    maps examples to their fact rows; `predict` reads its own from it. Only
+    an ablation with path "k" has a fact encoder; without it
     `fact_encoder` is None. All caches are keyed by content, not by ids, so
     results are independent of call order and of how examples are named.
     """
@@ -376,8 +376,7 @@ class KktPipeline:
         self.p = p
         self.max_len = max_len
         self.fact_encoder = FactEncoder(tokenizer, params.enc, params.fact_sa) if "k" in PATHS[self.ablation] else None
-        self._ck_ids: dict = {}
-        self._qak_ids: dict = {}
+        self._ranked: dict = {}
 
     @property
     def ablation(self) -> str:
@@ -389,43 +388,24 @@ class KktPipeline:
     def _needs_key_turns(self) -> bool:
         return "kt" in PATHS[self.ablation] and self.provider is not None and self.k >= 1
 
-    def context_knowledge(self, example: DialogueExample):
-        """Top-p fact embeddings for the dialogue turns (cached ranking)."""
-        return self._knowledge(self._ck_ids, tuple(example.turns), example.turns)
-
-    def qa_knowledge(self, example: DialogueExample, option_index: int):
-        """Top-p fact embeddings for one question+option text (cached ranking)."""
-        qa = example.qa_text(option_index)
-        return self._knowledge(self._qak_ids, qa, [qa])
-
-    def prepare_knowledge(self, examples):
-        """Rank the facts `predict` reads for each example (its dialogue's and
-        each option's) and encode every one the fact encoder has not cached,
-        all in one encoder call. A no-op without the knowledge path."""
+    def prepare_knowledge(self, examples) -> list:
+        """Per example, the pair `(ck, qak)` of fact rows `predict` reads: the
+        rows of its dialogue's top-p facts, and one list of rows per option
+        for its question+option text. The call's uncached facts go through
+        the encoder at once. Without the knowledge path every list is empty."""
         if not self._needs_knowledge():
-            return
-        ids = []
-        for ex in examples:
-            ids += self._ranked(self._ck_ids, tuple(ex.turns), ex.turns)
-            for j in range(len(ex.options)):
-                qa = ex.qa_text(j)
-                ids += self._ranked(self._qak_ids, qa, [qa])
-        self.fact_encoder.encode_facts([self.store.facts[tid] for tid in dict.fromkeys(ids)])
+            return [([], [[] for _ in ex.options]) for ex in examples]
+        queries = [[ex.turns] + [[ex.qa_text(j)] for j in range(len(ex.options))] for ex in examples]
+        ranked = [[self._top_facts(texts) for texts in per_ex] for per_ex in queries]
+        self.fact_encoder.encode_facts([fact for per_ex in ranked for facts in per_ex for fact in facts])
+        rows = [[[self.fact_encoder.encode_fact(fact) for fact in facts] for facts in per_ex] for per_ex in ranked]
+        return [(ck, qak) for ck, *qak in rows]
 
-    def _ranked(self, ranked: dict, key, texts) -> list:
-        ids = ranked.get(key)
-        if ids is None:
-            ids = ranked[key] = rank_triples(self.store, texts, self.p)
-        return ids
-
-    def _knowledge(self, ranked: dict, key, texts):
-        if self.fact_encoder is None:
-            raise ConfigurationError(f"ablation {self.ablation!r} has no knowledge path to encode facts with")
-        ids = self._ranked(ranked, key, texts)
-        return [
-            FactEmbedding(r_k=self.fact_encoder.encode_fact(self.store.facts[tid]), fact=self.store.facts[tid], triple_id=tid)
-            for tid in ids
-        ]
+    def _top_facts(self, texts) -> list:
+        key = tuple(texts)
+        if key not in self._ranked:
+            self._ranked[key] = [self.store.facts[tid] for tid in rank_triples(self.store, texts, self.p)]
+        return self._ranked[key]
 
     def predict(self, example: DialogueExample) -> PredictResult:
         """Logits of all options, cross-entropy loss against gold, argmax prediction.
@@ -433,7 +413,7 @@ class KktPipeline:
         The options run through every layer together: one encoder call, and
         one `mha` call per refinement path and co-attention direction.
         """
-        self.prepare_knowledge([example])
+        ck, qak = self.prepare_knowledge([example])[0]
         options = range(len(example.options))
         selected = [
             self.provider.select(example, example.qa_text(j), self.k) if self._needs_key_turns() else () for j in options
@@ -444,9 +424,6 @@ class KktPipeline:
             turns = [[example.turns[i] for i in chosen] if chosen else None for chosen in selected]
             selected = [tuple(range(len(chosen))) for chosen in selected]
         enc = encode_pair(self.params.enc, self.tokenizer, example, self.max_len, turns=turns)
-        knowledge = self._needs_knowledge()
-        ck = self.context_knowledge(example) if knowledge else []
-        qak = [self.qa_knowledge(example, j) if knowledge else [] for j in options]
         logits, refined = forward(self.params, enc, selected, ck, qak)
         flags = [
             {"kt_identity": kt, "ck_identity": c, "qak_identity": qa}

@@ -133,7 +133,7 @@ def build_vocab(dataset: Dataset, triples=None, weight_threshold: float = 0.0, s
     appearing only at evaluation time) have ids; their embeddings stay
     untrained unless the training text uses them.
     """
-    facts = [rewrite_triple(t, surfaces).text for t in triples or () if t.weight >= weight_threshold]
+    facts = [rewrite_triple(t, surfaces) for t in triples or () if t.weight >= weight_threshold]
     return Tokenizer.build(list(dataset.texts()) + facts)
 
 

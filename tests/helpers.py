@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from kkt import model
 from kkt import tensor as T
 from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
-from kkt.knowledge import content_words
+from kkt.knowledge import content_words, rank_triples
 from kkt.tokenizer import tokenize
 
 
@@ -210,8 +210,15 @@ def one_option(example, j):
 def per_option_predict(pipe, example):
     """`KktPipeline.predict` as an option loop: each option encoded, refined,
     fused and decoded alone, as a one-option example, the logits then
-    stacked. The reference for the all-options pass."""
-    pipe.prepare_knowledge([example])
+    stacked. The reference for the all-options pass. Its fact rows are the
+    fact encoder's rows of the ranked ids of each query text."""
+    knowledge = pipe._needs_knowledge()
+
+    def fact_rows(texts):
+        ids = rank_triples(pipe.store, texts, pipe.p) if knowledge else []
+        return [pipe.fact_encoder.encode_fact(pipe.store.facts[tid]) for tid in ids]
+
+    ck = fact_rows(example.turns)
     logits, flags, truncated = [], [], False
     for j in range(len(example.options)):
         selected = pipe.provider.select(example, example.qa_text(j), pipe.k) if pipe._needs_key_turns() else ()
@@ -220,10 +227,7 @@ def per_option_predict(pipe, example):
             turns = [[example.turns[i] for i in selected]]
             selected = tuple(range(len(selected)))
         enc = model.encode_pair(pipe.params.enc, pipe.tokenizer, one_option(example, j), pipe.max_len, turns=turns)
-        knowledge = pipe._needs_knowledge()
-        ck = pipe.context_knowledge(example) if knowledge else []
-        qak = pipe.qa_knowledge(example, j) if knowledge else []
-        logit, refined = model.forward(pipe.params, enc, [selected], ck, [qak])
+        logit, refined = model.forward(pipe.params, enc, [selected], ck, [fact_rows([example.qa_text(j)])])
         logits.append(logit)
         truncated = truncated or enc.truncated
         flags.append({"kt_identity": refined.kt_identity[0], "ck_identity": refined.ck_identity[0],
@@ -302,7 +306,7 @@ def brute_retrieve_ids(store, texts, p):
     for tid, t in enumerate(store.triples):
         matched = query & set(tokenize(t.head) + tokenize(t.tail))
         if matched:
-            rows.append((-t.weight, -len(matched), store.facts[tid].text, tid))
+            rows.append((-t.weight, -len(matched), store.facts[tid], tid))
     rows.sort()
     return [r[3] for r in rows[:p]]
 

@@ -202,8 +202,8 @@ def test_criterion_2_oracle_equivalence(capsys):
         ck = [fake_fact(rng.standard_normal(d)) for _ in range(int(rng.integers(0, 3)))]
         qak = [fake_fact(rng.standard_normal(d)) for _ in range(int(rng.integers(0, 3)))]
         got = refine(params, enc, [key_turns], ck, [qak])
-        ck_rows = np.array([f.r_k.data for f in ck]).reshape(len(ck), d)
-        qak_rows = np.array([f.r_k.data for f in qak]).reshape(len(qak), d)
+        ck_rows = np.array([f.data for f in ck]).reshape(len(ck), d)
+        qak_rows = np.array([f.data for f in qak]).reshape(len(qak), d)
         _, h_c_kt, h_c_k, h_qa_k = helpers.naive_refine(
             params, enc.h_c.data, enc.h_qa.data, spans, key_turns, ck_rows, qak_rows
         )

@@ -4,6 +4,10 @@ A public module-level function or class, or a public method, must be
 referenced somewhere in `src/kkt`, `perfbench/*.py` or `demos/*.py` outside
 its own definition. A reference is a name, an attribute, an imported name
 or a string constant equal to it (the benchmark wraps methods by name).
+
+Likewise every field of a `src/kkt` dataclass must be read there, outside
+its own definition, as an attribute or as a string constant equal to it
+(`getattr` by name, JSON keys).
 """
 
 import ast
@@ -18,6 +22,21 @@ KEPT = {
     # the scalar loss of the gradient checks and the autodiff demo
     "sum_all",
 }
+
+# Dataclass fields that the program writes but never reads:
+KEPT_FIELDS = {
+    # `predict`'s output; the option-permutation and bit-identity tests read it
+    "PredictResult.logits",
+    # the key-turn rows, which the refine oracle tests check
+    "RefinedReprs.h_kt",
+}
+
+
+def _program_trees():
+    """The `src/kkt` module paths, and the parse of every file the rules search by path."""
+    sources = sorted((ROOT / "src" / "kkt").glob("*.py"))
+    users = sources + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    return sources, {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
 
 
 def _referenced_names(tree, skip):
@@ -47,9 +66,7 @@ def _public_definitions(tree):
 
 
 def test_every_public_name_of_the_package_has_a_use_outside_tests():
-    sources = sorted((ROOT / "src" / "kkt").glob("*.py"))
-    users = sources + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
+    sources, trees = _program_trees()
     defined, unused = set(), []
     for path in sources:
         for node in _public_definitions(trees[path]):
@@ -58,3 +75,35 @@ def test_every_public_name_of_the_package_has_a_use_outside_tests():
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"public names used only by tests (delete them, or add them to KEPT with a reason): {unused}"
     assert KEPT <= defined, f"KEPT names that no longer exist: {sorted(KEPT - defined)}"
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every field of a class decorated `@dataclass` or `@dataclass(...)`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            yield from ((node, f) for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    sources, trees = _program_trees()
+    fields = {path: list(_dataclass_fields(trees[path])) for path in sources}
+    definitions = {id(f) for found in fields.values() for _, f in found}
+    reads, stack = set(), list(trees.values())
+    while stack:
+        node = stack.pop()
+        if id(node) in definitions:
+            continue
+        if isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    defined = {f"{cls.name}.{f.target.id}" for found in fields.values() for cls, f in found}
+    unread = [f"{path.name}:{f.lineno} {cls.name}.{f.target.id}" for path, found in fields.items() for cls, f in found
+              if f.target.id not in reads and f"{cls.name}.{f.target.id}" not in KEPT_FIELDS]
+    assert not unread, ("fields never read outside tests (delete them, or add them to KEPT_FIELDS with a "
+                        f"reason): {unread}")
+    assert KEPT_FIELDS <= defined, f"KEPT_FIELDS entries that no longer exist: {sorted(KEPT_FIELDS - defined)}"

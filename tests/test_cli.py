@@ -438,13 +438,17 @@ def test_dataset_of_the_wrong_shape_names_its_file(tmp_path, obj):
 
 
 def test_dataset_field_of_the_wrong_type_names_file_dialogue_and_question(tmp_path):
-    # A number among the turns, as the question or among the choices, and
-    # turns given as one string, each fail as a named input error.
+    # A number among the turns, as the question or among the choices, turns
+    # given as one string, a blank turn, no turns and a single choice each
+    # fail as a named input error.
     cases = {
         "turn": ([[["m : hi", 3], [GOOD_QA], "d1"]], "d1: turns"),
         "question": ([[["m : hi"], [{**GOOD_QA, "question": 7}], "d1"]], "d1 question 0: question"),
         "choice": ([[["m : hi"], [{**GOOD_QA, "choice": ["a", 2, "c"]}], "d1"]], "d1 question 0: choice"),
         "turns-string": ([["m : hi", [GOOD_QA], "d1"]], "d1: turns"),
+        "blank-turn": ([[["m : hi", "   "], [GOOD_QA], "d1"]], "d1: turns"),
+        "no-turns": ([[[], [GOOD_QA], "d1"]], "d1: turns"),
+        "one-choice": ([[["m : hi"], [{**GOOD_QA, "choice": ["a"]}], "d1"]], "d1 question 0: choice"),
     }
     for name, (obj, where) in cases.items():
         bad = tmp_path / f"{name}.json"

@@ -11,7 +11,6 @@ from kkt import tensor as T
 from kkt.attention import MhaParams, encode
 from kkt.knowledge import (
     EmptyFactError,
-    Fact,
     FactEncoder,
     FactTooLongError,
     KgFormatError,
@@ -201,8 +200,7 @@ def test_load_kg_bad_weight_rejected(tmp_path):
 
 
 def test_rewrite_triple_raw_relation_fallback():
-    fact = rewrite_triple(KnowledgeTriple("causes", "virus", "disease", 1.0))
-    assert fact.text == "virus causes disease"
+    assert rewrite_triple(KnowledgeTriple("causes", "virus", "disease", 1.0)) == "virus causes disease"
 
 
 def test_rewrite_triple_with_surface():
@@ -210,12 +208,11 @@ def test_rewrite_triple_with_surface():
         KnowledgeTriple("atlocation", "bike", "street", 2.0),
         {"atlocation": "is found on"},
     )
-    assert fact.text == "bike is found on street"
+    assert fact == "bike is found on street"
 
 
 def test_rewrite_triple_isa():
-    fact = rewrite_triple(KnowledgeTriple("IsA", "cat", "animal", 1.0), {"IsA": "is a"})
-    assert fact.text == "cat is a animal"
+    assert rewrite_triple(KnowledgeTriple("IsA", "cat", "animal", 1.0), {"IsA": "is a"}) == "cat is a animal"
 
 
 def test_rewrite_keeps_head_and_tail_substrings():
@@ -224,7 +221,7 @@ def test_rewrite_keeps_head_and_tail_substrings():
     for _ in range(20):
         head, tail = rng.choice(words, size=2)
         fact = rewrite_triple(KnowledgeTriple("rel", head, tail, 1.0))
-        assert head in fact.text and tail in fact.text
+        assert head in fact and tail in fact
 
 
 def test_load_surfaces(tmp_path):
@@ -258,23 +255,23 @@ def test_encode_fact_single_token_identity_sa():
     eye = T.Tensor(np.eye(8)[None])
     sa = MhaParams(wq=eye, wk=eye, wv=eye)
     fe = FactEncoder(tk, enc, sa)
-    r = fe.encode_fact(Fact(text="bike", source=None))
+    r = fe.encode_fact("bike")
     hidden = encode(enc, tk.encode("bike")).data
     assert np.allclose(r.data, hidden[0], atol=1e-12)
 
 
 def test_encode_fact_deterministic():
     _, _, _, fe = fact_encoder_fixture()
-    a = fe.encode_fact(Fact(text="cat is a animal", source=None))
-    b = fe.encode_fact(Fact(text="cat is a animal", source=None))
+    a = fe.encode_fact("cat is a animal")
+    b = fe.encode_fact("cat is a animal")
     assert np.array_equal(a.data, b.data)
 
 
 def test_encode_fact_matches_step_by_step_oracle():
     tk, enc, sa, fe = fact_encoder_fixture(seed=3)
-    fact = Fact(text="virus causes disease", source=None)
+    fact = "virus causes disease"
     got = fe.encode_fact(fact).data
-    hidden = encode(enc, tk.encode(fact.text)).data
+    hidden = encode(enc, tk.encode(fact)).data
     attended, _ = helpers.naive_mha(*helpers.mha_arrays(sa), hidden, hidden, hidden)
     assert np.max(np.abs(got - attended.mean(axis=0))) < 1e-10
 
@@ -282,21 +279,21 @@ def test_encode_fact_matches_step_by_step_oracle():
 def test_encode_fact_empty_rejected():
     _, _, _, fe = fact_encoder_fixture()
     with pytest.raises(EmptyFactError):
-        fe.encode_fact(Fact(text="", source=None))
+        fe.encode_fact("")
 
 
 def test_encode_fact_longer_than_the_position_table_rejected():
     tk = Tokenizer.build(["a b c d e f g"])
     enc = tiny_encoder(vocab=len(tk), max_len=4)
     fe = FactEncoder(tk, enc, MhaParams.init(8, 2, np.random.default_rng(1)))
-    assert fe.encode_fact(Fact(text="a b c d", source=None)).shape == (1, 8)
+    assert fe.encode_fact("a b c d").shape == (1, 8)
     with pytest.raises(FactTooLongError, match=r"'a b c d e f g' has 7 tokens, more than the encoder's 4 positions"):
-        fe.encode_facts([Fact(text="a b", source=None), Fact(text="a b c d e f g", source=None)])
+        fe.encode_facts(["a b", "a b c d e f g"])
 
 
 def test_fact_cache_serves_until_version_bump():
     tk, enc, sa, fe = fact_encoder_fixture()
-    fact = Fact(text="bike is found on street", source=None)
+    fact = "bike is found on street"
     before = fe.encode_fact(fact)
     # Mutate weights; a cached encoder must still serve the stale vector.
     enc.tok_emb.data += 0.1
@@ -306,7 +303,7 @@ def test_fact_cache_serves_until_version_bump():
     assert not np.array_equal(after.data, before.data)
 
 
-FACTS = [Fact(text=t, source=None) for t in ("bike is found on street", "cat is a animal", "virus causes disease")]
+FACTS = ["bike is found on street", "cat is a animal", "virus causes disease"]
 
 
 def test_encode_facts_equals_encoding_each_fact_alone_bit_for_bit():
@@ -379,7 +376,7 @@ def test_retrieve_bike_street_fixture():
     )
     ids = rank_triples(store, ["the girl rides a red bike"], 5)
     assert ids == [0]
-    assert store.facts[0].text == "bike is found on street"
+    assert store.facts[0] == "bike is found on street"
 
 
 def test_retrieve_ranks_by_weight():
@@ -444,7 +441,7 @@ def test_retrieve_matches_brute_force_oracle():
 
 
 def _fact_text(row):
-    return rewrite_triple(KnowledgeTriple(*row)).text
+    return rewrite_triple(KnowledgeTriple(*row))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -469,7 +466,7 @@ def test_rank_triples_ignores_kg_line_order(rows, data):
         assert ranked[0] == ranked[1]
 
 
-def test_retrieve_returns_embeddings_with_ids():
+def test_prepare_knowledge_returns_the_fact_rows():
     texts = ["bike is found on street", "cat is a animal"]
     tk = Tokenizer.build(texts + ["a red bike", "which ? yes no"])
     params = KktParams.init(len(tk), 8, 2, 1, 32, 32, "full", np.random.default_rng(1))
@@ -480,11 +477,10 @@ def test_retrieve_returns_embeddings_with_ids():
     )
     pipeline = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=3, max_len=32)
     ex = DialogueExample(turns=["a red bike"], question="which ?", options=["yes", "no"], gold=0)
-    out = pipeline.context_knowledge(ex)
-    assert len(out) == 1
-    assert out[0].triple_id == 0
-    assert out[0].r_k.shape == (1, 8)
-    assert np.array_equal(out[0].r_k.data, pipeline.fact_encoder.encode_fact(store.facts[0]).data)
+    [(ck, qak)] = pipeline.prepare_knowledge([ex])
+    assert len(ck) == 1 and qak == [[], []]
+    assert ck[0].shape == (1, 8)
+    assert np.array_equal(ck[0].data, pipeline.fact_encoder.encode_fact(store.facts[0]).data)
 
 
 def test_store_invariants_after_load(tmp_path):

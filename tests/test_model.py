@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from kkt import attention, model
+from kkt import attention, knowledge, model
 from kkt import tensor as T
-from kkt.attention import ConfigurationError, MhaParams
+from kkt.attention import ConfigurationError, MhaParams, encode
 from kkt.data import gen_synthetic
 from kkt.keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider
-from kkt.knowledge import FactEmbedding, KnowledgeStore, KnowledgeTriple
+from kkt.knowledge import KnowledgeStore, KnowledgeTriple, rank_triples
 from kkt.model import (
     ABLATIONS,
     PATHS,
@@ -48,7 +48,8 @@ def small_setup(seed=0, d=8, h=2, ablation="full", texts=()):
 
 
 def fake_fact(vec):
-    return FactEmbedding(r_k=T.Tensor(np.asarray(vec, dtype=np.float64)[None]), fact=None, triple_id=0)
+    """A fact row, as `FactEncoder` returns it: a [1, d] Tensor."""
+    return T.Tensor(np.asarray(vec, dtype=np.float64)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def test_refine_single_fact_identity_projections():
     fact = fake_fact(rng.standard_normal(8))
     out = refine(params, enc, [()], [fact], [[]])
     # One key: attention weights are all 1, every row becomes the fact vector.
-    assert np.allclose(out.h_c_k.data, np.tile(fact.r_k.data, (5, 1)), atol=1e-12)
+    assert np.allclose(out.h_c_k.data, np.tile(fact.data, (5, 1)), atol=1e-12)
 
 
 def test_refine_full_selection_recovers_h_c():
@@ -235,8 +236,8 @@ def test_refine_matches_naive_oracle():
         ck = [fake_fact(rng.standard_normal(8)) for _ in range(int(rng.integers(0, 3)))]
         qak = [fake_fact(rng.standard_normal(8)) for _ in range(int(rng.integers(0, 3)))]
         got = refine(params, enc, [key_turns], ck, [qak])
-        ck_rows = np.array([f.r_k.data for f in ck]).reshape(len(ck), 8)
-        qak_rows = np.array([f.r_k.data for f in qak]).reshape(len(qak), 8)
+        ck_rows = np.array([f.data for f in ck]).reshape(len(ck), 8)
+        qak_rows = np.array([f.data for f in qak]).reshape(len(qak), 8)
         h_kt, h_c_kt, h_c_k, h_qa_k = helpers.naive_refine(
             params, enc.h_c.data, enc.h_qa.data, enc.turn_spans[0], key_turns, ck_rows, qak_rows
         )
@@ -535,11 +536,8 @@ def test_knowledge_needs_the_knowledge_path(ablation):
     store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0))
     pipe = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64)
     assert pipe.fact_encoder is None
-    with pytest.raises(ConfigurationError, match=ablation):
-        pipe.context_knowledge(ex)
-    with pytest.raises(ConfigurationError, match=ablation):
-        pipe.qa_knowledge(ex, 0)
-    # predict never asks for facts on this ablation.
+    # The fact rows are empty lists, one per option, and predict reads no facts.
+    assert pipe.prepare_knowledge([ex, ex]) == [([], [[], [], []])] * 2
     assert all(flags["ck_identity"] for flags in pipe.predict(ex).flags)
 
 
@@ -628,3 +626,58 @@ def test_one_encoder_call_and_option_independent_attention_calls(monkeypatch):
         counts.append(len(ops))
     # One encoder layer, three refinements and three co-attention pairs.
     assert counts == [1 + 3 + 6] * 2
+
+
+@st.composite
+def knowledge_batches(draw):
+    """A batch of 1-4 random examples over one random graph, whose words
+    overlap so that examples and options share facts, and the setup of a
+    random untrained float64 pipeline with the knowledge path."""
+    examples = [
+        DialogueExample(turns=draw(st.lists(_sentences, min_size=1, max_size=3)), question=draw(_sentences),
+                        options=draw(st.lists(_sentences, min_size=2, max_size=3)), gold=0, dialogue_id=f"d{i}")
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    nouns = st.sampled_from(("bike", "street", "shed", "house", "garden"))
+    triples = draw(st.lists(st.tuples(nouns, nouns, st.sampled_from((0.5, 1.0, 2.0))), min_size=1, max_size=6))
+    setup = dict(ablation=draw(st.sampled_from([a for a in ABLATIONS if "k" in PATHS[a]])),
+                 seed=draw(st.integers(0, 2**16)), nli=False, triples=triples, k=1, p=draw(st.integers(1, 3)),
+                 max_len=32)
+    return examples, setup
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(knowledge_batches())
+def test_prepare_knowledge_of_a_batch_equals_each_example_alone(case):
+    # One call for a batch gives each example the rows of a call for it
+    # alone on a fresh pipeline, bit for bit, and those rows are the fact
+    # encoder's rows of the ranked facts. The batch's facts take at most one
+    # encoder call, and a repeated call takes none.
+    examples, setup = case
+    pipe = _random_pipeline(**setup)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knowledge, "encode", lambda params, *seqs: calls.append(len(seqs)) or encode(params, *seqs))
+        batched = pipe.prepare_knowledge(examples)
+        assert len(calls) <= 1
+        calls.clear()
+        pipe.prepare_knowledge(examples)
+        assert calls == []
+    for ex, (ck, qak) in zip(examples, batched):
+        [(alone_ck, alone_qak)] = _random_pipeline(**setup).prepare_knowledge([ex])
+        assert len(qak) == len(alone_qak) == len(ex.options)
+        queries = [ex.turns] + [[ex.qa_text(j)] for j in range(len(ex.options))]
+        for rows, alone, texts in zip([ck, *qak], [alone_ck, *alone_qak], queries):
+            ranked = [pipe.fact_encoder.encode_fact(pipe.store.facts[tid])
+                      for tid in rank_triples(pipe.store, texts, pipe.p)]
+            assert [r.data.tobytes() for r in rows] == [r.data.tobytes() for r in alone]
+            assert [r.data.tobytes() for r in rows] == [r.data.tobytes() for r in ranked]
+
+
+def test_a_turn_equal_to_a_qa_text_shares_one_ranking():
+    ex = make_example(["where is the bike ? street"], options=("street", "shed"))
+    pipe = _random_pipeline("full", 1, False, [("bike", "street", 1.0), ("bike", "shed", 2.0)], k=1, p=2, max_len=32)
+    [(ck, qak)] = pipe.prepare_knowledge([ex])
+    assert ex.turns == [ex.qa_text(0)]
+    assert list(pipe._ranked) == [tuple(ex.turns), (ex.qa_text(1),)]
+    assert len(ck) == 2 and all(a is b for a, b in zip(ck, qak[0]))
