@@ -6,7 +6,6 @@ import numpy as np
 
 from kkt import tensor as T
 from kkt.attention import EncoderParams, MhaParams, encode, mha, self_attention
-from kkt.keyturns import pool
 from kkt.tokenizer import Tokenizer
 
 # With identity projections and a zero query, attention is a plain average
@@ -40,6 +39,9 @@ ids = [vocab.bos_id] + vocab.encode("where is my bike") + [vocab.eos_id]
 hidden = encode(enc, ids)
 print("hidden rows:", hidden.shape)
 
-# The turn scorer pools the first row into one sentence vector, a [1, d] row.
-pooled = pool(enc, hidden)
-print("pooled sentence vector:", pooled.shape, "values stay in (-1, 1):", np.round(pooled.data, 3))
+# Each block ends in a layer norm, so at init (gain 1, bias 0) every hidden
+# row has mean 0 and unit spread. The encoder returns only these rows: a
+# pooler to one sentence vector belongs to the head that reads it (the turn
+# scorer's `keyturns.NliHead`), not to the encoder.
+print(f"largest |row mean|: {np.abs(hidden.data.mean(axis=1)).max():.1e}")
+print("row std devs:", np.round(hidden.data.std(axis=1), 3))

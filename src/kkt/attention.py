@@ -5,9 +5,7 @@ learned position embeddings and a stack of post-norm blocks (attention, then
 a tanh feed-forward, each with a residual and layer norm). `encode` returns
 the hidden rows of one or more sequences stacked into one matrix (one pass,
 each sequence attending over its own rows); a sequence longer than the
-position table is an error, never cut. Every encoder also carries tanh
-pooler weights for the first position; only the NLI turn scorer reads them,
-and it does its own pooling (`keyturns`).
+position table is an error, never cut.
 
 Attention follows the convention here that heads are bare-concatenated back
 to d_model; there is no output projection after the concat. Any further
@@ -123,12 +121,6 @@ class EncoderParams:
     tok_emb: Tensor
     pos_emb: Tensor
     blocks: list = field(default_factory=list)
-    pooler_w: Tensor = None
-    pooler_b: Tensor = None
-
-    @property
-    def d_model(self) -> int:
-        return self.tok_emb.shape[1]
 
     @property
     def vocab_size(self) -> int:
@@ -145,16 +137,12 @@ class EncoderParams:
             tok_emb=T.uniform_param((vocab_size, d_model), rng, fan_in=d_model, dtype=dtype),
             pos_emb=T.uniform_param((max_len, d_model), rng, fan_in=d_model, dtype=dtype),
             blocks=[BlockParams.init(d_model, h, d_ff, rng, dtype=dtype) for _ in range(layers)],
-            pooler_w=T.uniform_param((d_model, d_model), rng, dtype=dtype),
-            pooler_b=T.uniform_param((d_model,), rng, fan_in=d_model, dtype=dtype),
         )
 
     def named_parameters(self, prefix: str) -> dict:
         out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
         for i, block in enumerate(self.blocks):
             out.update(block.named_parameters(f"{prefix}.block{i}"))
-        out[f"{prefix}.pooler_w"] = self.pooler_w
-        out[f"{prefix}.pooler_b"] = self.pooler_b
         return out
 
 

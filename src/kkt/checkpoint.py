@@ -28,7 +28,9 @@ MAGIC = b"KKTC"
 # Version 3: each attention role is one [h, d_model, d_head] tensor
 # (`duma1.wq`), where version 2 stored one d_model x d_head matrix per head,
 # its name suffixed with the head's index.
-FORMAT_VERSION = 3
+# Version 4: the tanh pooler is the NLI head's (`nli.pooler_w`), where
+# version 3 stored one on every encoder, the main model's unread.
+FORMAT_VERSION = 4
 # The dimension limit of NumPy 1.x; kkt's own tensors have rank <= 3.
 MAX_RANK = 32
 

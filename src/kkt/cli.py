@@ -13,11 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError
 from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, parse_json,
                    planted_turns_from_meta, read_json, write_bundle)
 from .keyturns import NliProvider
-from .knowledge import KgFormatError, rank_triples, read_graph, rewrite_triple
+from .knowledge import rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
 from .tokenizer import Tokenizer
 from .training import (
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ConfigurationError, SchemaError, KgFormatError, CheckpointError, ValueError) as exc:
+    except ValueError as exc:  # every named input error of kkt is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

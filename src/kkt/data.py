@@ -411,5 +411,9 @@ def load_nli_corpus(path) -> list:
         missing = {"premise", "hypothesis", "label"} - set(rec)
         if missing:
             raise SchemaError(f"{path}:{lineno}: NLI record missing {sorted(missing)}")
+        if not (isinstance(rec["premise"], str) and isinstance(rec["hypothesis"], str)):
+            raise SchemaError(f"{path}:{lineno}: NLI premise and hypothesis must be strings, got {rec!r:.80}")
+        if type(rec["label"]) is not int or rec["label"] not in (0, 1, 2):
+            raise SchemaError(f"{path}:{lineno}: NLI label must be the integer 0, 1 or 2, got {rec['label']!r}")
         records.append(rec)
     return records

@@ -1,10 +1,11 @@
 """Turn relevance scoring with a 3-way entailment head, and top-k selection.
 
 Each dialogue turn is scored against a question/option pair by a separate
-small encoder with a 3-class output (contradiction, entailment, neutral);
-the entailment log-probability is the relevance score, so scores are always
-<= 0. The k highest-scoring turns become the key turns, re-emitted in
-dialogue order so downstream extraction preserves discourse order.
+small encoder, pooled over its first row, with a 3-class output
+(contradiction, entailment, neutral); the entailment log-probability is the
+relevance score, so scores are always <= 0. The k highest-scoring turns
+become the key turns, re-emitted in dialogue order so downstream extraction
+preserves discourse order.
 `score_turn` scores a list of pairs in one stacked encoder pass; the NLI
 provider scores all uncached pairs of an example, every option's, in one call.
 
@@ -31,9 +32,12 @@ NLI_CHUNK = 32
 
 @dataclass
 class NliHead:
-    """Scorer encoder plus an affine map from the pooled vector to 3 logits."""
+    """Scorer encoder, a tanh pooler over each sequence's first row and an
+    affine map from the pooled vector to 3 logits, drawn in that order."""
 
     enc: EncoderParams
+    pooler_w: T.Tensor
+    pooler_b: T.Tensor
     out_w: T.Tensor
     out_b: T.Tensor
 
@@ -41,21 +45,15 @@ class NliHead:
     def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=T.DEFAULT_DTYPE) -> "NliHead":
         return cls(
             enc=EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=dtype),
+            pooler_w=T.uniform_param((d_model, d_model), rng, dtype=dtype),
+            pooler_b=T.uniform_param((d_model,), rng, fan_in=d_model, dtype=dtype),
             out_w=T.uniform_param((d_model, 3), rng, dtype=dtype),
             out_b=T.uniform_param((3,), rng, fan_in=d_model, dtype=dtype),
         )
 
-    def named_parameters(self, prefix="nli") -> dict:
-        out = self.enc.named_parameters(f"{prefix}.enc")
-        out[f"{prefix}.out_w"] = self.out_w
-        out[f"{prefix}.out_b"] = self.out_b
-        return out
-
-
-def pool(enc: EncoderParams, hidden: T.Tensor, starts=(0,)) -> T.Tensor:
-    """Sentence vectors tanh(affine(h[s])) over the encoder's pooler weights,
-    one [len(starts), d_model] row per start row of a stacked sequence."""
-    return T.tanh(T.affine(T.take_rows(hidden, starts), enc.pooler_w, enc.pooler_b))
+    def named_parameters(self) -> dict:
+        head = {f"nli.{name}": getattr(self, name) for name in ("pooler_w", "pooler_b", "out_w", "out_b")}
+        return {**self.enc.named_parameters("nli.enc"), **head}
 
 
 def _nli_ids(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> list:
@@ -73,9 +71,10 @@ def _nli_ids(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str)
 
 
 def _nli_logits(head: NliHead, sequences) -> T.Tensor:
-    """[n, 3] logits of n `_nli_ids` sequences, encoded in one stacked pass."""
+    """[n, 3] logits of n `_nli_ids` sequences from one stacked encoder pass."""
     starts = np.cumsum([0] + [len(ids) for ids in sequences[:-1]])
-    return T.affine(pool(head.enc, encode(head.enc, *sequences), starts), head.out_w, head.out_b)
+    pooled = T.tanh(T.affine(T.take_rows(encode(head.enc, *sequences), starts), head.pooler_w, head.pooler_b))
+    return T.affine(pooled, head.out_w, head.out_b)
 
 
 def score_turn(head: NliHead, tokenizer: Tokenizer, pairs) -> tuple:
@@ -117,7 +116,7 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
     """
     records = list(corpus)
     for rec in records:
-        if rec["label"] not in (0, 1, 2):
+        if type(rec["label"]) is not int or rec["label"] not in (0, 1, 2):
             raise ValueError(f"NLI label must be 0, 1 or 2, got {rec['label']!r}")
     # Every record is tokenized and length-checked before the first step.
     sequences = [_nli_ids(head, tokenizer, rec["premise"], rec["hypothesis"]) for rec in records]

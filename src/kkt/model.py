@@ -135,10 +135,6 @@ class KktParams:
     fusion_b: Tensor | None = None
     ablation: str = "full"
 
-    @property
-    def d_model(self) -> int:
-        return self.enc.d_model
-
     @classmethod
     def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, ablation, rng, dtype=T.DEFAULT_DTYPE) -> "KktParams":
         if ablation not in ABLATIONS:
@@ -148,9 +144,14 @@ class KktParams:
         def group(path):
             return MhaParams.init(d_model, h, rng, dtype=dtype) if path in paths else None
 
-        # Draw order: enc, fact_sa, refine_kt, refine_ck, refine_qak, duma1,
-        # duma2, fusion pair, decoder; absent groups draw nothing.
+        # Draw order: enc, d_model * d_model + d_model discarded values,
+        # fact_sa, refine_kt, refine_ck, refine_qak, duma1, duma2, fusion pair,
+        # decoder; absent groups draw nothing. Formats up to 3 drew an unread
+        # encoder pooler in the discarded values' place; drawing them keeps
+        # every later tensor, and the NLI head that `train` draws next from
+        # the same generator, bit for bit as it was.
         enc = EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=dtype)
+        rng.random(d_model * d_model + d_model)
         fact_sa, refine_kt, refine_ck, refine_qak = group("k"), group("kt"), group("k"), group("k")
         duma1 = MhaParams.init(d_model, h, rng, dtype=dtype)
         duma2 = MhaParams.init(d_model, h, rng, dtype=dtype)

@@ -21,11 +21,18 @@ class VocabularyFileError(ValueError):
     """Raised for a vocabulary file that cannot be read as one."""
 
 
+def read_input(path, error) -> bytes:
+    """An input file's bytes; an unreadable file raises `error` naming the path."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def read_text(path, error) -> tuple[bytes, str]:
-    """The bytes of a text input file and their UTF-8 decoding, for every
-    text input of a run. Bytes that are not UTF-8 raise `error`, the
-    input's own named error, naming the path and the byte offset."""
-    raw = Path(path).read_bytes()
+    """A text input file's bytes and their UTF-8 decoding; bytes that are not
+    UTF-8 also raise `error`, naming the path and the byte offset."""
+    raw = read_input(path, error)
     try:
         return raw, raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -75,4 +82,8 @@ class Tokenizer:
         lines = read_text(path, VocabularyFileError)[1].splitlines()
         if tuple(lines[:5]) != SPECIALS:
             raise VocabularyFileError(f"vocabulary file {path} does not start with the five reserved specials")
+        first = {}
+        for lineno, token in enumerate(lines, start=1):
+            if first.setdefault(token, lineno) != lineno:
+                raise VocabularyFileError(f"{path}:{lineno}: token {token!r} repeats line {first[token]}")
         return cls(lines[5:])

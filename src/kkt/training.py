@@ -24,13 +24,13 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ConfigurationError
-from .checkpoint import Checkpoint, assign_named, checkpoint_bytes, parse_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, assign_named, checkpoint_bytes, parse_checkpoint
 from .data import Dataset, dataset_hash
 from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, train_nli_head
 from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
-from .tokenizer import Tokenizer
+from .tokenizer import Tokenizer, read_input
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _CHOICES = {"ablation": ABLATIONS, "dtype": tuple(_DTYPES), "key_turn_provider": ("auto", "nli", "leading", "oracle")}
@@ -171,22 +171,21 @@ def evaluate_pipeline(pipeline: KktPipeline, dataset: Dataset, fingerprint_str: 
     Predictions run under `T.no_grad()`: they build no autodiff graph, so a
     `PredictResult.loss` from an evaluation cannot be back-propagated.
     """
-    n = 0
+    n = len(dataset.examples)
+    if n == 0:
+        raise ValueError("evaluate: empty dataset")
     n_plus = 0
     loss_total = 0.0
     predictions = []
     with T.no_grad():
         for ex in dataset.examples:
             res = pipeline.predict(ex)
-            n += 1
             correct = res.predicted == ex.gold
             n_plus += int(correct)
             loss_total += res.loss.item()
             predictions.append(
                 {"example_id": ex.example_id, "predicted": res.predicted, "gold": ex.gold, "correct": correct}
             )
-    if n == 0:
-        raise ValueError("evaluate: empty dataset")
     return EvalReport(
         n=n,
         n_plus=n_plus,
@@ -226,7 +225,7 @@ def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
     """A checkpoint's bytes, read once, and their parse; errors name the file."""
     if isinstance(blob_or_path, (bytes, bytearray)):
         return bytes(blob_or_path), parse_checkpoint(bytes(blob_or_path))
-    blob = Path(blob_or_path).read_bytes()
+    blob = read_input(blob_or_path, CheckpointError)
     return blob, parse_checkpoint(blob, label=str(blob_or_path))
 
 

@@ -120,11 +120,10 @@ def test_criterion_1_gradient_suite(capsys, tmp_path):
     for p in named.values():
         p.grad = None
     loss_fn().backward()
-    # The sentence pooler feeds the turn scorer, not answer selection, so it
-    # is the only parameter pair outside this loss. Everything else gets FD.
+    # Every parameter of the model is inside this loss, and every one gets FD.
     inert = sorted(name for name, p in named.items() if p.grad is None)
-    assert inert == ["enc.pooler_b", "enc.pooler_w"]
-    leaves = [p for name, p in named.items() if name not in inert]
+    assert inert == []
+    leaves = list(named.values())
     errs = helpers.sampled_rel_errs(loss_fn, leaves, np.random.default_rng(0), per_tensor=2)
     worst_model = max(errs)
     elapsed = time.perf_counter() - t0

@@ -18,7 +18,6 @@ from kkt.attention import (
     mha,
     self_attention,
 )
-from kkt.keyturns import pool
 
 
 def tens(x):
@@ -137,7 +136,7 @@ def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
     got = leaf_grads()
     monkeypatch.setattr(attention, "mha", helpers.chain_mha)
     assert got == leaf_grads()
-    assert len(got) == len(enc.named_parameters("enc")) - 2  # all but the pooler
+    assert len(got) == len(enc.named_parameters("enc"))  # every parameter
 
 
 def test_mha_adds_one_graph_node():
@@ -349,7 +348,6 @@ def test_encode_minimal_sequence_shapes():
     enc = tiny_encoder()
     hidden = encode(enc, [2, 4])  # [BOS, EOS]
     assert hidden.shape == (2, 8)
-    assert pool(enc, hidden).shape == (1, 8)
 
 
 def test_encode_deterministic():
@@ -357,17 +355,6 @@ def test_encode_deterministic():
     a = encode(enc, [2, 7, 9, 4])
     b = encode(enc, [2, 7, 9, 4])
     assert np.array_equal(a.data, b.data)
-    assert np.array_equal(pool(enc, a).data, pool(enc, b).data)
-
-
-def test_encode_pooled_within_tanh_range():
-    rng = np.random.default_rng(6)
-    enc = tiny_encoder()
-    for _ in range(100):
-        n = int(rng.integers(1, 16))
-        ids = rng.integers(0, 12, size=n).tolist()
-        pooled = pool(enc, encode(enc, ids)).data
-        assert np.all(pooled > -1.0) and np.all(pooled < 1.0)
 
 
 def test_encode_rejects_out_of_range_ids():
@@ -403,9 +390,9 @@ def test_encoder_parameter_names():
     assert "enc.block0.attn.wq" in names and "enc.block1.attn.wv" in names
     assert names["enc.block0.attn.wk"].shape == (2, 8, 4)
     assert "enc.block1.ff_w2" in names and "enc.block0.ln2_gain" in names
-    assert "enc.pooler_w" in names and "enc.pooler_b" in names
-    # 2 embeddings + 2 blocks x (3 projections + 4 ff + 4 ln) + pooler pair
-    assert len(names) == 2 + 2 * (3 + 4 + 4) + 2
+    # 2 embeddings + 2 blocks x (3 projections + 4 ff + 4 ln); the pooler is the NLI head's
+    assert not any("pooler" in name for name in names)
+    assert len(names) == 2 + 2 * (3 + 4 + 4)
 
 
 def test_encoder_init_deterministic_by_seed():

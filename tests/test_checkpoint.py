@@ -18,6 +18,7 @@ from kkt.checkpoint import (
     checkpoint_bytes,
     parse_checkpoint,
 )
+from kkt.keyturns import NliHead
 from kkt.model import KktParams
 from kkt.tokenizer import Tokenizer
 from kkt.training import RunConfig, read_checkpoint, restore_checkpoint
@@ -114,10 +115,10 @@ def test_other_format_version_rejected():
 def test_format_1_blob_rejected_by_version():
     # Format 1 stored every refinement group for every ablation; its blobs
     # must fail on the version field, not on a tensor-name mismatch.
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     blob = bytearray(checkpoint_bytes(sample_named(), "kt"))
     blob[4:8] = struct.pack("<I", 1)
-    with pytest.raises(CheckpointError, match="offset 4: format version 1, this reader supports only 3"):
+    with pytest.raises(CheckpointError, match="offset 4: format version 1, this reader supports only 4"):
         parse_checkpoint(bytes(blob))
 
 
@@ -129,8 +130,28 @@ def test_format_2_blob_rejected_by_version():
     current[4:8] = struct.pack("<I", FORMAT_VERSION)
     duma1 = {name: t.shape for name, t in parse_checkpoint(bytes(current)).tensors.items() if name.startswith("duma1.")}
     assert duma1 == {f"duma1.{role}{i}": (4, 2) for role in ("wq", "wk", "wv") for i in range(2)}
-    with pytest.raises(CheckpointError, match="offset 4: format version 2, this reader supports only 3"):
+    with pytest.raises(CheckpointError, match="offset 4: format version 2, this reader supports only 4"):
         parse_checkpoint(blob)
+
+
+def test_format_3_blob_rejected_by_version():
+    # Format 3 stored a tanh pooler on every encoder, the main model's
+    # `enc.pooler_*` and the NLI head's `nli.enc.pooler_*`; its blobs must
+    # fail on the version field, not on a tensor-name mismatch.
+    vocab = Tokenizer.build(["the bike is on the street"])
+    config = RunConfig(d_model=8, h=2, layers=1, max_length=16)
+    rng = np.random.default_rng(0)
+    named = KktParams.init(len(vocab), 8, 2, 1, 32, 16, "full", rng).named_parameters()
+    named.update(NliHead.init(len(vocab), 8, 2, 1, 32, 16, rng).named_parameters())
+    for prefix in ("enc", "nli.enc"):
+        named[f"{prefix}.pooler_w"], named[f"{prefix}.pooler_b"] = np.ones((8, 8)), np.zeros(8)
+    del named["nli.pooler_w"], named["nli.pooler_b"]
+    blob = bytearray(checkpoint_bytes(named, "full"))
+    with pytest.raises(CheckpointError, match=r"unexpected \['enc.pooler_b', 'enc.pooler_w'\]"):
+        restore_checkpoint(parse_checkpoint(bytes(blob)), config, vocab)
+    blob[4:8] = struct.pack("<I", 3)
+    with pytest.raises(CheckpointError, match="offset 4: format version 3, this reader supports only 4"):
+        parse_checkpoint(bytes(blob))
 
 
 def test_head_count_mismatch_fails_on_the_projection_shape():

@@ -203,14 +203,14 @@ def test_eval_rejects_other_format_version(ws, tmp_path):
 def test_eval_rejects_a_format_1_checkpoint(ws, tmp_path):
     rc, _, err = _eval_with_format_version(ws, tmp_path, 1)
     assert rc == 2
-    assert "format version 1, this reader supports only 3" in err
+    assert "format version 1, this reader supports only 4" in err
 
 
 def test_eval_rejects_a_format_2_checkpoint(ws, tmp_path):
     # The run's weights with one matrix per attention head, as format 2 stored them.
     rc, _, err = _eval_blob(ws, tmp_path, helpers.format_2_blob((ws["run"] / "model.kkt").read_bytes()))
     assert rc == 2
-    assert err.startswith("error:") and "format version 2, this reader supports only 3" in err
+    assert err.startswith("error:") and "format version 2, this reader supports only 4" in err
 
 
 def test_eval_under_another_head_count_names_the_tensor_and_both_shapes(ws, tmp_path):
@@ -497,3 +497,45 @@ def test_input_that_is_not_utf8_names_its_file_and_offset(ws, tmp_path, kind, co
     rc, _, err = run_cli(argv)
     assert rc == 2
     assert err.startswith(f"error: {bad}: not UTF-8 text: byte 0x{blob[offset]:02x} at offset {offset} ")
+
+
+@pytest.mark.parametrize("kind", ["data", "kg", "ckpt"])
+def test_missing_input_file_names_its_path(ws, tmp_path, kind):
+    missing = tmp_path / "nope"
+    run = ws["run"]
+    argv = {
+        "data": ["train", "--data", str(missing), "--out", str(tmp_path / "out")],
+        "kg": ["retrieve", "--kg", str(missing), "--text", "bike"],
+        "ckpt": ["eval", "--ckpt", str(missing), "--data", str(ws["bundle"]),
+                 "--config", str(run / "config.json"), "--vocab", str(run / "vocab.txt")],
+    }[kind]
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert err.startswith(f"error: {missing}: cannot read: ")
+
+
+@pytest.mark.parametrize("record, key", [
+    ({"premise": 7, "hypothesis": "b", "label": 0}, "premise and hypothesis"),
+    ({"premise": "a", "hypothesis": ["b"], "label": 0}, "premise and hypothesis"),
+    ({"premise": "a", "hypothesis": "b", "label": True}, "label"),
+    ({"premise": "a", "hypothesis": "b", "label": 1.0}, "label"),
+    ({"premise": "a", "hypothesis": "b", "label": 3}, "label"),
+    ({"premise": "a", "hypothesis": "b", "label": "1"}, "label"),
+], ids=["numeric-premise", "list-hypothesis", "bool-label", "float-label", "label-3", "string-label"])
+def test_nli_record_field_of_the_wrong_type_names_its_line(ws, tmp_path, record, key):
+    bad = tmp_path / "nli.jsonl"
+    bad.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]),
+                          "--nli", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {bad}:2: NLI {key} must be ")
+
+
+def test_eval_on_a_vocabulary_with_a_repeated_token_names_file_and_token(ws, tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    lines = (ws["run"] / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(lines + [lines[6]]) + "\n", encoding="utf-8")
+    rc, _, err = run_cli(["eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
+                          "--vocab", str(vocab)])
+    assert rc == 2
+    assert err.startswith(f"error: {vocab}:{len(lines) + 1}: token {lines[6]!r} repeats line 7")

@@ -18,7 +18,6 @@ from kkt.keyturns import (
     NliProvider,
     OracleProvider,
     score_turn,
-    pool,
     select_key_turns,
     train_nli_head,
 )
@@ -118,9 +117,12 @@ def test_batched_scores_equal_one_pair_scores(data):
             assert list(batched) == alone
         else:
             np.testing.assert_allclose(batched, alone, rtol=1e-5)
-        # A one-pair call is minus the cross entropy of the pair's own logits, bit for bit.
+        # A one-pair call is minus the cross entropy of the pair's own logits, bit for bit:
+        # the head's tanh pooler over the first row, then its output map.
         with T.no_grad():
-            logits = T.reshape(T.affine(pool(head.enc, encode(head.enc, ids)), head.out_w, head.out_b), (3,))
+            first = T.take_rows(encode(head.enc, ids), [0])
+            pooled = T.tanh(T.affine(first, head.pooler_w, head.pooler_b))
+            logits = T.reshape(T.affine(pooled, head.out_w, head.out_b), (3,))
         assert alone[0] == -T.cross_entropy_from_logits(logits, ENTAILMENT).item()
 
 
@@ -266,10 +268,26 @@ def test_train_nli_head_checks_every_record_before_the_first_step():
 
 
 def test_train_nli_head_rejects_bad_label():
+    # True == 1 and 1.0 == 1, yet neither is an integer label.
     tk = Tokenizer.build(["text"])
     head = make_head(tk)
-    with pytest.raises(ValueError):
-        train_nli_head(head, tk, [{"premise": "text", "hypothesis": "text", "label": 3}], epochs=1)
+    before = {k: v.data.copy() for k, v in head.named_parameters().items()}
+    for label in (3, True, 1.0):
+        with pytest.raises(ValueError, match="NLI label"):
+            train_nli_head(head, tk, [{"premise": "text", "hypothesis": "text", "label": label}], epochs=1)
+    for name, t in head.named_parameters().items():
+        assert np.array_equal(t.data, before[name]), name
+
+
+def test_one_nli_record_gives_every_head_parameter_a_gradient():
+    tk = Tokenizer.build(["the train is late", "why is he late"])
+    head = make_head(tk, seed=3)
+    params = head.named_parameters()
+    assert {"nli.pooler_w", "nli.pooler_b", "nli.out_w", "nli.out_b"} <= set(params)
+    assert all(name.startswith("nli.") for name in params)
+    ids = keyturns._nli_ids(head, tk, "the train is late", "why is he late")
+    T.cross_entropy_from_logits(T.reshape(keyturns._nli_logits(head, [ids]), (3,)), ENTAILMENT).backward()
+    assert sorted(name for name, p in params.items() if p.grad is None or not np.any(p.grad)) == []
 
 
 # ---------------------------------------------------------------------------

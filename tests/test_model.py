@@ -348,18 +348,18 @@ def test_kkt_params_named_parameters_complete():
     assert "decoder_w" in names and "fusion_w" in names
     assert "enc.tok_emb" in names and "fact_sa.wq" in names
     assert "refine_kt.wk" in names and "duma2.wv" in names
-    # 1 block encoder: 2 emb + 11 block + 2 pooler = 15; mha groups of 3
-    # tensors (wq, wk, wv): duma1 and duma2, plus fact_sa, refine_ck and
-    # refine_qak with "k" and refine_kt with "kt"; the fusion pair when there
-    # is a path; the decoder. full: 15 + 6 * 3 + 3, kt: 15 + 3 * 3 + 3,
-    # k: 15 + 5 * 3 + 3, base: 15 + 2 * 3 + 1.
-    counts = {"full": 36, "keyturns-only": 36, "kt": 27, "k": 33, "base": 22}
+    # 1 block encoder: 2 emb + 11 block = 13; mha groups of 3 tensors (wq,
+    # wk, wv): duma1 and duma2, plus fact_sa, refine_ck and refine_qak with
+    # "k" and refine_kt with "kt"; the fusion pair when there is a path; the
+    # decoder. full: 13 + 6 * 3 + 3, kt: 13 + 3 * 3 + 3, k: 13 + 5 * 3 + 3,
+    # base: 13 + 2 * 3 + 1.
+    counts = {"full": 34, "keyturns-only": 34, "kt": 25, "k": 31, "base": 20}
     for ablation in ABLATIONS:
         assert len(small_setup(ablation=ablation)[1].named_parameters()) == counts[ablation], ablation
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
-def test_every_parameter_but_the_pooler_gets_a_gradient(ablation):
+def test_every_parameter_gets_a_gradient(ablation):
     # Facts and key turns are live for every path the ablation has, so a
     # parameter without a gradient is one its wiring never reads.
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
@@ -374,7 +374,7 @@ def test_every_parameter_but_the_pooler_gets_a_gradient(ablation):
         assert flags["ck_identity"] == flags["qak_identity"] == ("k" not in PATHS[ablation])
     result.loss.backward()
     inert = sorted(name for name, p in params.named_parameters().items() if p.grad is None)
-    assert inert == ["enc.pooler_b", "enc.pooler_w"]
+    assert inert == []
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
