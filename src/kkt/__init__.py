@@ -25,7 +25,7 @@ from .model import (
     refine,
 )
 from .tensor import Tensor
-from .tokenizer import Tokenizer
+from .tokenizer import InputError, Tokenizer
 from .training import EvalReport, RunConfig, ablation_sweep, evaluate, evaluate_pipeline, train
 
 __version__ = "0.1.0"

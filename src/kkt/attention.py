@@ -27,15 +27,13 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
+from .tokenizer import InputError
 
 
-class ConfigurationError(ValueError):
-    """Raised when a run configuration, a structural hyperparameter
-    combination or a checkpoint pairing is invalid."""
-
-
-class VocabularyError(ValueError):
-    """Raised when a token id falls outside the embedding table."""
+class ConfigurationError(InputError):
+    """Raised for an invalid run configuration, command-line setting,
+    hyperparameter combination or checkpoint pairing, and for an input too
+    long for the configured `max_length`."""
 
 
 @dataclass
@@ -123,10 +121,6 @@ class EncoderParams:
     blocks: list = field(default_factory=list)
 
     @property
-    def vocab_size(self) -> int:
-        return self.tok_emb.shape[0]
-
-    @property
     def max_len(self) -> int:
         return self.pos_emb.shape[0]
 
@@ -160,8 +154,9 @@ def encode(params: EncoderParams, *sequences) -> Tensor:
     tanh of the stack are one op each, and self-attention runs per sequence
     on its own rows. Every op but attention works row by row, so in float64
     each sequence's rows equal those of encoding it alone, bit for bit; one
-    sequence is simply the one-segment case. A sequence longer than the
-    position table raises `ShapeError`.
+    sequence is simply the one-segment case. No sequence, an empty one or one
+    past the position table is a `ShapeError`, and an id outside the embedding
+    table an `IndexError`: callers check inputs first, so either is a defect.
     """
     if not sequences:
         raise ShapeError("encode: no token sequences")
@@ -171,10 +166,6 @@ def encode(params: EncoderParams, *sequences) -> Tensor:
             raise ShapeError("encode: empty token sequence")
         if len(ids) > params.max_len:
             raise ShapeError(f"encode: sequence of {len(ids)} tokens overruns the {params.max_len} positions")
-        if min(ids) < 0 or max(ids) >= params.vocab_size:
-            raise VocabularyError(
-                f"token id out of range for vocabulary of {params.vocab_size}: {ids}"
-            )
     lengths = tuple(len(ids) for ids in seqs)
     tokens = [i for ids in seqs for i in ids]
     positions = [j for n in lengths for j in range(n)]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor
+from .tokenizer import InputError
 
 MAGIC = b"KKTC"
 # Version 2: each ablation stores only the tensors its wiring reads.
@@ -38,7 +39,7 @@ ABLATION_TAGS = {"full": 0, "kt": 1, "k": 2, "base": 3, "keyturns-only": 4}
 TAG_ABLATIONS = {v: k for k, v in ABLATION_TAGS.items()}
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """Raised for unreadable or inconsistent checkpoint files."""
 
 

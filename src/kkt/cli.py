@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, retrieve, score-turns, gen-data, sweep. Every
 command prints a JSON document on stdout so runs are scriptable; file
-outputs land under the given --out. The KKT_SEED environment variable
+outputs land under the given --out. Bad input, any `InputError`, prints
+`error: ...` on stderr and exits 2. The KKT_SEED environment variable
 overrides the config seed for train/eval/sweep.
 """
 
@@ -18,7 +19,7 @@ from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset
 from .keyturns import NliProvider
 from .knowledge import rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
-from .tokenizer import Tokenizer
+from .tokenizer import InputError, Tokenizer
 from .training import (
     ConfigurationError,
     RunConfig,
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ValueError as exc:  # every named input error of kkt is one
+    except InputError as exc:  # bad input; any other exception is a kkt defect and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -31,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import ConfigurationError
 from .model import DialogueExample
-from .tokenizer import read_text
+from .tokenizer import InputError, read_text
 
 MODES = ("keyturn-signal", "knowledge-signal", "mixed")
 _MODE_IDS = {m: i + 1 for i, m in enumerate(MODES)}
@@ -89,7 +90,7 @@ PLANTED_WEIGHT = 2.0
 FILLER_WEIGHT = 1.2
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Raised when a dataset file violates the expected layout."""
 
 
@@ -133,8 +134,8 @@ def _check_strings(items, where, what):
 
 
 def dataset_from_obj(obj, label="dataset") -> Dataset:
-    """Examples of a parsed dataset file; any other layout is a `SchemaError`
-    naming `label`."""
+    """Examples of a parsed dataset file; another layout, no question, or a
+    question and option of no token is a `SchemaError` naming `label`."""
     if not isinstance(obj, list):
         raise SchemaError(f"{label}: a dataset must be a JSON list of dialogues, got {type(obj).__name__}")
     examples = []
@@ -161,6 +162,10 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
                                   f"got {qa['choice']!r:.60}")
             if qa["answer"] not in qa["choice"]:
                 raise SchemaError(f"{label}: {did} question {qi}: answer {qa['answer']!r} not among choices")
+            # Every non-space character is a token, so only blank text tokenizes to nothing.
+            blank = [] if qa["question"].strip() else [j for j, option in enumerate(qa["choice"]) if not option.strip()]
+            if blank:
+                raise SchemaError(f"{label}: {did} question {qi}: question and choice {blank[0]} tokenize to nothing")
             examples.append(
                 DialogueExample(
                     turns=list(turns),
@@ -171,6 +176,8 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
                     qa_index=qi,
                 )
             )
+    if not examples:
+        raise SchemaError(f"{label}: the dataset holds no questions")
     return Dataset(dialogues=obj, examples=examples)
 
 
@@ -333,7 +340,7 @@ def gen_synthetic(seed: int, n: int, mode: str, split: str = "train") -> Synthet
     across splits of a seed while asked entities stay disjoint.
     """
     if n <= 0:
-        raise ValueError(f"need n >= 1 examples, got {n}")
+        raise ConfigurationError(f"need n >= 1 examples, got {n}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if split not in _SPLIT_IDS:

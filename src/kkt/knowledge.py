@@ -25,23 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import EncoderParams, MhaParams, encode, self_attention
-from .tokenizer import Tokenizer, read_text, tokenize
+from .attention import ConfigurationError, EncoderParams, MhaParams, encode, self_attention
+from .tokenizer import InputError, Tokenizer, read_text, tokenize
 
 NOUN, VERB, ADJ, OTHER = "NOUN", "VERB", "ADJ", "OTHER"
 _POS_TAGS = (NOUN, VERB, ADJ)
 
 
-class KgFormatError(ValueError):
+class KgFormatError(InputError):
     """Raised for malformed or invalid knowledge-graph files."""
-
-
-class EmptyFactError(ValueError):
-    """Raised when a fact tokenizes to nothing."""
-
-
-class FactTooLongError(ValueError):
-    """Raised when a fact has more tokens than the encoder has positions."""
 
 
 # Closed-class words never counted as content, regardless of suffix shape.
@@ -203,8 +195,8 @@ def iter_kg_triples(text: str, label="kg"):
             weight = float(weight_s)
         except ValueError as exc:
             raise KgFormatError(f"{label}:{lineno}: weight {weight_s!r} is not a number") from exc
-        if weight < 0:
-            raise KgFormatError(f"{label}:{lineno}: negative weight {weight}")
+        if not 0 <= weight < np.inf:  # NaN would rank by file order, and JSON has no infinity
+            raise KgFormatError(f"{label}:{lineno}: weight {weight_s!r} must be a finite number >= 0")
         yield KnowledgeTriple(relation=relation, head=head, tail=tail, weight=weight)
 
 
@@ -262,7 +254,8 @@ class FactEncoder:
     once: one `encode` over the stacked sequences, one segmented
     self-attention and one `T.segment_mean`. In float64 each vector equals
     that of encoding its fact alone, bit for bit. A fact longer than the
-    encoder's positions raises `FactTooLongError` rather than being cut.
+    encoder's positions raises `ConfigurationError` rather than being cut;
+    no KG fact is empty, and `encode` refuses an empty one with `ShapeError`.
 
     A row built inside `T.no_grad()` carries no graph, so it is
     served only inside `no_grad` again; graph-building callers get one with
@@ -326,11 +319,9 @@ class FactEncoder:
         if texts:
             ids = [self.tokenizer.encode(text) for text in texts]
             for text, seq in zip(texts, ids):
-                if not seq:
-                    raise EmptyFactError(f"fact {text!r} tokenizes to nothing")
                 if len(seq) > self.enc.max_len:
-                    raise FactTooLongError(f"fact {text!r} has {len(seq)} tokens, more than the "
-                                           f"encoder's {self.enc.max_len} positions (max_length)")
+                    raise ConfigurationError(f"fact {text!r} has {len(seq)} tokens, more than the "
+                                             f"encoder's {self.enc.max_len} positions (max_length)")
             lengths = [len(seq) for seq in ids]
             pooled = T.segment_mean(self_attention(self.sa, encode(self.enc, *ids), lengths), lengths)
             if grad and self._step is not None:
@@ -349,7 +340,7 @@ def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:
     fact text asc, triple id asc. Returns fewer than p ids when fewer match.
     """
     if p < 1:
-        raise ValueError(f"top-p bound must be >= 1, got {p}")
+        raise ConfigurationError(f"top-p bound must be >= 1, got {p}")
     query = set()
     for text in texts:
         query.update(content_words(text, store.tagger))

@@ -185,7 +185,8 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
     four specials and the middle separator belong to neither. When the whole
     input would overrun max_len, context tokens are dropped from the front
     (the QA side is never cut) and the context additionally never takes more
-    than 75% of the non-special budget.
+    than 75% of the non-special budget. A QA side that leaves no room for
+    context is a `ConfigurationError`.
 
     `turns` is None or one entry per option, a list of turn texts or None
     for the example's turns. Each distinct text is tokenized once.
@@ -212,20 +213,18 @@ def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueEx
         c_ids = [i for ids in turn_ids for i in ids]
         qa_len = len(q_ids) + len(a_ids)
         if qa_len > budget:
-            raise ValueError(
+            raise ConfigurationError(
                 f"example {example.example_id}: QA pair of {qa_len} tokens exceeds max_length {max_len}; QA is never truncated"
             )
         allowed_c = min(len(c_ids), int(budget * 0.75), budget - qa_len)
         if allowed_c < 1:
-            raise ValueError(f"example {example.example_id}: no room for context at max_length {max_len}")
+            raise ConfigurationError(f"example {example.example_id}: no room for context at max_length {max_len}")
         drop = len(c_ids) - allowed_c
         if drop > 0:
             truncated = True
             c_ids = c_ids[drop:]
             spans = [(max(s - drop, 0), max(e - drop, 0)) for s, e in spans]
         ids = [tokenizer.bos_id] + c_ids + [tokenizer.sep_id] + q_ids + [tokenizer.sep_id] + a_ids + [tokenizer.eos_id]
-        if len(ids) > params.max_len:
-            raise ConfigurationError(f"input of {len(ids)} tokens overruns the encoder's {params.max_len} positions")
         # Row offsets in the stacked hidden matrix.
         start = sum(len(seq) for seq in sequences)
         q_start = start + 1 + allowed_c + 1

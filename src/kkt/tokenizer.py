@@ -17,12 +17,17 @@ PAD, UNK, BOS, SEP, EOS = "[PAD]", "[UNK]", "[BOS]", "[SEP]", "[EOS]"
 SPECIALS = (PAD, UNK, BOS, SEP, EOS)
 
 
-class VocabularyFileError(ValueError):
+class InputError(ValueError):
+    """Bad input (a file, flag or config value), not a kkt defect: the CLI
+    prints it as `error: ...` and exits 2, and any other exception is a defect."""
+
+
+class VocabularyFileError(InputError):
     """Raised for a vocabulary file that cannot be read as one."""
 
 
 def read_input(path, error) -> bytes:
-    """An input file's bytes; an unreadable file raises `error` naming the path."""
+    """An input file's bytes; an unreadable file raises `error`, an `InputError` class, naming the path."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:

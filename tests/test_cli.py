@@ -64,6 +64,12 @@ def test_gen_data_rejects_unknown_mode(tmp_path):
         run_cli(["gen-data", "--seed", "1", "--n", "4", "--mode", "telepathy", "--out", str(tmp_path)])
 
 
+def test_gen_data_of_no_examples_exits_2(tmp_path):
+    rc, _, err = run_cli(["gen-data", "--seed", "1", "--n", "0", "--mode", "mixed", "--out", str(tmp_path)])
+    assert rc == 2
+    assert err.startswith("error: need n >= 1 examples, got 0")
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -118,6 +124,22 @@ def test_train_with_an_nli_record_longer_than_max_length_exits_2(ws, tmp_path):
     assert rc == 2
     assert re.match(r"error: NLI pair \('hi hi .+', 'a b c d e'\) has 98 tokens, more than the scorer encoder's "
                     r"96 positions \(max_length\)", err)
+
+
+@pytest.mark.parametrize("question, message", [
+    (" ".join(["why"] * 20), "QA pair of 21 tokens exceeds max_length 12"),
+    (" ".join(["why"] * 7), "no room for context at max_length 12"),
+], ids=["qa-too-long", "no-room-for-context"])
+def test_train_with_a_qa_pair_too_long_for_max_length_exits_2(tmp_path, question, message):
+    # The QA side is never cut, so a question that leaves no context row is a named input error.
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps([[["m : hi there"], [{"question": question, "choice": ["a", "b"], "answer": "a"}],
+                                 "d1"]]), encoding="utf-8")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "max_length": 12, "key_turn_provider": "leading"}), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: example d1#0: {message}")
 
 
 def test_train_nli_provider_without_corpus_exits_2(ws, tmp_path):
@@ -276,7 +298,7 @@ def test_retrieve_rejects_bad_top_p(tmp_path):
     kg.write_text("atlocation\tbike\tstreet\t2.0\n", encoding="utf-8")
     rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--top-p", "0"])
     assert rc == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: top-p bound must be >= 1, got 0")
 
 
 def test_retrieve_rejects_malformed_lexicon(tmp_path):
@@ -435,6 +457,26 @@ def test_dataset_of_the_wrong_shape_names_its_file(tmp_path, obj):
     rc, _, err = run_cli(["train", "--data", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("obj", [[], [[["m : hi"], [], "d0"]]], ids=["no-dialogues", "no-questions"])
+def test_dataset_without_questions_names_its_file(tmp_path, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err == f"error: {bad}: the dataset holds no questions\n"
+
+
+def test_question_and_option_of_no_tokens_name_file_dialogue_and_question(tmp_path):
+    # Empty question and option text would leave the option no QA rows.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([[["m : hi there", "w : hello"],
+                                [GOOD_QA, {"question": "", "choice": ["", "hello"], "answer": "hello"}], "d1"]]),
+                   encoding="utf-8")
+    rc, _, err = run_cli(["train", "--data", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: d1 question 1: question and choice 0 tokenize to nothing")
 
 
 def test_dataset_field_of_the_wrong_type_names_file_dialogue_and_question(tmp_path):

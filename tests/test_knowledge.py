@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from kkt import tensor as T
-from kkt.attention import MhaParams, encode
+from kkt.attention import ConfigurationError, MhaParams, encode
 from kkt.knowledge import (
-    EmptyFactError,
     FactEncoder,
-    FactTooLongError,
     KgFormatError,
     KnowledgeStore,
     KnowledgeTriple,
@@ -192,6 +190,16 @@ def test_load_kg_negative_weight_rejected(tmp_path):
         load_kg(read_graph(path).triples, 0.0, vocab_over("bike street"))
 
 
+@pytest.mark.parametrize("weight", ["nan", "1e999", "inf"])
+def test_load_kg_weight_that_is_not_finite_rejected(tmp_path, weight):
+    # NaN compares false both ways, so its triples would rank by file order;
+    # an infinite weight would print as `Infinity`, which is not JSON.
+    path = tmp_path / "kg.tsv"
+    path.write_text(f"atlocation\tbike\tshed\t2\natlocation\tbike\tstreet\t{weight}\n", encoding="utf-8")
+    with pytest.raises(KgFormatError, match=rf"kg.tsv:2: weight '{weight}' must be a finite number >= 0"):
+        read_graph(path)
+
+
 def test_load_kg_bad_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\theavy\n", encoding="utf-8")
@@ -278,7 +286,7 @@ def test_encode_fact_matches_step_by_step_oracle():
 
 def test_encode_fact_empty_rejected():
     _, _, _, fe = fact_encoder_fixture()
-    with pytest.raises(EmptyFactError):
+    with pytest.raises(T.ShapeError):
         fe.encode_fact("")
 
 
@@ -287,7 +295,7 @@ def test_encode_fact_longer_than_the_position_table_rejected():
     enc = tiny_encoder(vocab=len(tk), max_len=4)
     fe = FactEncoder(tk, enc, MhaParams.init(8, 2, np.random.default_rng(1)))
     assert fe.encode_fact("a b c d").shape == (1, 8)
-    with pytest.raises(FactTooLongError, match=r"'a b c d e f g' has 7 tokens, more than the encoder's 4 positions"):
+    with pytest.raises(ConfigurationError, match=r"'a b c d e f g' has 7 tokens, more than the encoder's 4 positions"):
         fe.encode_facts(["a b", "a b c d e f g"])
 
 

@@ -142,7 +142,7 @@ def test_encode_pair_context_capped_at_three_quarters():
 def test_encode_pair_oversize_qa_rejected():
     tk, params = small_setup(texts=["street " * 40])
     ex = make_example(["m : hi there"], question="street " * 40)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="QA pair of 41 tokens exceeds max_length 32"):
         encode_pair(params.enc, tk, helpers.one_option(ex, 0), 32)
 
 
@@ -160,9 +160,10 @@ def test_encode_pair_all_options_stack_each_options_rows():
 
 def test_encode_pair_rejects_inputs_past_the_position_table():
     # Stacked rows would shift if the encoder cut a sequence, so it may not.
+    # A max_len above the position table is a defect of the caller.
     tk, params = small_setup()
     ex = make_example(["m : " + "the bike is on the street . " * 12])
-    with pytest.raises(ConfigurationError, match="positions"):
+    with pytest.raises(T.ShapeError, match="positions"):
         encode_pair(params.enc, tk, ex, 128)
 
 
