@@ -57,13 +57,16 @@ def _tensor_data(value) -> np.ndarray:
 
 
 def checkpoint_bytes(named: dict, ablation: str) -> bytes:
+    """The checkpoint blob of named tensors. An unknown ablation or a rank
+    above MAX_RANK is a plain `ValueError`: no input reaches either, so
+    either is a kkt defect."""
     if ablation not in ABLATION_TAGS:
-        raise CheckpointError(f"unknown ablation {ablation!r}")
+        raise ValueError(f"unknown ablation {ablation!r}")
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<B", ABLATION_TAGS[ablation]), struct.pack("<I", len(named))]
     for name in sorted(named):
         arr = _tensor_data(named[name])
         if arr.ndim > MAX_RANK:
-            raise CheckpointError(f"tensor {name!r} has rank {arr.ndim}, above the limit of {MAX_RANK}")
+            raise ValueError(f"tensor {name!r} has rank {arr.ndim}, above the limit of {MAX_RANK}")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)

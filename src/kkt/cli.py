@@ -19,7 +19,7 @@ from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset
 from .keyturns import NliProvider
 from .knowledge import rank_triples, read_graph, rewrite_triple
 from .model import ABLATIONS
-from .tokenizer import InputError, Tokenizer
+from .tokenizer import InputError, Tokenizer, write_output
 from .training import (
     ConfigurationError,
     RunConfig,
@@ -113,6 +113,9 @@ def _cmd_eval(args):
     vocab = Tokenizer.load(_sidecar(ckpt, "vocab.txt", args.vocab))
     paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])
+    if args.out:
+        # Before any example runs; an existing report stays as it is until the new one is written.
+        write_output(args.out, b"", mode="ab")
     report = evaluate(
         ckpt,
         config,
@@ -125,7 +128,7 @@ def _cmd_eval(args):
         planted=_planted_from_meta(paths["meta"]),
     )
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        write_output(args.out, report.to_json().encode("utf-8"))
     _emit(report.to_dict())
 
 
@@ -221,7 +224,7 @@ def _cmd_sweep(args):
     )
     table = {"grid": grid, "ablation": config.ablation, "rows": rows}
     if args.out:
-        Path(args.out).write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        write_output(args.out, (json.dumps(table, indent=1, sort_keys=True) + "\n").encode("utf-8"))
     _emit(table)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .attention import ConfigurationError
 from .model import DialogueExample
-from .tokenizer import InputError, read_text
+from .tokenizer import InputError, read_text, write_output
 
 MODES = ("keyturn-signal", "knowledge-signal", "mixed")
 _MODE_IDS = {m: i + 1 for i, m in enumerate(MODES)}
@@ -392,18 +392,17 @@ BUNDLE_FILES = {
 
 def write_bundle(bundle: SyntheticBundle, out_dir) -> dict:
     """Write all bundle files into a directory; returns name -> path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {k: out / v for k, v in BUNDLE_FILES.items()}
-    data_blob = json.dumps(bundle.dataset.dialogues, indent=1, sort_keys=True) + "\n"
-    paths["data"].write_text(data_blob, encoding="utf-8")
-    paths["kg"].write_text(bundle.kg_text, encoding="utf-8")
-    paths["surfaces"].write_text(bundle.surfaces_text, encoding="utf-8")
-    paths["lexicon"].write_text(bundle.lexicon_text, encoding="utf-8")
-    nli_blob = "".join(json.dumps(r, sort_keys=True) + "\n" for r in bundle.nli_records)
-    paths["nli"].write_text(nli_blob, encoding="utf-8")
-    meta_blob = json.dumps(bundle.meta, indent=1, sort_keys=True) + "\n"
-    paths["meta"].write_text(meta_blob, encoding="utf-8")
+    paths = {k: Path(out_dir) / v for k, v in BUNDLE_FILES.items()}
+    texts = {
+        "data": json.dumps(bundle.dataset.dialogues, indent=1, sort_keys=True) + "\n",
+        "kg": bundle.kg_text,
+        "surfaces": bundle.surfaces_text,
+        "lexicon": bundle.lexicon_text,
+        "nli": "".join(json.dumps(r, sort_keys=True) + "\n" for r in bundle.nli_records),
+        "meta": json.dumps(bundle.meta, indent=1, sort_keys=True) + "\n",
+    }
+    for name, text in texts.items():
+        write_output(paths[name], text.encode("utf-8"))
     return paths
 
 

@@ -9,11 +9,13 @@ logits trains the whole stack.
 
 All options of an example run through each layer in one pass. Their
 sequences go through one encoder call; their H_c and H_qa rows are stacked
-in option order with per-option lengths, and every refinement and
-co-attention is one `mha` call in which option i's queries attend over
-option i's keys only (segment pairs of `tensor.attention`, on exact row
-slices). So in float64 each option's values, and every logit, equal those
-of running the option alone, bit for bit. `encode_pair`, `refine`,
+in option order with per-option lengths, and every refinement is one `mha`
+call in which option i's queries attend over option i's keys only (segment
+pairs of `tensor.attention`, on exact row slices). The co-attention of the
+plain rows and of every path's refined rows is one `mha` call per
+direction, over the paths' rows stacked as further blocks of options. So in
+float64 each option's values, and every logit, equal those of running the
+option alone, bit for bit. `encode_pair`, `refine`,
 `dual_coattention` and `forward` take the stacked options only; one option
 alone is an example with that one option, run through the same code.
 
@@ -330,16 +332,22 @@ def forward(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak):
     O_o is the co-attention of the plain rows. Each of the ablation's paths
     adds one co-attention over its refined rows; their concatenation goes
     through the fusion affine and is appended to O_o before the decoder.
-    The arguments are those of `refine`; the logits are one per option.
+    The plain rows and every path's rows run as one `dual_coattention`: the
+    sides are stacked block by block (plain first, then the paths in PATHS
+    order), each block holding every option, and O_o and each path's rows
+    are taken back from their blocks. The arguments are those of `refine`;
+    the logits are one per option.
     """
     refined = refine(params, enc, key_turn_indices, ck, qak)
-    lengths = (enc.c_lengths, enc.qa_lengths)
-    o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa, *lengths)
     paths = PATHS[params.ablation]
+    sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
+    blocks = [(enc.h_c, enc.h_qa)] + [sides[p] for p in paths]
+    h_c, h_qa = (T.concat_rows(side) for side in zip(*blocks))
+    o = dual_coattention(params.duma1, params.duma2, h_c, h_qa, enc.c_lengths * len(blocks), enc.qa_lengths * len(blocks))
     if paths:
-        sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
-        fused = T.concat_last_axis([dual_coattention(params.duma1, params.duma2, *sides[p], *lengths) for p in paths])
-        o = T.concat_last_axis([o, T.affine(fused, params.fusion_w, params.fusion_b)])
+        n = len(enc.c_lengths)
+        o_o, *fused = (T.take_rows(o, range(b * n, b * n + n)) for b in range(len(blocks)))
+        o = T.concat_last_axis([o_o, T.affine(T.concat_last_axis(fused), params.fusion_w, params.fusion_b)])
     logits = T.matmul(o, T.reshape(params.decoder_w, (o.shape[1], 1)))
     return T.reshape(logits, (o.shape[0],)), refined
 

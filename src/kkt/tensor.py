@@ -442,11 +442,12 @@ def segment_mean(x: Tensor, lengths) -> Tensor:
     groups = _segment_groups("segment_mean", (lengths, x.shape[0]))
     cols = x.shape[1]
     if len(groups) == 1:
-        data = x.data.reshape(len(lengths), groups[0][1][0], cols).mean(axis=1)
+        n = groups[0][1][0]
+        data = np.add.reduce(x.data.reshape(len(lengths), n, cols), axis=1) / n
     else:
         data = np.empty((len(lengths), cols), x.dtype)
         for segments, (n,), (rows,) in groups:
-            data[list(segments)] = x.data[rows].reshape(len(segments), n, cols).mean(axis=1)
+            data[list(segments)] = np.add.reduce(x.data[rows].reshape(len(segments), n, cols), axis=1) / n
     counts = np.asarray(lengths, dtype=np.intp)
     # Counts in the data's dtype: float32 gradients stay float32.
     per_row = counts.astype(x.dtype)[:, None]
@@ -481,10 +482,13 @@ def concat_last_axis(xs) -> Tensor:
 
 
 def concat_rows(xs) -> Tensor:
-    """Concatenate 2-D tensors of equal width along the row axis."""
+    """Concatenate 2-D tensors of equal width along the row axis. A single
+    tensor is returned as it is, without a graph node."""
     xs = list(xs)
     if not xs or any(t.ndim != 2 or t.shape[1] != xs[0].shape[1] for t in xs):
         raise ShapeError(f"concat_rows: need 2-D inputs of one width, got {[t.shape for t in xs]}")
+    if len(xs) == 1:
+        return xs[0]
     edges = list(itertools.accumulate((t.shape[0] for t in xs), initial=0))
 
     def backward(g):
@@ -562,8 +566,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     n = x.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {n}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    # Sums over the count: the ufunc calls of ``ndarray.mean``, bit for bit, without its wrapper.
+    mu = np.add.reduce(x.data, axis=1, keepdims=True) / n
+    var = np.add.reduce((x.data - mu) ** 2, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data[None, :] + bias.data[None, :]
@@ -572,8 +577,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gh = g * gain.data[None, :]
         gx = inv * (
             gh
-            - gh.mean(axis=1, keepdims=True)
-            - xhat * (gh * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(gh, axis=1, keepdims=True) / n
+            - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / n)
         )
         return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 

@@ -34,6 +34,24 @@ def read_input(path, error) -> bytes:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+class OutputPathError(InputError):
+    """Raised for an output path (`--out`) that cannot be written."""
+
+
+def write_output(path, data: bytes, mode: str = "wb") -> None:
+    """Write an output file, making its directory first; an `OSError` of
+    the writing raises `OutputPathError` naming the path. Mode "ab" with
+    empty data checks that the path can be written and leaves a file
+    there as it is."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open(mode) as f:
+            f.write(data)
+    except OSError as exc:
+        raise OutputPathError(f"{path}: cannot write: {exc}") from None
+
+
 def read_text(path, error) -> tuple[bytes, str]:
     """A text input file's bytes and their UTF-8 decoding; bytes that are not
     UTF-8 also raise `error`, naming the path and the byte offset."""
@@ -80,7 +98,7 @@ class Tokenizer:
         return [self.ids.get(t, self.unk_id) for t in tokenize(text)]
 
     def save(self, path):
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        write_output(path, ("\n".join(self.tokens) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Tokenizer":

@@ -30,7 +30,7 @@ from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, tra
 from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
-from .tokenizer import Tokenizer, read_input
+from .tokenizer import Tokenizer, read_input, write_output
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _CHOICES = {"ablation": ABLATIONS, "dtype": tuple(_DTYPES), "key_turn_provider": ("auto", "nli", "leading", "oracle")}
@@ -314,9 +314,8 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     order_rng = np.random.default_rng([seed, 2])
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         vocab.save(out / "vocab.txt")
-        (out / "config.json").write_text(json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        write_output(out / "config.json", (json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n").encode("utf-8"))
     history = []
     blob = checkpoint_bytes(_all_named(params, nli_head), config.ablation)
     best = {"epoch": 0, "dev_accuracy": None, "blob": blob}
@@ -357,7 +356,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
             log(record)
         blob = checkpoint_bytes(_all_named(params, nli_head), config.ablation)
         if out is not None:
-            (out / f"epoch_{epoch:03d}.kkt").write_bytes(blob)
+            write_output(out / f"epoch_{epoch:03d}.kkt", blob)
         if dev_dataset is None:
             best = {"epoch": epoch, "dev_accuracy": None, "blob": blob}
         elif best["dev_accuracy"] is None or dev_acc > best["dev_accuracy"]:
@@ -365,7 +364,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         if stop_at_train_accuracy is not None and train_acc >= stop_at_train_accuracy:
             break
     if out is not None:
-        (out / "model.kkt").write_bytes(best["blob"])
+        write_output(out / "model.kkt", best["blob"])
         report = {
             "fingerprint": run_fp,
             "seed": seed,
@@ -375,7 +374,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         }
         if nli_report:
             report["nli"] = {k: v for k, v in nli_report.items() if k != "loss_curve"}
-        (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        write_output(out / "report.json", (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8"))
     return TrainResult(
         params=params,
         pipeline=pipeline,

@@ -6,9 +6,10 @@ attention from explicit per-head numpy loops, retrieval from a full scan of
 the store, matmul from a bare triple loop. The library must agree with these,
 not the other way around. The exceptions are `chain_mha` and
 `chain_mha_segments`, which build attention from the library's smaller ops
-as the reference for the fused op, and `per_option_predict`, which runs
+as the reference for the fused op, `per_option_predict`, which runs
 each option alone through the model as the reference for the all-options
-pass.
+pass, and `per_path_forward`, which runs one co-attention per path as the
+reference for the stacked one.
 """
 
 import copy
@@ -235,6 +236,22 @@ def per_option_predict(pipe, example):
     vec = T.concat_last_axis(logits)
     return model.PredictResult(predicted=int(np.argmax(vec.data)), logits=vec.data.copy(),
                                loss=T.cross_entropy_from_logits(vec, example.gold), truncated=truncated, flags=flags)
+
+
+def per_path_forward(params, enc, key_turn_indices, ck, qak):
+    """`model.forward` with one `dual_coattention` for O_o and one more per
+    path, each over its own rows; the reference for the stacked call."""
+    refined = model.refine(params, enc, key_turn_indices, ck, qak)
+    lengths = (enc.c_lengths, enc.qa_lengths)
+    o = model.dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa, *lengths)
+    paths = model.PATHS[params.ablation]
+    if paths:
+        sides = {"k": (refined.h_c_k, refined.h_qa_k), "kt": (refined.h_c_kt, enc.h_qa)}
+        fused = T.concat_last_axis([model.dual_coattention(params.duma1, params.duma2, *sides[p], *lengths)
+                                    for p in paths])
+        o = T.concat_last_axis([o, T.affine(fused, params.fusion_w, params.fusion_b)])
+    logits = T.matmul(o, T.reshape(params.decoder_w, (o.shape[1], 1)))
+    return T.reshape(logits, (o.shape[0],)), refined
 
 
 def format_2_blob(blob):

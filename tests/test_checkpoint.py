@@ -20,7 +20,7 @@ from kkt.checkpoint import (
 )
 from kkt.keyturns import NliHead
 from kkt.model import KktParams
-from kkt.tokenizer import Tokenizer
+from kkt.tokenizer import InputError, Tokenizer
 from kkt.training import RunConfig, read_checkpoint, restore_checkpoint
 
 
@@ -80,8 +80,10 @@ def test_rank_zero_tensor_round_trip():
 
 
 def test_unknown_ablation_rejected():
-    with pytest.raises(CheckpointError):
+    # No input reaches the writer with an unknown ablation: a defect, not bad input.
+    with pytest.raises(ValueError, match="unknown ablation 'mystery'") as err:
         checkpoint_bytes({}, "mystery")
+    assert not isinstance(err.value, InputError)
 
 
 def test_bad_magic_rejected():
@@ -241,8 +243,10 @@ def test_rank_above_limit_rejected():
     record = _tensor_record(b"w", (1,) * 250, struct.pack("<f", 1.0))
     with pytest.raises(CheckpointError, match=rf"offset 16: tensor 'w' has rank 250, above the limit of {MAX_RANK}"):
         parse_checkpoint(_blob(record))
-    with pytest.raises(CheckpointError, match="rank"):
+    # Writing such a tensor is a defect: kkt's own tensors have rank <= 3.
+    with pytest.raises(ValueError, match="rank") as err:
         checkpoint_bytes({"w": np.zeros((1,) * (MAX_RANK + 1), dtype=np.float32)}, "full")
+    assert not isinstance(err.value, InputError)
 
 
 def test_oversized_dimensions_are_truncation_not_overflow():

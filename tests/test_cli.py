@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from kkt.checkpoint import FORMAT_VERSION, CheckpointError, checkpoint_bytes, parse_checkpoint
+from kkt import cli
 from kkt.cli import main
 
 
@@ -554,6 +555,29 @@ def test_missing_input_file_names_its_path(ws, tmp_path, kind):
     rc, _, err = run_cli(argv)
     assert rc == 2
     assert err.startswith(f"error: {missing}: cannot read: ")
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_out_that_is_a_file_names_its_path(ws, tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    argv = {
+        "train": ["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]), "--out", str(taken)],
+        "gen-data": ["gen-data", "--seed", "1", "--n", "2", "--mode", "mixed", "--out", str(taken)],
+    }[command]
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    assert re.match(rf"error: {re.escape(str(taken))}/[\w.]+: cannot write: .*File exists: '{re.escape(str(taken))}'", err)
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_eval_out_that_is_a_directory_fails_before_any_example(ws, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: pytest.fail("evaluation ran"))
+    rc, _, err = run_cli(["eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
+                          "--out", str(tmp_path)])
+    assert rc == 2
+    assert err.startswith(f"error: {tmp_path}: cannot write: ")
+    assert "Is a directory" in err
 
 
 @pytest.mark.parametrize("record, key", [

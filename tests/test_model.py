@@ -608,6 +608,40 @@ def test_options_that_lose_their_key_turns_keep_their_rows():
     assert result.truncated
 
 
+def _predict_through(fwd, example, planted, setup):
+    """`predict` on a fresh pipeline with `fwd` as the model's forward: the
+    logits, the refined rows and every parameter gradient of the loss."""
+    pipe = _random_pipeline(nli=False, **setup)
+    if planted is not None:
+        pipe.provider = OracleProvider({example.example_id: planted})
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "forward", lambda *args: seen.append(fwd(*args)) or seen[-1])
+        pipe.predict(example).loss.backward()
+    (logits, refined), = seen
+    return logits, refined, {name: t.grad for name, t in pipe.params.named_parameters().items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(option_cases())
+def test_stacked_coattention_equals_one_call_per_path(case):
+    # O_o and every path's rows run through one `dual_coattention`; float64
+    # forward values keep the bits of one call per path, with and without
+    # facts (p 0, option words outside the graph) and key turns (k 0). The
+    # weight gradients sum over the stacked rows at once, so they may move
+    # in the last bits.
+    got_logits, got, got_grads = _predict_through(forward, *case)
+    want_logits, want, want_grads = _predict_through(helpers.per_path_forward, *case)
+    assert got_logits.data.tobytes() == want_logits.data.tobytes()
+    for name in ("h_kt", "h_c_kt", "h_c_k", "h_qa_k"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes()
+    assert (got.kt_identity, got.ck_identity, got.qak_identity) == (want.kt_identity, want.ck_identity, want.qak_identity)
+    assert [name for name, g in got_grads.items() if g is None] == [name for name, g in want_grads.items() if g is None]
+    for name, g in want_grads.items():
+        assert g is None or np.allclose(got_grads[name], g, rtol=1e-9, atol=1e-12), name
+
+
 def test_one_encoder_call_and_option_independent_attention_calls(monkeypatch):
     # One predict encodes all of its options' sequences in one call, and
     # makes as many attention calls for 2 options as for 4.
@@ -625,8 +659,9 @@ def test_one_encoder_call_and_option_independent_attention_calls(monkeypatch):
         assert not any(any(f.values()) for f in pipe.predict(ex).flags)
         assert encodes == [len(options)]
         counts.append(len(ops))
-    # One encoder layer, three refinements and three co-attention pairs.
-    assert counts == [1 + 3 + 6] * 2
+    # One encoder layer, three refinements and one co-attention pair: the
+    # plain rows and both paths' rows run through each direction together.
+    assert counts == [1 + 3 + 2] * 2
 
 
 @st.composite

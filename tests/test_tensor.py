@@ -287,6 +287,36 @@ def test_layer_norm_normalizes():
     assert np.allclose(out.std(axis=1), 1.0, atol=1e-3)
 
 
+def mean_layer_norm(x, gain, bias, g):
+    """`layer_norm`'s output and its x, gain and bias gradients for output
+    gradient g, written with numpy's `mean`."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.LAYER_NORM_EPS)
+    xhat = (x - mu) * inv
+    gh = g * gain[None, :]
+    gx = inv * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+    return xhat * gain[None, :] + bias[None, :], gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 64), dtype=st.sampled_from([np.float32, np.float64]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+def test_layer_norm_keeps_the_bits_of_numpy_mean(rows, cols, dtype, scale, seed):
+    # The means are sums over the count, without `ndarray.mean`'s wrapper;
+    # its forward and its three gradients keep the wrapper's bits.
+    rng = np.random.default_rng(seed)
+    x, gain, bias, g = ((rng.standard_normal(shape) * scale).astype(dtype)
+                        for shape in ((rows, cols), (cols,), (cols,), (rows, cols)))
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    out = T.layer_norm(*leaves)
+    out.backward(g)
+    got = [out.data] + [t.grad for t in leaves]
+    want = mean_layer_norm(x, gain, bias, g)
+    assert [a.dtype for a in got] == [dtype] * 4
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 # ---------------------------------------------------------------------------
 # graph mechanics
 
