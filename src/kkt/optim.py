@@ -49,7 +49,7 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * (g * g)
             update = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data = p.data - update.astype(p.data.dtype)
+            p.data = p.data - update
 
     def zero_grad(self):
         for p in self.params.values():

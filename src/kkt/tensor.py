@@ -210,7 +210,10 @@ def no_grad():
 
 def _result(data, parents, backward_fn):
     # The one choke point of every op: the graph is attached here or not at all.
-    out = Tensor(data)
+    # Op outputs are float already: only a 0-d op's numpy scalar needs wrapping.
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad, out.requires_grad, out._parents, out._backward = None, False, (), None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -269,14 +272,18 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def _softmax_rows_data(x):
-    # Over the last axis, each step in place on one new array.
-    e = x - x.max(axis=-1, keepdims=True)
+    # Over the last axis, each step in place on one new array. Rows are short,
+    # so the row max is one elementwise maximum per key column over a copy with
+    # the key axis first; a max is exact in any order, and where the order
+    # changes the sign of a zero max, x - (+-0) differs only at x = +-0, where
+    # exp gives 1 either way. The sums are ``.sum``'s own ufunc call.
+    e = x - np.maximum.reduce(x.transpose(-1, *range(x.ndim - 1)).copy())[..., None]
     np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def _softmax_rows_grad(y, g):
-    d = g - (g * y).sum(axis=-1, keepdims=True)
+    d = g - np.add.reduce(g * y, axis=-1, keepdims=True)
     return np.multiply(d, y, out=d)
 
 
@@ -313,16 +320,17 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     over all keys, and so is a single length.
     """
     seqs, ws = (q_seq, k_seq, v_seq), (wq, wk, wv)
-    if any(x.ndim != 2 for x in seqs) or k_seq.shape[0] != v_seq.shape[0]:
-        raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {[x.shape for x in seqs]}")
-    if any(w.ndim != 3 or w.shape[1] != x.shape[1] for x, w in zip(seqs, ws)):
-        raise ShapeError(f"attention: projections {[w.shape for w in ws]} are not [h, d_in, width] on {[x.shape for x in seqs]}")
-    heads = wq.shape[0]
-    if heads == 0 or wk.shape[0] != heads or wv.shape[0] != heads or wq.shape[2] != wk.shape[2]:
-        raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {[w.shape for w in ws]}")
+    xs, w_shapes = [x.data.shape for x in seqs], [w.data.shape for w in ws]
+    if any(len(x) != 2 for x in xs) or xs[1][0] != xs[2][0]:
+        raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {xs}")
+    if any(len(w) != 3 or w[1] != x[1] for x, w in zip(xs, w_shapes)):
+        raise ShapeError(f"attention: projections {w_shapes} are not [h, d_in, width] on {xs}")
+    (heads, _, q_width), (k_heads, _, k_width), (v_heads, _, _) = w_shapes
+    if heads == 0 or k_heads != heads or v_heads != heads or q_width != k_width:
+        raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {w_shapes}")
     if lengths is None and key_lengths is not None:
         raise ShapeError("attention: key lengths need query lengths")
-    rows = (q_seq.shape[0], k_seq.shape[0])
+    rows = (xs[0][0], xs[1][0])
     # One group of one pair, all queries over all keys, unless lengths split them.
     groups = (((0,), rows, (None, None)),)
     if lengths is not None:
@@ -335,7 +343,7 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     w3 = [w.data for w in ws]
     # One product per role: [h, rows, width].
     q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
-    c = np.asarray(1.0 / math.sqrt(wk.shape[2]), dtype=q.dtype)
+    c = np.asarray(1.0 / math.sqrt(k_width), dtype=q.dtype)
 
     def batch(x, idx, count, n):
         # [h, rows, width] -> [h, count, n, width]: a reshape, or a gather by
@@ -501,17 +509,26 @@ def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D tensor by index; duplicates allowed.
 
     Doubles as embedding lookup when ``x`` is an embedding table.
+    ``indices`` is a list, an ndarray (copied) or any other iterable of
+    ints; one outside [0, rows) raises ``IndexError``. The backward scatters
+    the gradient rows into zeros: by assignment of ``g + 0.0`` when the
+    indices strictly increase, which is what ``np.add.at`` gives there
+    (0 + g, signed zeros included), and by ``np.add.at`` otherwise.
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(list(indices), dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+    idx = np.array(indices if isinstance(indices, (list, np.ndarray)) else list(indices), dtype=np.intp)
+    # As unsigned, a negative index is above every row count: one reduction checks both bounds.
+    if idx.size and idx.view(np.uintp).max() >= x.shape[0]:
         raise IndexError(f"take_rows: index out of range for {x.shape[0]} rows: {idx.tolist()}")
     data = x.data[idx]
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if (idx[1:] > idx[:-1]).all():
+            gx[idx] = g + 0.0
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _result(data, (x,), backward)
@@ -568,9 +585,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {n}")
     # Sums over the count: the ufunc calls of ``ndarray.mean``, bit for bit, without its wrapper.
     mu = np.add.reduce(x.data, axis=1, keepdims=True) / n
-    var = np.add.reduce((x.data - mu) ** 2, axis=1, keepdims=True) / n
+    xc = x.data - mu
+    var = np.add.reduce(xc ** 2, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     data = xhat * gain.data[None, :] + bias.data[None, :]
 
     def backward(g):

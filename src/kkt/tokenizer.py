@@ -52,6 +52,14 @@ def write_output(path, data: bytes, mode: str = "wb") -> None:
         raise OutputPathError(f"{path}: cannot write: {exc}") from None
 
 
+def check_output_dir(path) -> None:
+    """Raise `OutputPathError` naming `path` when it or a parent is an existing
+    non-directory, so that no directory can be made there. Makes nothing."""
+    for d in (Path(path), *Path(path).parents):
+        if d.exists() and not d.is_dir():
+            raise OutputPathError(f"{path}: cannot write: {d} is not a directory")
+
+
 def read_text(path, error) -> tuple[bytes, str]:
     """A text input file's bytes and their UTF-8 decoding; bytes that are not
     UTF-8 also raise `error`, naming the path and the byte offset."""

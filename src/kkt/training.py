@@ -30,7 +30,7 @@ from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, tra
 from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
-from .tokenizer import Tokenizer, read_input, write_output
+from .tokenizer import Tokenizer, check_output_dir, read_input, write_output
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _CHOICES = {"ablation": ABLATIONS, "dtype": tuple(_DTYPES), "key_turn_provider": ("auto", "nli", "leading", "oracle")}
@@ -295,6 +295,9 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     if not train_dataset.examples:
         raise ValueError("train: empty dataset")
     seed = effective_seed(config)
+    out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        check_output_dir(out)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
     vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold, graph.surfaces)
     store = load_store(graph, config.weight_threshold, vocab)
@@ -312,7 +315,6 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     # The NLI head trains once up front (if at all) and stays frozen here.
     opt = Adam(params.named_parameters(), lr=config.learning_rate, warmup_steps=config.warmup_steps)
     order_rng = np.random.default_rng([seed, 2])
-    out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         vocab.save(out / "vocab.txt")
         write_output(out / "config.json", (json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n").encode("utf-8"))

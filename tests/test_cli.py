@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from kkt.checkpoint import FORMAT_VERSION, CheckpointError, checkpoint_bytes, parse_checkpoint
-from kkt import cli
+from kkt import cli, training
 from kkt.cli import main
 
 
@@ -557,18 +557,27 @@ def test_missing_input_file_names_its_path(ws, tmp_path, kind):
     assert err.startswith(f"error: {missing}: cannot read: ")
 
 
-@pytest.mark.parametrize("command", ["train", "gen-data"])
-def test_out_that_is_a_file_names_its_path(ws, tmp_path, command):
+@pytest.mark.parametrize("command", ["train", "train-under-it", "gen-data"])
+def test_out_that_is_a_file_names_its_path(ws, tmp_path, monkeypatch, command):
     taken = tmp_path / "taken"
     taken.write_text("keep\n", encoding="utf-8")
-    argv = {
-        "train": ["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]), "--out", str(taken)],
-        "gen-data": ["gen-data", "--seed", "1", "--n", "2", "--mode", "mixed", "--out", str(taken)],
+    # train refuses a path it cannot make a directory at before any work:
+    # the bundle's graph is never read and its NLI head never fitted.
+    monkeypatch.setattr(training, "read_graph", lambda *args, **kwargs: pytest.fail("graph read"))
+    monkeypatch.setattr(training, "train_nli_head", lambda *args, **kwargs: pytest.fail("NLI head fitted"))
+    train = ["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]), "--out"]
+    under = taken / "run" / "sub"
+    argv, pattern = {
+        "train": (train + [str(taken)], rf"error: {re.escape(str(taken))}: cannot write: {re.escape(str(taken))} is not a directory$"),
+        "train-under-it": (train + [str(under)], rf"error: {re.escape(str(under))}: cannot write: {re.escape(str(taken))} is not a directory$"),
+        "gen-data": (["gen-data", "--seed", "1", "--n", "2", "--mode", "mixed", "--out", str(taken)],
+                     rf"error: {re.escape(str(taken))}/[\w.]+: cannot write: .*File exists: '{re.escape(str(taken))}'"),
     }[command]
     rc, _, err = run_cli(argv)
     assert rc == 2
-    assert re.match(rf"error: {re.escape(str(taken))}/[\w.]+: cannot write: .*File exists: '{re.escape(str(taken))}'", err)
+    assert re.match(pattern, err.strip())
     assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [taken]
 
 
 def test_eval_out_that_is_a_directory_fails_before_any_example(ws, tmp_path, monkeypatch):

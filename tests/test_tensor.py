@@ -112,6 +112,47 @@ def test_softmax_rows_sum_to_one_large_magnitudes():
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
 
+def with_special_rows(rng, x):
+    """x with each row, at random, left as drawn, given repeated maxima,
+    made of non-positive values with +-0.0 maxima, given a +inf, or made
+    all -inf (whose softmax is NaN)."""
+    n = x.shape[-1]
+    for row in x.reshape(-1, n):
+        kind = rng.integers(5)
+        if kind == 1:
+            row[rng.integers(n, size=1 + n // 3)] = row.max()
+        elif kind == 2:
+            row[:] = -np.abs(row)
+            row[rng.integers(n, size=1 + n // 2)] = rng.choice([0.0, -0.0], size=1 + n // 2)
+        elif kind == 3:
+            row[rng.integers(n)] = np.inf
+        elif kind == 4:
+            row[:] = -np.inf
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lead=st.sampled_from([(), (1, 1), (2, 3), (4, 2)]), rows=st.integers(1, 12), keys=st.integers(1, 80),
+       dtype=st.sampled_from([np.float32, np.float64]), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**16))
+def test_softmax_helpers_keep_the_bits_of_max_and_sum(lead, rows, keys, dtype, scale, seed):
+    # The row max is a maximum over the key axis moved first and the sums are
+    # np.add.reduce; values and gradients keep the bits of `.max`/`.sum`.
+    rng = np.random.default_rng(seed)
+    shape = lead + (rows, keys)
+    x = with_special_rows(rng, (rng.standard_normal(shape) * scale).astype(dtype))
+    g = (rng.standard_normal(shape) * scale).astype(dtype)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = T._softmax_rows_data(x)
+        want_grad = (g - (g * want).sum(axis=-1, keepdims=True)) * want
+        got_grad = T._softmax_rows_grad(want, g)
+    assert got.dtype == got_grad.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_grad.tobytes() == want_grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # row means (a whole matrix is one segment_mean segment) / concat / take
 
@@ -200,6 +241,59 @@ def test_take_rows_duplicate_indices_accumulate():
     w = T.Tensor(rng.standard_normal((4, 3)))
     worst = helpers.gradcheck(lambda: T.sum_all(T.mul(T.take_rows(x, [0, 2, 2, 4]), w)), [x])
     assert worst < 1e-6
+
+
+row_indices = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.lists(st.integers(0, n - 1), max_size=16, unique=True).map(sorted),  # strictly increasing
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=16).map(lambda a: sorted(a + a[:1])),  # repeated
+    st.lists(st.integers(0, n - 1), max_size=16),  # unsorted
+)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=row_indices, cols=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+def test_take_rows_gradient_keeps_the_bits_of_add_at(case, cols, dtype, seed):
+    # Strictly increasing indices scatter by assignment of g + 0.0, others by
+    # np.add.at; both equal np.add.at into zeros, -0.0 and NaN rows included.
+    n, idx = case
+    rng = np.random.default_rng(seed)
+    x = T.Tensor(rng.standard_normal((n, cols)).astype(dtype), requires_grad=True)
+    special = rng.choice(np.array([-0.0, 0.0, np.nan, -np.nan], dtype), size=(len(idx), cols))
+    g = np.where(rng.random(special.shape) < 0.4, special, rng.standard_normal(special.shape).astype(dtype))
+    out = T.take_rows(x, idx)
+    assert out.data.tobytes() == x.data[np.asarray(idx, dtype=np.intp)].tobytes()
+    out.backward(g)
+    want = np.zeros((n, cols), dtype)
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert x.grad.dtype == dtype
+    assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_take_rows_index_out_of_range_names_the_indices(bad):
+    x = make(np.arange(10.0).reshape(5, 2), grad=False)
+    with pytest.raises(IndexError, match=rf"^take_rows: index out of range for 5 rows: \[0, {bad}, 2\]$"):
+        T.take_rows(x, [0, bad, 2])
+    with pytest.raises(IndexError, match=rf"^take_rows: index out of range for 5 rows: \[{bad}\]$"):
+        T.take_rows(x, np.array([bad]))
+
+
+def test_take_rows_gathers_the_same_rows_from_any_index_iterable():
+    x = make(np.arange(12.0).reshape(6, 2), grad=False)
+    kinds = [range(1, 5), [1, 2, 3, 4], np.arange(1, 5), np.arange(1, 5, dtype=np.int32), (i for i in range(1, 5))]
+    for indices in kinds:
+        assert T.take_rows(x, indices).data.tobytes() == x.data[1:5].tobytes()
+
+
+def test_take_rows_copies_an_array_index():
+    # The backward scatters by the indices of the forward, not by an array the caller has since changed.
+    x = make(np.zeros((4, 1)))
+    idx = np.array([0, 2])
+    out = T.take_rows(x, idx)
+    idx[:] = 3
+    out.backward(np.ones((2, 1)))
+    assert x.grad.ravel().tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
