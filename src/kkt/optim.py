@@ -20,7 +20,7 @@ class Adam:
 
     def __init__(self, params, lr=1e-3, warmup_steps=0):
         self.params = dict(params)
-        self.lr = lr
+        self.lr = float(lr)
         self.warmup_steps = int(warmup_steps)
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}

@@ -210,10 +210,7 @@ def no_grad():
 
 def _result(data, parents, backward_fn):
     # The one choke point of every op: the graph is attached here or not at all.
-    # Op outputs are float already: only a 0-d op's numpy scalar needs wrapping.
-    out = Tensor.__new__(Tensor)
-    out.data = data if type(data) is np.ndarray else np.asarray(data)
-    out.grad, out.requires_grad, out._parents, out._backward = None, False, (), None
+    out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -320,17 +317,16 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     over all keys, and so is a single length.
     """
     seqs, ws = (q_seq, k_seq, v_seq), (wq, wk, wv)
-    xs, w_shapes = [x.data.shape for x in seqs], [w.data.shape for w in ws]
-    if any(len(x) != 2 for x in xs) or xs[1][0] != xs[2][0]:
-        raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {xs}")
-    if any(len(w) != 3 or w[1] != x[1] for x, w in zip(xs, w_shapes)):
-        raise ShapeError(f"attention: projections {w_shapes} are not [h, d_in, width] on {xs}")
-    (heads, _, q_width), (k_heads, _, k_width), (v_heads, _, _) = w_shapes
-    if heads == 0 or k_heads != heads or v_heads != heads or q_width != k_width:
-        raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {w_shapes}")
+    if any(x.ndim != 2 for x in seqs) or k_seq.shape[0] != v_seq.shape[0]:
+        raise ShapeError(f"attention: need 2-D q/k/v with as many keys as values, got {[x.shape for x in seqs]}")
+    if any(w.ndim != 3 or w.shape[1] != x.shape[1] for x, w in zip(seqs, ws)):
+        raise ShapeError(f"attention: projections {[w.shape for w in ws]} are not [h, d_in, width] on {[x.shape for x in seqs]}")
+    heads = wq.shape[0]
+    if heads == 0 or wk.shape[0] != heads or wv.shape[0] != heads or wq.shape[2] != wk.shape[2]:
+        raise ShapeError(f"attention: need equal, non-zero head counts and query and key widths, got {[w.shape for w in ws]}")
     if lengths is None and key_lengths is not None:
         raise ShapeError("attention: key lengths need query lengths")
-    rows = (xs[0][0], xs[1][0])
+    rows = (q_seq.shape[0], k_seq.shape[0])
     # One group of one pair, all queries over all keys, unless lengths split them.
     groups = (((0,), rows, (None, None)),)
     if lengths is not None:
@@ -343,7 +339,7 @@ def attention(q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, wq: Tensor, wk: Tenso
     w3 = [w.data for w in ws]
     # One product per role: [h, rows, width].
     q, k, v = (_matmul_data(x.data, w) for x, w in zip(seqs, w3))
-    c = np.asarray(1.0 / math.sqrt(k_width), dtype=q.dtype)
+    c = np.asarray(1.0 / math.sqrt(wk.shape[2]), dtype=q.dtype)
 
     def batch(x, idx, count, n):
         # [h, rows, width] -> [h, count, n, width]: a reshape, or a gather by
@@ -510,10 +506,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
 
     Doubles as embedding lookup when ``x`` is an embedding table.
     ``indices`` is a list, an ndarray (copied) or any other iterable of
-    ints; one outside [0, rows) raises ``IndexError``. The backward scatters
-    the gradient rows into zeros: by assignment of ``g + 0.0`` when the
-    indices strictly increase, which is what ``np.add.at`` gives there
-    (0 + g, signed zeros included), and by ``np.add.at`` otherwise.
+    ints; one outside [0, rows) raises ``IndexError``.
     """
     if x.ndim != 2:
         raise ShapeError(f"take_rows needs a 2-D tensor, got {x.shape}")
@@ -525,10 +518,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        if (idx[1:] > idx[:-1]).all():
-            gx[idx] = g + 0.0
-        else:
-            np.add.at(gx, idx, g)
+        np.add.at(gx, idx, g)
         return (gx,)
 
     return _result(data, (x,), backward)

@@ -9,6 +9,7 @@ occupy ids 0-4.
 from __future__ import annotations
 
 import re
+import stat
 from pathlib import Path
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+|[^a-z0-9'\s]")
@@ -53,11 +54,17 @@ def write_output(path, data: bytes, mode: str = "wb") -> None:
 
 
 def check_output_dir(path) -> None:
-    """Raise `OutputPathError` naming `path` when it or a parent is an existing
-    non-directory, so that no directory can be made there. Makes nothing."""
+    """Raise `OutputPathError` naming `path` when no directory can be made there
+    (a non-directory on the way, a name too long, a parent that cannot be searched)."""
     for d in (Path(path), *Path(path).parents):
-        if d.exists() and not d.is_dir():
-            raise OutputPathError(f"{path}: cannot write: {d} is not a directory")
+        try:
+            if stat.S_ISDIR(d.stat().st_mode):
+                return
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            raise OutputPathError(f"{path}: cannot write: {exc}") from None
+        raise OutputPathError(f"{path}: cannot write: {d} is not a directory")
 
 
 def read_text(path, error) -> tuple[bytes, str]:

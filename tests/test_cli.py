@@ -580,6 +580,18 @@ def test_out_that_is_a_file_names_its_path(ws, tmp_path, monkeypatch, command):
     assert sorted(tmp_path.iterdir()) == [taken]
 
 
+def test_train_out_with_a_name_too_long_is_an_input_error(ws, tmp_path, monkeypatch):
+    # A lookup that fails for a reason other than a missing path (here
+    # ENAMETOOLONG) is refused as an output path error too, before any work.
+    monkeypatch.setattr(training, "read_graph", lambda *args, **kwargs: pytest.fail("graph read"))
+    out = tmp_path / ("x" * 300) / "run"
+    rc, _, err = run_cli(["train", "--data", str(ws["bundle"]), "--config", str(ws["config"]), "--out", str(out)])
+    assert rc == 2
+    assert err.startswith(f"error: {out}: cannot write: ")
+    assert "File name too long" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_out_that_is_a_directory_fails_before_any_example(ws, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: pytest.fail("evaluation ran"))
     rc, _, err = run_cli(["eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),

@@ -254,8 +254,8 @@ row_indices = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.one_
 @given(case=row_indices, cols=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**16))
 def test_take_rows_gradient_keeps_the_bits_of_add_at(case, cols, dtype, seed):
-    # Strictly increasing indices scatter by assignment of g + 0.0, others by
-    # np.add.at; both equal np.add.at into zeros, -0.0 and NaN rows included.
+    # The gather and its scatter-add back, for every index order, with -0.0
+    # and NaN gradient rows: a faster scatter has to keep these bits.
     n, idx = case
     rng = np.random.default_rng(seed)
     x = T.Tensor(rng.standard_normal((n, cols)).astype(dtype), requires_grad=True)

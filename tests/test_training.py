@@ -194,6 +194,17 @@ def test_adam_skips_missing_grads_and_zero_grad():
     assert p.grad is None and q.grad is None
 
 
+def test_adam_keeps_float32_parameters_under_a_numpy_scalar_lr():
+    # A float64 numpy scalar would promote the update (NEP 50); lr is a Python float.
+    p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+    opt = Adam({"p": p}, lr=np.float64(0.1), warmup_steps=2)
+    for _ in range(3):
+        p.grad = np.array([0.5, -0.25], dtype=np.float32)
+        opt.step()
+    assert p.data.dtype == np.float32
+    assert type(opt.current_lr()) is float
+
+
 def test_adam_second_step_matches_reference():
     # Replay the textbook update rule by hand for two steps.
     p = _param([1.0])
