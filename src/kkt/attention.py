@@ -52,9 +52,6 @@ class MhaParams:
         shape = (h, d_model, d_model // h)
         return cls(*(T.uniform_param(shape, rng, fan_in=d_model, dtype=dtype) for _ in range(3)))
 
-    def named_parameters(self, prefix: str) -> dict:
-        return {f"{prefix}.{role}": getattr(self, role) for role in ("wq", "wk", "wv")}
-
 
 def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=None, key_lengths=None) -> Tensor:
     """Multi-head scaled dot-product attention, one graph node per call.
@@ -107,12 +104,6 @@ class BlockParams:
             ln2_bias=T.const_param(0.0, (d_model,), dtype=dtype),
         )
 
-    def named_parameters(self, prefix: str) -> dict:
-        out = self.attn.named_parameters(f"{prefix}.attn")
-        for name in ("ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
-            out[f"{prefix}.{name}"] = getattr(self, name)
-        return out
-
 
 @dataclass
 class EncoderParams:
@@ -132,12 +123,6 @@ class EncoderParams:
             pos_emb=T.uniform_param((max_len, d_model), rng, fan_in=d_model, dtype=dtype),
             blocks=[BlockParams.init(d_model, h, d_ff, rng, dtype=dtype) for _ in range(layers)],
         )
-
-    def named_parameters(self, prefix: str) -> dict:
-        out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}.block{i}"))
-        return out
 
 
 def _block_forward(block: BlockParams, x: Tensor, lengths) -> Tensor:

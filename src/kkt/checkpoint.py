@@ -6,18 +6,20 @@ Layout (all integers little-endian):
     then per tensor, sorted by name:
     name length u16 | name UTF-8 | rank u8 | dims u32 each | fp32 payload
 
-Payloads are always float32 row-major regardless of the in-memory training
-dtype; write -> read -> write reproduces the file byte for byte. Readers
-accept only FORMAT_VERSION. Any defect (another version, a truncated or
-undecodable field, a duplicate name, trailing bytes) is a CheckpointError
-that names the file and the byte offset.
+Tensor names are the dotted field paths that `named_parameters` walks
+(`enc.block0.attn.wq`, `duma1.wk`, `nli.pooler_w`). Payloads are always
+float32 row-major regardless of the in-memory training dtype; write ->
+read -> write reproduces the file byte for byte. Readers accept only
+FORMAT_VERSION. Any defect (another version, a truncated or undecodable
+field, a duplicate name, trailing bytes) is a CheckpointError that names
+the file and the byte offset.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -47,6 +49,26 @@ class CheckpointError(InputError):
 class Checkpoint:
     ablation: str
     tensors: dict
+
+
+def named_parameters(group, prefix: str = "") -> dict:
+    """Every Tensor of a parameter dataclass by its dotted field path, in
+    field order: a tensor is `prefix.field` (`field` without a prefix), a
+    nested group recurses under that name and entry i of a block list is
+    `prefix.block{i}`. None groups and fields that are not tensors, such as
+    `KktParams.ablation`, are skipped."""
+    out = {}
+    dot = f"{prefix}." if prefix else ""
+    for f in fields(group):
+        value = getattr(group, f.name)
+        if isinstance(value, Tensor):
+            out[dot + f.name] = value
+        elif is_dataclass(value):
+            out.update(named_parameters(value, dot + f.name))
+        elif isinstance(value, list):
+            for i, block in enumerate(value):
+                out.update(named_parameters(block, f"{dot}block{i}"))
+    return out
 
 
 def _tensor_data(value) -> np.ndarray:

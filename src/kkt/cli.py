@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset
                    planted_turns_from_meta, read_json, write_bundle)
 from .keyturns import NliProvider
 from .knowledge import rank_triples, read_graph, rewrite_triple
-from .model import ABLATIONS
 from .tokenizer import InputError, Tokenizer, write_output
 from .training import (
     ConfigurationError,
@@ -122,7 +122,6 @@ def _cmd_eval(args):
         vocab,
         dataset,
         kg_path=paths["kg"],
-        ablation=args.ablation,
         surfaces_path=paths["surfaces"],
         lexicon_path=paths["lexicon"],
         planted=_planted_from_meta(paths["meta"]),
@@ -133,6 +132,8 @@ def _cmd_eval(args):
 
 
 def _cmd_retrieve(args):
+    if not math.isfinite(args.threshold):
+        raise ConfigurationError(f"--threshold must be a finite number, got {args.threshold}")
     texts = list(args.text)
     graph = read_graph(args.kg, args.relations, args.lexicon)
     if args.vocab:
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--kg", type=Path)
-    p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--config", type=Path, help="override the config.json next to the checkpoint")
     p.add_argument("--vocab", type=Path, help="override the vocab.txt next to the checkpoint")
     p.add_argument("--meta", type=Path)

@@ -341,6 +341,8 @@ def gen_synthetic(seed: int, n: int, mode: str, split: str = "train") -> Synthet
     """
     if n <= 0:
         raise ConfigurationError(f"need n >= 1 examples, got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if split not in _SPLIT_IDS:

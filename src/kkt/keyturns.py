@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ConfigurationError, EncoderParams, encode
+from .checkpoint import named_parameters
 from .optim import Adam
 from .tokenizer import Tokenizer
 
@@ -50,10 +51,6 @@ class NliHead:
             out_w=T.uniform_param((d_model, 3), rng, dtype=dtype),
             out_b=T.uniform_param((3,), rng, fan_in=d_model, dtype=dtype),
         )
-
-    def named_parameters(self) -> dict:
-        head = {f"nli.{name}": getattr(self, name) for name in ("pooler_w", "pooler_b", "out_w", "out_b")}
-        return {**self.enc.named_parameters("nli.enc"), **head}
 
 
 def _nli_ids(head: NliHead, tokenizer: Tokenizer, premise: str, hypothesis: str) -> list:
@@ -120,8 +117,7 @@ def train_nli_head(head: NliHead, tokenizer: Tokenizer, corpus, epochs: int, lr=
             raise ValueError(f"NLI label must be 0, 1 or 2, got {rec['label']!r}")
     # Every record is tokenized and length-checked before the first step.
     sequences = [_nli_ids(head, tokenizer, rec["premise"], rec["hypothesis"]) for rec in records]
-    params = head.named_parameters()
-    opt = Adam(params, lr=lr)
+    opt = Adam(named_parameters(head), lr=lr)
     rng = np.random.default_rng(seed)
     losses = []
     for _ in range(epochs):

@@ -167,17 +167,6 @@ class KktParams:
                    refine_kt=refine_kt, refine_ck=refine_ck, refine_qak=refine_qak,
                    fusion_w=fusion_w, fusion_b=fusion_b, ablation=ablation)
 
-    def named_parameters(self) -> dict:
-        out = self.enc.named_parameters("enc")
-        for name in ("fact_sa", "refine_kt", "refine_ck", "refine_qak", "duma1", "duma2"):
-            group = getattr(self, name)
-            if group is not None:
-                out.update(group.named_parameters(name))
-        for name in ("fusion_w", "fusion_b", "decoder_w"):
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        return out
-
 
 def encode_pair(params: EncoderParams, tokenizer: Tokenizer, example: DialogueExample, max_len: int, turns=None) -> EncodedPair:
     """Encode [BOS] turns [SEP] question [SEP] option [EOS] of every option

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import ConfigurationError
-from .checkpoint import Checkpoint, CheckpointError, assign_named, checkpoint_bytes, parse_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, assign_named, checkpoint_bytes, named_parameters, parse_checkpoint
 from .data import Dataset, dataset_hash
 from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, train_nli_head
 from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
@@ -151,15 +151,7 @@ class EvalReport:
         return self.n_plus / self.n
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_plus": self.n_plus,
-            "accuracy": self.accuracy,
-            "mean_loss": self.mean_loss,
-            "ablation": self.ablation,
-            "fingerprint": self.fingerprint,
-            "predictions": self.predictions,
-        }
+        return {**asdict(self), "accuracy": self.accuracy}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
@@ -229,27 +221,19 @@ def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
     return blob, parse_checkpoint(blob, label=str(blob_or_path))
 
 
-def restore_checkpoint(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer,
-                       ablation: str | None = None) -> tuple[KktParams, NliHead | None]:
-    """Model parameters and, when the checkpoint holds `nli.` tensors, the NLI head.
-
-    The requested ablation must match the checkpoint's tag; `None` adopts
-    the tag.
-    """
-    if ablation is not None and ablation != ckpt.ablation:
-        raise ConfigurationError(
-            f"checkpoint carries ablation {ckpt.ablation!r} but {ablation!r} was requested"
-        )
+def restore_checkpoint(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer) -> tuple[KktParams, NliHead | None]:
+    """Model parameters of the checkpoint's ablation tag (whatever
+    `config.ablation` says) and, when it holds `nli.` tensors, the NLI head."""
     dtype = config.np_dtype
     rng = np.random.default_rng(0)
     params = KktParams.init(*_dims(config, vocab), ckpt.ablation, rng, dtype=dtype)
     nli_arrays = {k: v for k, v in ckpt.tensors.items() if k.startswith("nli.")}
     main_arrays = {k: v for k, v in ckpt.tensors.items() if k not in nli_arrays}
-    assign_named(params.named_parameters(), main_arrays, dtype=dtype)
+    assign_named(named_parameters(params), main_arrays, dtype=dtype)
     nli_head = None
     if nli_arrays:
         nli_head = NliHead.init(*_dims(config, vocab), rng, dtype=dtype)
-        assign_named(nli_head.named_parameters(), nli_arrays, dtype=dtype)
+        assign_named(named_parameters(nli_head, "nli"), nli_arrays, dtype=dtype)
     return params, nli_head
 
 
@@ -277,9 +261,9 @@ class TrainResult:
 
 
 def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
-    named = params.named_parameters()
+    named = named_parameters(params)
     if nli_head is not None:
-        named.update(nli_head.named_parameters())
+        named.update(named_parameters(nli_head, "nli"))
     return named
 
 
@@ -313,7 +297,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     run_fp = fingerprint(config, seed, hashes)
 
     # The NLI head trains once up front (if at all) and stays frozen here.
-    opt = Adam(params.named_parameters(), lr=config.learning_rate, warmup_steps=config.warmup_steps)
+    opt = Adam(named_parameters(params), lr=config.learning_rate, warmup_steps=config.warmup_steps)
     order_rng = np.random.default_rng([seed, 2])
     if out is not None:
         vocab.save(out / "vocab.txt")
@@ -391,31 +375,28 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
 
 
 def pipeline_from_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer, kg_path=None,
-                             surfaces_path=None, lexicon_path=None, planted=None,
-                             ablation: str | None = None) -> KktPipeline:
-    """Rebuild an inference pipeline from a serialized checkpoint.
-
-    See `restore_checkpoint` for the ablation rule; NLI scorer tensors, when
-    present, restore the NLI provider.
-    """
+                             surfaces_path=None, lexicon_path=None, planted=None) -> KktPipeline:
+    """Rebuild an inference pipeline from a serialized checkpoint (see
+    `restore_checkpoint`); NLI scorer tensors, when present, restore the NLI
+    provider."""
     _, ckpt = read_checkpoint(blob_or_path)
-    return _restored_pipeline(ckpt, config, vocab, read_graph(kg_path, surfaces_path, lexicon_path), planted, ablation)
+    return _restored_pipeline(ckpt, config, vocab, read_graph(kg_path, surfaces_path, lexicon_path), planted)
 
 
-def _restored_pipeline(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer, graph: GraphInputs, planted, ablation):
-    params, nli_head = restore_checkpoint(ckpt, config, vocab, ablation)
+def _restored_pipeline(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer, graph: GraphInputs, planted):
+    params, nli_head = restore_checkpoint(ckpt, config, vocab)
     provider = key_turn_provider(config, vocab, nli_head, planted)
     return KktPipeline(params, vocab, load_store(graph, config.weight_threshold, vocab), provider,
                        k=config.k, p=config.p, max_len=config.max_length)
 
 
 def evaluate(blob_or_path, config: RunConfig, vocab: Tokenizer, dataset: Dataset, kg_path=None,
-             ablation: str | None = None, surfaces_path=None, lexicon_path=None, planted=None) -> EvalReport:
+             surfaces_path=None, lexicon_path=None, planted=None) -> EvalReport:
     """Evaluate a checkpoint (see evaluate_pipeline); each input file is read
     once, and the fingerprint hashes those bytes plus the vocabulary."""
     blob, ckpt = read_checkpoint(blob_or_path)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
-    pipeline = _restored_pipeline(ckpt, config, vocab, graph, planted, ablation)
+    pipeline = _restored_pipeline(ckpt, config, vocab, graph, planted)
     hashes = _input_hashes(eval=dataset, planted=planted, checkpoint=blob, vocab=vocab.tokens, **graph.raw)
     return evaluate_pipeline(pipeline, dataset, fingerprint(config, effective_seed(config), hashes))
 

@@ -19,7 +19,7 @@ import numpy as np
 import helpers
 from kkt import tensor as T
 from kkt.attention import MhaParams, mha, self_attention
-from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
+from kkt.checkpoint import checkpoint_bytes, named_parameters, parse_checkpoint
 from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
 from kkt.keyturns import LeadingProvider, select_key_turns
 from kkt.knowledge import PosTagger, load_kg, rank_triples, read_graph
@@ -116,7 +116,7 @@ def test_criterion_1_gradient_suite(capsys, tmp_path):
         pipeline.fact_encoder.invalidate()
         return pipeline.predict(ex).loss
 
-    named = pipeline.params.named_parameters()
+    named = named_parameters(pipeline.params)
     for p in named.values():
         p.grad = None
     loss_fn().backward()

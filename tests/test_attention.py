@@ -17,6 +17,7 @@ from kkt.attention import (
     mha,
     self_attention,
 )
+from kkt.checkpoint import named_parameters
 
 
 def tens(x):
@@ -126,7 +127,7 @@ def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
     weight = tens(np.random.default_rng(h).standard_normal((len(ids), 6)))
 
     def leaf_grads():
-        params = enc.named_parameters("enc")
+        params = named_parameters(enc, "enc")
         for t in params.values():
             t.grad = None
         T.sum_all(T.mul(encode(enc, ids), weight)).backward()
@@ -135,7 +136,7 @@ def test_encoder_gradients_match_the_op_chain_bit_for_bit(monkeypatch, h):
     got = leaf_grads()
     monkeypatch.setattr(attention, "mha", helpers.chain_mha)
     assert got == leaf_grads()
-    assert len(got) == len(enc.named_parameters("enc"))  # every parameter
+    assert len(got) == len(named_parameters(enc, "enc"))  # every parameter
 
 
 def test_mha_adds_one_graph_node():
@@ -385,7 +386,7 @@ def test_encode_output_rows_match_input_length():
 
 def test_encoder_parameter_names():
     enc = tiny_encoder(d=8, h=2, layers=2)
-    names = enc.named_parameters("enc")
+    names = named_parameters(enc, "enc")
     assert "enc.tok_emb" in names and "enc.pos_emb" in names
     assert "enc.block0.attn.wq" in names and "enc.block1.attn.wv" in names
     assert names["enc.block0.attn.wk"].shape == (2, 8, 4)
@@ -398,8 +399,8 @@ def test_encoder_parameter_names():
 def test_encoder_init_deterministic_by_seed():
     a = tiny_encoder(seed=9)
     b = tiny_encoder(seed=9)
-    for name, t in a.named_parameters("enc").items():
-        assert np.array_equal(t.data, b.named_parameters("enc")[name].data), name
+    for name, t in named_parameters(a, "enc").items():
+        assert np.array_equal(t.data, named_parameters(b, "enc")[name].data), name
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def test_one_stacked_sequence_has_the_gradients_of_the_unsegmented_ops(ids, h, s
     enc = tiny_encoder(d=6, h=h, layers=2, seed=seed)
     sa = MhaParams.init(6, h, np.random.default_rng(seed + 1))
     weight = np.random.default_rng(seed).standard_normal((1, 6))
-    leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
+    leaves = list(named_parameters(enc, "enc").values()) + [sa.wq, sa.wk, sa.wv]
 
     def grads(vector):
         for t in leaves:

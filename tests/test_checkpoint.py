@@ -16,6 +16,7 @@ from kkt.checkpoint import (
     CheckpointError,
     assign_named,
     checkpoint_bytes,
+    named_parameters,
     parse_checkpoint,
 )
 from kkt.keyturns import NliHead
@@ -143,8 +144,8 @@ def test_format_3_blob_rejected_by_version():
     vocab = Tokenizer.build(["the bike is on the street"])
     config = RunConfig(d_model=8, h=2, layers=1, max_length=16)
     rng = np.random.default_rng(0)
-    named = KktParams.init(len(vocab), 8, 2, 1, 32, 16, "full", rng).named_parameters()
-    named.update(NliHead.init(len(vocab), 8, 2, 1, 32, 16, rng).named_parameters())
+    named = named_parameters(KktParams.init(len(vocab), 8, 2, 1, 32, 16, "full", rng))
+    named.update(named_parameters(NliHead.init(len(vocab), 8, 2, 1, 32, 16, rng), "nli"))
     for prefix in ("enc", "nli.enc"):
         named[f"{prefix}.pooler_w"], named[f"{prefix}.pooler_b"] = np.ones((8, 8)), np.zeros(8)
     del named["nli.pooler_w"], named["nli.pooler_b"]
@@ -156,12 +157,49 @@ def test_format_3_blob_rejected_by_version():
         parse_checkpoint(bytes(blob))
 
 
+def test_named_parameters_walks_fields_in_declaration_order():
+    # Two blocks, the `base` groups and the NLI head under a prefix: every
+    # tensor is named by its dotted field path, None groups and the
+    # `ablation` string are skipped.
+    rng = np.random.default_rng(0)
+    block = ["attn.wq", "attn.wk", "attn.wv", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+             "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"]
+    enc = ["tok_emb", "pos_emb"] + [f"block{i}.{name}" for i in range(2) for name in block]
+    params = KktParams.init(20, 8, 2, 2, 32, 16, "base", rng)
+    assert list(named_parameters(params)) == (
+        [f"enc.{name}" for name in enc] + [f"duma{i}.{role}" for i in (1, 2) for role in ("wq", "wk", "wv")]
+        + ["decoder_w"]
+    )
+    head = NliHead.init(20, 8, 2, 2, 32, 16, rng)
+    named = named_parameters(head, "nli")
+    assert list(named) == [f"nli.enc.{name}" for name in enc] + [f"nli.{name}" for name in
+                                                                  ("pooler_w", "pooler_b", "out_w", "out_b")]
+    assert named["nli.enc.block1.attn.wk"] is head.enc.blocks[1].attn.wk
+    assert list(named_parameters(head.enc.blocks[0])) == block
+
+
+@pytest.mark.parametrize("tag", sorted(ABLATION_TAGS))
+def test_the_tag_alone_sets_the_restored_ablation(tag):
+    # A config that names another ablation cannot change what is restored.
+    vocab = Tokenizer.build(["the bike is on the street"])
+    other = "base" if tag != "base" else "full"
+    config = RunConfig(d_model=8, h=2, layers=1, max_length=16, ablation=other)
+    rng = np.random.default_rng(0)
+    named = named_parameters(KktParams.init(len(vocab), 8, 2, 1, 32, 16, tag, rng))
+    named.update(named_parameters(NliHead.init(len(vocab), 8, 2, 1, 32, 16, rng), "nli"))
+    blob = checkpoint_bytes(named, tag)
+    params, head = restore_checkpoint(parse_checkpoint(blob), config, vocab)
+    assert params.ablation == tag and head is not None
+    restored = {**named_parameters(params), **named_parameters(head, "nli")}
+    assert checkpoint_bytes(restored, tag) == blob
+
+
 def test_head_count_mismatch_fails_on_the_projection_shape():
     # Written at h=2 and restored at h=4 with the same d_model: the names
     # agree, and the first rank-3 projection's shape does not.
     vocab = Tokenizer.build(["the bike is on the street"])
     params = KktParams.init(len(vocab), 8, 2, 1, 32, 16, "full", np.random.default_rng(0))
-    ckpt = parse_checkpoint(checkpoint_bytes(params.named_parameters(), "full"))
+    ckpt = parse_checkpoint(checkpoint_bytes(named_parameters(params), "full"))
     with pytest.raises(CheckpointError, match=r"^tensor enc\.block0\.attn\.wq: checkpoint shape \(2, 8, 4\) "
                                               r"!= model shape \(4, 8, 2\)$"):
         restore_checkpoint(ckpt, RunConfig(d_model=8, h=4, layers=1, max_length=16), vocab)
@@ -257,7 +295,7 @@ def test_oversized_dimensions_are_truncation_not_overflow():
 
 
 MODEL_BLOB = checkpoint_bytes(
-    KktParams.init(20, 4, 2, 1, 8, 16, "full", np.random.default_rng(0)).named_parameters(), "full"
+    named_parameters(KktParams.init(20, 4, 2, 1, 8, 16, "full", np.random.default_rng(0))), "full"
 )
 
 

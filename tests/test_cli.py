@@ -14,6 +14,7 @@ import helpers
 from kkt.checkpoint import FORMAT_VERSION, CheckpointError, checkpoint_bytes, parse_checkpoint
 from kkt import cli, training
 from kkt.cli import main
+from kkt.tokenizer import Tokenizer
 
 
 def run_cli(argv):
@@ -72,6 +73,13 @@ def test_gen_data_of_no_examples_exits_2(tmp_path):
 
 
 # -------------------------------------------------------------------- train
+
+
+def test_gen_data_rejects_a_negative_seed(tmp_path):
+    rc, out, err = run_cli(["gen-data", "--seed", "-1", "--n", "2", "--mode", "mixed", "--out", str(tmp_path / "b")])
+    assert rc == 2 and out == ""
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "b").exists()
 
 
 def test_train_emits_run_summary(ws):
@@ -266,15 +274,6 @@ def test_eval_on_a_corrupt_checkpoint_exits_2(ws, data):
     assert re.match(r"error: \S+model\.kkt, offset \d+: ", err)
 
 
-def test_eval_ablation_mismatch(ws):
-    rc, _, err = run_cli([
-        "eval", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),
-        "--ablation", "base",
-    ])
-    assert rc == 2
-    assert "ablation" in err
-
-
 # ----------------------------------------------------------------- retrieve
 
 
@@ -300,6 +299,28 @@ def test_retrieve_rejects_bad_top_p(tmp_path):
     rc, _, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", "--top-p", "0"])
     assert rc == 2
     assert err.startswith("error: top-p bound must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_retrieve_rejects_a_threshold_that_is_not_finite(tmp_path, value):
+    # NaN compares false with every weight, so it would keep every triple.
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2.0\n", encoding="utf-8")
+    rc, out, err = run_cli(["retrieve", "--kg", str(kg), "--text", "bike", f"--threshold={value}"])
+    assert rc == 2 and out == ""
+    assert err == f"error: --threshold must be a finite number, got {value}\n"
+
+
+def test_retrieve_with_a_vocab_drops_triples_of_words_outside_it(tmp_path):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2.0\natlocation\tbook\tshelf\t3.0\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    Tokenizer.build(["the bike is on the street", "a book"]).save(vocab)
+    argv = ["retrieve", "--kg", str(kg), "--text", "where is the book or the bike"]
+    assert run_json(argv)["store_size"] == 2
+    out = run_json(argv + ["--vocab", str(vocab)])
+    assert out["store_size"] == 1
+    assert [(r["head"], r["tail"]) for r in out["results"]] == [("bike", "street")]
 
 
 def test_retrieve_rejects_malformed_lexicon(tmp_path):

@@ -192,6 +192,19 @@ def test_write_bundle_round_trips(tmp_path):
     assert meta["seed"] == 4
 
 
+def test_nli_corpus_skips_blank_lines_and_names_the_line_of_a_record_without_label(tmp_path):
+    path = tmp_path / "nli.jsonl"
+    record = {"premise": "the bike is here", "hypothesis": "a bike", "label": 1}
+    path.write_text(f"{json.dumps(record)}\n\n  \n{json.dumps(record)}\n", encoding="utf-8")
+    assert load_nli_corpus(path) == [record, record]
+    del record["label"]
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_nli_corpus(path)
+    assert str(err.value) == f"{path}:5: NLI record missing ['label']"
+
+
 # ---------------------------------------------------------------------------
 # dataset schema
 

@@ -5,13 +5,14 @@ Every exception class that `src/kkt` defines derives from `InputError`,
 except `ShapeError`, which marks a defect. `cli.main` catches `InputError`
 alone. Mutated input files end in exit 0, or in exit 2 with `error: ...`
 on stderr, and in nothing else but `train`'s documented abort on a
-non-finite loss.
+non-finite loss. So do numeric flags at and around their bounds.
 """
 
 import ast
 import importlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from kkt import InputError
 from kkt import model
 from kkt.cli import main
+from kkt.knowledge import read_graph
 from kkt.tensor import ShapeError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,3 +180,40 @@ def test_a_mutated_input_exits_0_or_2_with_a_named_error(originals, kind, comman
     for k, flag in flags.items():
         argv += [flag, str(paths[k])]
     _check_outcome(argv)
+
+
+# Values at and around the bounds of the numeric flags. argparse refuses a
+# value that is not an integer for an integer flag before `main` runs, so
+# `nan` and the infinities go to `--threshold` alone. `--n` stays at most 4,
+# which keeps a `gen-data` run short.
+AROUND = ["-2", "-1", "0", "1", "2"]
+NUMERIC_FLAGS = {
+    "gen-data": {"--seed": AROUND + ["12345678901234567890"], "--n": ["-1", "0", "1", "4"]},
+    "retrieve": {"--threshold": AROUND + ["0.5", "1.5", "nan", "inf", "-inf"], "--top-p": AROUND + ["1000"]},
+    "score-turns": {"--k": AROUND + ["1000"]},
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(command="gen-data", picks=(1, 3))  # --seed -1
+@example(command="retrieve", picks=(7, 3))  # --threshold nan
+@given(command=st.sampled_from(sorted(NUMERIC_FLAGS)), picks=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+def test_a_numeric_flag_around_its_bounds_exits_0_or_2_with_a_named_error(originals, command, picks):
+    root, _ = originals
+    values = {flag: choices[pick % len(choices)] for (flag, choices), pick in zip(NUMERIC_FLAGS[command].items(), picks)}
+    out = Path(tempfile.mkdtemp(dir=root)) / "bundle"
+    argv = [command] + {
+        "gen-data": ["--mode", "mixed", "--out", str(out)],
+        "retrieve": ["--kg", str(root / "bundle" / "kg.tsv"), "--text", "where is the bike"],
+        "score-turns": ["--ckpt", str(root / "run" / "model.kkt"), "--data", str(root / "bundle"),
+                        "--example-id", "mixed-train-00000"],
+    }[command] + [f"{flag}={value}" for flag, value in values.items()]
+    rc, stdout, err = run_cli(argv)
+    assert rc == 0 or (rc == 2 and err.startswith("error:")), (argv, rc, err)
+    if command == "gen-data":
+        assert out.exists() == (rc == 0), argv
+    if command == "retrieve" and rc == 0:
+        # Without --vocab every triple's words are known, so the weight filter alone sets the store.
+        threshold = float(values["--threshold"])
+        kept = [t for t in read_graph(root / "bundle" / "kg.tsv").triples if t.weight >= threshold]
+        assert json.loads(stdout)["store_size"] == len(kept), argv

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kkt import keyturns
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, encode
+from kkt.checkpoint import named_parameters
 from kkt.keyturns import (
     CONTRADICTION,
     ENTAILMENT,
@@ -240,9 +241,9 @@ def test_train_nli_head_zero_epochs_is_noop():
     corpus = separable_corpus()
     tk = corpus_tokenizer(corpus)
     head = make_head(tk, seed=2)
-    before = {k: v.data.copy() for k, v in head.named_parameters().items()}
+    before = {k: v.data.copy() for k, v in named_parameters(head).items()}
     train_nli_head(head, tk, corpus, epochs=0)
-    for name, t in head.named_parameters().items():
+    for name, t in named_parameters(head).items():
         assert np.array_equal(t.data, before[name]), name
 
 
@@ -260,10 +261,10 @@ def test_train_nli_head_checks_every_record_before_the_first_step():
     head = make_head(tk)
     corpus = [{"premise": "a", "hypothesis": "b", "label": i % 3} for i in range(3)]
     corpus.append({"premise": " ".join(["a"] * 15), "hypothesis": " ".join(["b"] * 15), "label": 1})
-    before = {k: v.data.copy() for k, v in head.named_parameters().items()}
+    before = {k: v.data.copy() for k, v in named_parameters(head).items()}
     with pytest.raises(ConfigurationError, match=r"has 33 tokens"):
         train_nli_head(head, tk, corpus, epochs=1, seed=0)
-    for name, t in head.named_parameters().items():
+    for name, t in named_parameters(head).items():
         assert np.array_equal(t.data, before[name]), name
 
 
@@ -271,20 +272,20 @@ def test_train_nli_head_rejects_bad_label():
     # True == 1 and 1.0 == 1, yet neither is an integer label.
     tk = Tokenizer.build(["text"])
     head = make_head(tk)
-    before = {k: v.data.copy() for k, v in head.named_parameters().items()}
+    before = {k: v.data.copy() for k, v in named_parameters(head).items()}
     for label in (3, True, 1.0):
         with pytest.raises(ValueError, match="NLI label"):
             train_nli_head(head, tk, [{"premise": "text", "hypothesis": "text", "label": label}], epochs=1)
-    for name, t in head.named_parameters().items():
+    for name, t in named_parameters(head).items():
         assert np.array_equal(t.data, before[name]), name
 
 
 def test_one_nli_record_gives_every_head_parameter_a_gradient():
     tk = Tokenizer.build(["the train is late", "why is he late"])
     head = make_head(tk, seed=3)
-    params = head.named_parameters()
-    assert {"nli.pooler_w", "nli.pooler_b", "nli.out_w", "nli.out_b"} <= set(params)
-    assert all(name.startswith("nli.") for name in params)
+    params = named_parameters(head)
+    assert {"pooler_w", "pooler_b", "out_w", "out_b"} <= set(params)
+    assert all(name.startswith("enc.") for name in set(params) - {"pooler_w", "pooler_b", "out_w", "out_b"})
     ids = keyturns._nli_ids(head, tk, "the train is late", "why is he late")
     T.cross_entropy_from_logits(T.reshape(keyturns._nli_logits(head, [ids]), (3,)), ENTAILMENT).backward()
     assert sorted(name for name, p in params.items() if p.grad is None or not np.any(p.grad)) == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, MhaParams, encode
+from kkt.checkpoint import named_parameters
 from kkt.knowledge import (
     FactEncoder,
     KgFormatError,
@@ -160,6 +161,15 @@ def test_load_kg_malformed_line_reports_position(tmp_path):
     assert str(err.value).startswith(f"{path}:2: expected 4 tab-separated columns")
     with pytest.raises(KgFormatError, match=r"^inline:2: "):
         list(iter_kg_triples(path.read_text(encoding="utf-8"), "inline"))
+
+
+@pytest.mark.parametrize("line", ["atlocation\t \tstreet\t2", "atlocation\tbike\t\t2"])
+def test_kg_line_with_a_blank_head_or_tail_names_its_line(tmp_path, line):
+    path = tmp_path / "kg.tsv"
+    path.write_text(f"atlocation\tbike\tstreet\t2\n{line}\n", encoding="utf-8")
+    with pytest.raises(KgFormatError) as err:
+        read_graph(path)
+    assert str(err.value) == f"{path}:2: empty head or tail"
 
 
 def test_read_graph_keeps_the_bytes_it_parsed(tmp_path):
@@ -325,7 +335,7 @@ def test_encode_facts_equals_encoding_each_fact_alone_bit_for_bit():
 
 def test_step_scope_serves_leaves_and_sends_their_gradient_back_once():
     _, enc, sa, fe = fact_encoder_fixture(seed=5)
-    leaves = list(enc.named_parameters("enc").values()) + [sa.wq, sa.wk, sa.wv]
+    leaves = list(named_parameters(enc, "enc").values()) + [sa.wq, sa.wk, sa.wv]
     weights = [T.Tensor(np.random.default_rng(i).standard_normal((1, 8))) for i in range(3)]
 
     def grads(scoped):

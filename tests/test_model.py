@@ -11,6 +11,7 @@ import helpers
 from kkt import attention, knowledge, model
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, MhaParams, encode
+from kkt.checkpoint import named_parameters
 from kkt.data import gen_synthetic
 from kkt.keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider
 from kkt.knowledge import KnowledgeStore, KnowledgeTriple, rank_triples
@@ -345,7 +346,7 @@ def test_forward_fusion_dimensions_by_ablation():
 
 def test_kkt_params_named_parameters_complete():
     tk, params = small_setup()
-    names = params.named_parameters()
+    names = named_parameters(params)
     assert "decoder_w" in names and "fusion_w" in names
     assert "enc.tok_emb" in names and "fact_sa.wq" in names
     assert "refine_kt.wk" in names and "duma2.wv" in names
@@ -356,7 +357,7 @@ def test_kkt_params_named_parameters_complete():
     # base: 13 + 2 * 3 + 1.
     counts = {"full": 34, "keyturns-only": 34, "kt": 25, "k": 31, "base": 20}
     for ablation in ABLATIONS:
-        assert len(small_setup(ablation=ablation)[1].named_parameters()) == counts[ablation], ablation
+        assert len(named_parameters(small_setup(ablation=ablation)[1])) == counts[ablation], ablation
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
@@ -374,7 +375,7 @@ def test_every_parameter_gets_a_gradient(ablation):
         assert flags["kt_identity"] == ("kt" not in PATHS[ablation])
         assert flags["ck_identity"] == flags["qak_identity"] == ("k" not in PATHS[ablation])
     result.loss.backward()
-    inert = sorted(name for name, p in params.named_parameters().items() if p.grad is None)
+    inert = sorted(name for name, p in named_parameters(params).items() if p.grad is None)
     assert inert == []
 
 
@@ -391,10 +392,10 @@ def test_predict_gradients_match_the_op_chain(monkeypatch, ablation):
         store.add(KnowledgeTriple("atlocation", "bike", tail, weight))
 
     def leaf_grads():
-        for t in params.named_parameters().values():
+        for t in named_parameters(params).values():
             t.grad = None
         KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64).predict(ex).loss.backward()
-        return {name: t.grad for name, t in params.named_parameters().items() if t.grad is not None}
+        return {name: t.grad for name, t in named_parameters(params).items() if t.grad is not None}
 
     ops = []
     attention_op = T.attention
@@ -619,7 +620,7 @@ def _predict_through(fwd, example, planted, setup):
         mp.setattr(model, "forward", lambda *args: seen.append(fwd(*args)) or seen[-1])
         pipe.predict(example).loss.backward()
     (logits, refined), = seen
-    return logits, refined, {name: t.grad for name, t in pipe.params.named_parameters().items()}
+    return logits, refined, {name: t.grad for name, t in named_parameters(pipe.params).items()}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -13,7 +13,7 @@ import kkt.training as training
 from kkt import knowledge
 from kkt import tensor as T
 from kkt.attention import encode
-from kkt.checkpoint import checkpoint_bytes, parse_checkpoint
+from kkt.checkpoint import checkpoint_bytes, named_parameters, parse_checkpoint
 from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
 from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
 from kkt.knowledge import read_graph
@@ -409,11 +409,6 @@ def test_evaluate_from_file(run, corpus, tmp_path):
     assert rep.to_json() == direct.to_json()
 
 
-def test_checkpoint_ablation_must_match(run, corpus):
-    with pytest.raises(ConfigurationError, match="'full'.*'base'"):
-        pipeline_from_checkpoint(run["result"].best_blob(), run["cfg"], run["result"].vocab, ablation="base")
-
-
 def test_checkpoint_adopts_tag_when_unspecified(run):
     pipe = pipeline_from_checkpoint(run["result"].best_blob(), run["cfg"], run["result"].vocab)
     assert pipe.ablation == "full"
@@ -422,8 +417,8 @@ def test_checkpoint_adopts_tag_when_unspecified(run):
 
 def test_checkpoint_restores_trained_weights(run):
     pipe = pipeline_from_checkpoint(run["result"].best_blob(), run["cfg"], run["result"].vocab)
-    trained = run["result"].params.named_parameters()
-    rebuilt = pipe.params.named_parameters()
+    trained = named_parameters(run["result"].params)
+    rebuilt = named_parameters(pipe.params)
     assert sorted(rebuilt) == sorted(trained)
     # The shared fixture has best == final, so live weights match the blob.
     if run["result"].best_blob() == run["result"].final_blob:
@@ -437,8 +432,8 @@ def test_every_ablation_restores_its_checkpoint(corpus, ablation):
     result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"])
     params, head = restore_checkpoint(parse_checkpoint(result.final_blob), cfg, result.vocab)
     assert params.ablation == ablation and head is None
-    trained = result.params.named_parameters()
-    rebuilt = params.named_parameters()
+    trained = named_parameters(result.params)
+    rebuilt = named_parameters(params)
     assert sorted(rebuilt) == sorted(trained)
     for name, p in rebuilt.items():
         np.testing.assert_array_equal(p.data, trained[name].data)
@@ -564,7 +559,7 @@ def test_eval_report_matches_a_graph_building_predict_loop(f64_init, corpus):
 
 
 def _grads_of(pipe, example):
-    named = pipe.params.named_parameters()
+    named = named_parameters(pipe.params)
     for p in named.values():
         p.grad = None
     res = pipe.predict(example)
@@ -596,7 +591,7 @@ def test_step_scope_gives_the_per_example_gradients_of_a_batch(f64_init, corpus)
 
     def step_grads(scoped):
         pipe = f64_init()
-        named = pipe.params.named_parameters()
+        named = named_parameters(pipe.params)
         fe = pipe.fact_encoder
         with fe.step() if scoped else contextlib.nullcontext():
             pipe.prepare_knowledge(batch)
