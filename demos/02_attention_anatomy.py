@@ -27,7 +27,7 @@ print("aligned query:", out.data)
 # Two heads each see d_model/2 columns; their outputs are concatenated
 # back to full width, with no extra output projection on top.
 rng = np.random.default_rng(0)
-p2 = MhaParams.init(4, 2, rng, dtype=np.float64)
+p2 = MhaParams.init(4, 2, rng)
 x = T.Tensor(rng.standard_normal((3, 4)))
 sa = self_attention(p2, x)
 print("self-attention keeps the sequence shape:", x.shape, "->", sa.shape)

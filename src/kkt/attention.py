@@ -46,11 +46,11 @@ class MhaParams:
     wv: Tensor
 
     @classmethod
-    def init(cls, d_model: int, h: int, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> "MhaParams":
+    def init(cls, d_model: int, h: int, rng: np.random.Generator) -> "MhaParams":
         if h <= 0 or d_model % h != 0:
             raise ConfigurationError(f"d_model {d_model} is not divisible by head count {h}")
         shape = (h, d_model, d_model // h)
-        return cls(*(T.uniform_param(shape, rng, fan_in=d_model, dtype=dtype) for _ in range(3)))
+        return cls(*(T.uniform_param(shape, rng, fan_in=d_model) for _ in range(3)))
 
 
 def mha(params: MhaParams, q_seq: Tensor, k_seq: Tensor, v_seq: Tensor, lengths=None, key_lengths=None) -> Tensor:
@@ -90,18 +90,18 @@ class BlockParams:
     ln2_bias: Tensor
 
     @classmethod
-    def init(cls, d_model, h, d_ff, rng, dtype=T.DEFAULT_DTYPE) -> "BlockParams":
+    def init(cls, d_model, h, d_ff, rng) -> "BlockParams":
         return cls(
-            attn=MhaParams.init(d_model, h, rng, dtype=dtype),
-            ff_w1=T.uniform_param((d_model, d_ff), rng, dtype=dtype),
-            ff_b1=T.uniform_param((d_ff,), rng, fan_in=d_model, dtype=dtype),
-            ff_w2=T.uniform_param((d_ff, d_model), rng, dtype=dtype),
-            ff_b2=T.uniform_param((d_model,), rng, fan_in=d_ff, dtype=dtype),
+            attn=MhaParams.init(d_model, h, rng),
+            ff_w1=T.uniform_param((d_model, d_ff), rng),
+            ff_b1=T.uniform_param((d_ff,), rng, fan_in=d_model),
+            ff_w2=T.uniform_param((d_ff, d_model), rng),
+            ff_b2=T.uniform_param((d_model,), rng, fan_in=d_ff),
             # Norm layers start as the identity map.
-            ln1_gain=T.const_param(1.0, (d_model,), dtype=dtype),
-            ln1_bias=T.const_param(0.0, (d_model,), dtype=dtype),
-            ln2_gain=T.const_param(1.0, (d_model,), dtype=dtype),
-            ln2_bias=T.const_param(0.0, (d_model,), dtype=dtype),
+            ln1_gain=T.const_param(1.0, (d_model,)),
+            ln1_bias=T.const_param(0.0, (d_model,)),
+            ln2_gain=T.const_param(1.0, (d_model,)),
+            ln2_bias=T.const_param(0.0, (d_model,)),
         )
 
 
@@ -116,12 +116,12 @@ class EncoderParams:
         return self.pos_emb.shape[0]
 
     @classmethod
-    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=T.DEFAULT_DTYPE) -> "EncoderParams":
+    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, rng) -> "EncoderParams":
         # Embedding tables scale by the embedding width, not the table height.
         return cls(
-            tok_emb=T.uniform_param((vocab_size, d_model), rng, fan_in=d_model, dtype=dtype),
-            pos_emb=T.uniform_param((max_len, d_model), rng, fan_in=d_model, dtype=dtype),
-            blocks=[BlockParams.init(d_model, h, d_ff, rng, dtype=dtype) for _ in range(layers)],
+            tok_emb=T.uniform_param((vocab_size, d_model), rng, fan_in=d_model),
+            pos_emb=T.uniform_param((max_len, d_model), rng, fan_in=d_model),
+            blocks=[BlockParams.init(d_model, h, d_ff, rng) for _ in range(layers)],
         )
 
 

@@ -152,8 +152,8 @@ def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
     return Checkpoint(ablation=TAG_ABLATIONS[tag], tensors=tensors)
 
 
-def assign_named(named: dict, arrays: dict, dtype=None):
-    """Copy checkpoint arrays into live tensors by name, checking shapes."""
+def assign_named(named: dict, arrays: dict):
+    """Copy checkpoint arrays into live tensors by name, checking shapes, each cast to its tensor's dtype."""
     missing = sorted(set(named) - set(arrays))
     extra = sorted(set(arrays) - set(named))
     if missing or extra:
@@ -162,4 +162,4 @@ def assign_named(named: dict, arrays: dict, dtype=None):
         arr = arrays[name]
         if tuple(arr.shape) != tuple(tensor.shape):
             raise CheckpointError(f"tensor {name}: checkpoint shape {arr.shape} != model shape {tensor.shape}")
-        tensor.data = arr.astype(dtype or tensor.data.dtype)
+        tensor.data = arr.astype(tensor.dtype)

@@ -2,9 +2,10 @@
 
 Subcommands: train, eval, retrieve, score-turns, gen-data, sweep. Every
 command prints a JSON document on stdout so runs are scriptable; file
-outputs land under the given --out. Bad input, any `InputError`, prints
-`error: ...` on stderr and exits 2. The KKT_SEED environment variable
-overrides the config seed for train/eval/sweep.
+outputs land under the given --out. Bad input, any `InputError` or a
+command line that argparse refuses, prints `error: ...` on stderr and
+exits 2. The KKT_SEED environment variable overrides the config seed for
+train/eval/sweep.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, parse_json,
@@ -148,15 +150,7 @@ def _cmd_retrieve(args):
             "query": texts,
             "store_size": len(store),
             "results": [
-                {
-                    "rank": rank,
-                    "triple_id": tid,
-                    "relation": store.triples[tid].relation,
-                    "head": store.triples[tid].head,
-                    "tail": store.triples[tid].tail,
-                    "weight": store.triples[tid].weight,
-                    "fact": store.facts[tid],
-                }
+                {**asdict(store.triples[tid]), "rank": rank, "triple_id": tid, "fact": store.facts[tid]}
                 for rank, tid in enumerate(ids)
             ],
         }
@@ -229,8 +223,15 @@ def _cmd_sweep(args):
     _emit(table)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `ConfigurationError` for argparse's own refusals, so they exit 2 with `error: ...`."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kkt", description="Dialogue multi-choice MRC with knowledge and key turns")
+    parser = _Parser(prog="kkt", description="Dialogue multi-choice MRC with knowledge and key turns")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write checkpoints")
@@ -258,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="rank knowledge items for a query text")
     p.add_argument("--kg", type=Path, required=True)
     p.add_argument("--text", action="append", required=True, help="query text; repeatable")
-    p.add_argument("--top-p", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=1.0, help="weight threshold")
+    p.add_argument("--top-p", type=int, default=RunConfig.p)
+    p.add_argument("--threshold", type=float, default=RunConfig.weight_threshold, help="weight threshold")
     p.add_argument("--lexicon", type=Path)
     p.add_argument("--relations", type=Path)
     p.add_argument("--vocab", type=Path)
@@ -295,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except InputError as exc:  # bad input; any other exception is a kkt defect and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -43,13 +43,13 @@ class NliHead:
     out_b: T.Tensor
 
     @classmethod
-    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=T.DEFAULT_DTYPE) -> "NliHead":
+    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, rng) -> "NliHead":
         return cls(
-            enc=EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=dtype),
-            pooler_w=T.uniform_param((d_model, d_model), rng, dtype=dtype),
-            pooler_b=T.uniform_param((d_model,), rng, fan_in=d_model, dtype=dtype),
-            out_w=T.uniform_param((d_model, 3), rng, dtype=dtype),
-            out_b=T.uniform_param((3,), rng, fan_in=d_model, dtype=dtype),
+            enc=EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng),
+            pooler_w=T.uniform_param((d_model, d_model), rng),
+            pooler_b=T.uniform_param((d_model,), rng, fan_in=d_model),
+            out_w=T.uniform_param((d_model, 3), rng),
+            out_b=T.uniform_param((3,), rng, fan_in=d_model),
         )
 
 

@@ -36,7 +36,7 @@ An ablation builds, trains and saves only the parameters its paths read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,16 +104,15 @@ class EncodedPair:
 
 @dataclass
 class RefinedReprs:
-    """Refined rows, stacked like the pair's. Each flag is a tuple of one
-    bool per option."""
+    """Refined rows, stacked like the pair's. `flags` holds one dict per
+    option of which paths fell back to identity: `kt_identity`,
+    `ck_identity` and `qak_identity`."""
 
     h_kt: Tensor | None
     h_c_kt: Tensor
     h_c_k: Tensor
     h_qa_k: Tensor
-    kt_identity: tuple
-    ck_identity: tuple
-    qak_identity: tuple
+    flags: list
 
 
 @dataclass
@@ -138,13 +137,13 @@ class KktParams:
     ablation: str = "full"
 
     @classmethod
-    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, ablation, rng, dtype=T.DEFAULT_DTYPE) -> "KktParams":
+    def init(cls, vocab_size, d_model, h, layers, d_ff, max_len, ablation, rng) -> "KktParams":
         if ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
         paths = PATHS[ablation]
 
         def group(path):
-            return MhaParams.init(d_model, h, rng, dtype=dtype) if path in paths else None
+            return MhaParams.init(d_model, h, rng) if path in paths else None
 
         # Draw order: enc, d_model * d_model + d_model discarded values,
         # fact_sa, refine_kt, refine_ck, refine_qak, duma1, duma2, fusion pair,
@@ -152,17 +151,17 @@ class KktParams:
         # encoder pooler in the discarded values' place; drawing them keeps
         # every later tensor, and the NLI head that `train` draws next from
         # the same generator, bit for bit as it was.
-        enc = EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng, dtype=dtype)
+        enc = EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng)
         rng.random(d_model * d_model + d_model)
         fact_sa, refine_kt, refine_ck, refine_qak = group("k"), group("kt"), group("k"), group("k")
-        duma1 = MhaParams.init(d_model, h, rng, dtype=dtype)
-        duma2 = MhaParams.init(d_model, h, rng, dtype=dtype)
+        duma1 = MhaParams.init(d_model, h, rng)
+        duma2 = MhaParams.init(d_model, h, rng)
         fusion_w = fusion_b = None
         if paths:
             fusion_in = 2 * d_model * len(paths)
-            fusion_w = T.uniform_param((fusion_in, 2 * d_model), rng, dtype=dtype)
-            fusion_b = T.uniform_param((2 * d_model,), rng, fan_in=fusion_in, dtype=dtype)
-        decoder_w = T.uniform_param((4 * d_model if paths else 2 * d_model,), rng, dtype=dtype)
+            fusion_w = T.uniform_param((fusion_in, 2 * d_model), rng)
+            fusion_b = T.uniform_param((2 * d_model,), rng, fan_in=fusion_in)
+        decoder_w = T.uniform_param((4 * d_model if paths else 2 * d_model,), rng)
         return cls(enc=enc, duma1=duma1, duma2=duma2, decoder_w=decoder_w, fact_sa=fact_sa,
                    refine_kt=refine_kt, refine_ck=refine_ck, refine_qak=refine_qak,
                    fusion_w=fusion_w, fusion_b=fusion_b, ablation=ablation)
@@ -276,9 +275,8 @@ def refine(params: KktParams, enc: EncodedPair, key_turn_indices, ck, qak) -> Re
         # The dialogue's facts are every option's keys: one segment pair of all rows.
         h_c_k=_attend(params.refine_ck, enc.h_c, None, ck_mat, None),
         h_qa_k=_attend(params.refine_qak, enc.h_qa, enc.qa_lengths, qak_mat, [len(rows) for rows in qak]),
-        kt_identity=tuple(not rows for rows in kt_rows),
-        ck_identity=(not ck,) * n,
-        qak_identity=tuple(not rows for rows in qak),
+        flags=[{"kt_identity": not kt_r, "ck_identity": not ck, "qak_identity": not qa_r}
+               for kt_r, qa_r in zip(kt_rows, qak)],
     )
 
 
@@ -347,7 +345,7 @@ class PredictResult:
     logits: np.ndarray
     loss: Tensor
     truncated: bool
-    flags: list = field(default_factory=list)
+    flags: list
 
 
 class KktPipeline:
@@ -364,7 +362,7 @@ class KktPipeline:
     """
 
     def __init__(self, params: KktParams, tokenizer: Tokenizer, store: KnowledgeStore | None = None,
-                 provider=None, k: int = 6, p: int = 5, max_len: int = 256):
+                 provider=None, *, k: int, p: int, max_len: int):
         self.params = params
         self.tokenizer = tokenizer
         self.store = store
@@ -422,10 +420,6 @@ class KktPipeline:
             selected = [tuple(range(len(chosen))) for chosen in selected]
         enc = encode_pair(self.params.enc, self.tokenizer, example, self.max_len, turns=turns)
         logits, refined = forward(self.params, enc, selected, ck, qak)
-        flags = [
-            {"kt_identity": kt, "ck_identity": c, "qak_identity": qa}
-            for kt, c, qa in zip(refined.kt_identity, refined.ck_identity, refined.qak_identity)
-        ]
         loss = T.cross_entropy_from_logits(logits, example.gold)
         return PredictResult(predicted=int(np.argmax(logits.data)), logits=logits.data.copy(), loss=loss,
-                             truncated=enc.truncated, flags=flags)
+                             truncated=enc.truncated, flags=refined.flags)

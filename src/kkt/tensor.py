@@ -105,8 +105,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -632,8 +632,8 @@ def cross_entropy_from_logits(logits: Tensor, gold: int) -> Tensor:
     return _result(data, (logits,), backward)
 
 
-def uniform_param(shape, rng: np.random.Generator, fan_in=None, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Trainable tensor initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
+def uniform_param(shape, rng: np.random.Generator, fan_in=None) -> Tensor:
+    """Trainable float64 tensor initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
     ``fan_in`` defaults to the first dimension (the input width of a weight
     matrix); embedding tables should pass their embedding width instead.
@@ -641,9 +641,9 @@ def uniform_param(shape, rng: np.random.Generator, fan_in=None, dtype=DEFAULT_DT
     shape = tuple(shape)
     fan = fan_in if fan_in is not None else shape[0]
     bound = 1.0 / math.sqrt(fan)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def const_param(value, shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Trainable tensor filled with a constant (layer-norm gains and biases)."""
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True)
+def const_param(value, shape) -> Tensor:
+    """Trainable float64 tensor filled with a constant (layer-norm gains and biases)."""
+    return Tensor(np.full(shape, value, dtype=DEFAULT_DTYPE), requires_grad=True)

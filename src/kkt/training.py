@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +188,6 @@ def evaluate_pipeline(pipeline: KktPipeline, dataset: Dataset, fingerprint_str: 
     )
 
 
-def _dims(config: RunConfig, vocab: Tokenizer) -> tuple:
-    """Encoder dimensions shared by the model and the NLI head."""
-    return len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length
-
-
 def load_store(graph: GraphInputs, threshold: float, vocab: Tokenizer) -> KnowledgeStore | None:
     """The run's knowledge store, or None without a graph."""
     if graph.triples is None:
@@ -200,17 +195,40 @@ def load_store(graph: GraphInputs, threshold: float, vocab: Tokenizer) -> Knowle
     return load_kg(graph.triples, threshold, vocab, graph.surfaces, graph.tagger)
 
 
-def key_turn_provider(config: RunConfig, vocab: Tokenizer, nli_head: NliHead | None, planted=None):
-    """`oracle` reads the planted turns, `leading` takes the first k turns,
-    `nli` needs a trained NLI head; `auto` uses the head when there is one,
-    else leading."""
+def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
+    named = named_parameters(params)
+    if nli_head is not None:
+        named.update(named_parameters(nli_head, "nli"))
+    return named
+
+
+def _draw(config: RunConfig, vocab: Tokenizer, ablation: str, rng: np.random.Generator,
+          with_head: bool) -> tuple[KktParams, NliHead | None]:
+    """A fresh model of `ablation` and, with `with_head`, an NLI head, drawn
+    in that order from `rng` in float64, then cast to the run's dtype."""
+    dims = (len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length)
+    params = KktParams.init(*dims, ablation, rng)
+    nli_head = NliHead.init(*dims, rng) if with_head else None
+    for tensor in _all_named(params, nli_head).values():
+        tensor.data = tensor.data.astype(config.np_dtype)
+    return params, nli_head
+
+
+def _pipeline(config: RunConfig, vocab: Tokenizer, params: KktParams, nli_head: NliHead | None,
+              graph: GraphInputs, planted) -> KktPipeline:
+    """The run's pipeline over `params` and the store of `graph`. Key turns:
+    `oracle` reads the planted turns, `leading` takes the first k, `nli`
+    needs a trained NLI head; `auto` uses the head when there is one."""
     if config.key_turn_provider == "oracle":
-        return OracleProvider(planted or {})
-    if config.key_turn_provider == "nli" and nli_head is None:
+        provider = OracleProvider(planted or {})
+    elif config.key_turn_provider == "nli" and nli_head is None:
         raise ConfigurationError("key-turn provider 'nli' needs a trained NLI scorer: train with an NLI corpus")
-    if config.key_turn_provider == "leading" or nli_head is None:
-        return LeadingProvider()
-    return NliProvider(nli_head, vocab)
+    elif config.key_turn_provider == "leading" or nli_head is None:
+        provider = LeadingProvider()
+    else:
+        provider = NliProvider(nli_head, vocab)
+    return KktPipeline(params, vocab, load_store(graph, config.weight_threshold, vocab), provider,
+                       k=config.k, p=config.p, max_len=config.max_length)
 
 
 def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
@@ -224,25 +242,18 @@ def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
 def restore_checkpoint(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer) -> tuple[KktParams, NliHead | None]:
     """Model parameters of the checkpoint's ablation tag (whatever
     `config.ablation` says) and, when it holds `nli.` tensors, the NLI head."""
-    dtype = config.np_dtype
-    rng = np.random.default_rng(0)
-    params = KktParams.init(*_dims(config, vocab), ckpt.ablation, rng, dtype=dtype)
     nli_arrays = {k: v for k, v in ckpt.tensors.items() if k.startswith("nli.")}
-    main_arrays = {k: v for k, v in ckpt.tensors.items() if k not in nli_arrays}
-    assign_named(named_parameters(params), main_arrays, dtype=dtype)
-    nli_head = None
-    if nli_arrays:
-        nli_head = NliHead.init(*_dims(config, vocab), rng, dtype=dtype)
-        assign_named(named_parameters(nli_head, "nli"), nli_arrays, dtype=dtype)
+    params, nli_head = _draw(config, vocab, ckpt.ablation, np.random.default_rng(0), bool(nli_arrays))
+    assign_named(named_parameters(params), {k: v for k, v in ckpt.tensors.items() if k not in nli_arrays})
+    if nli_head is not None:
+        assign_named(named_parameters(nli_head, "nli"), nli_arrays)
     return params, nli_head
 
 
 @dataclass
 class TrainResult:
-    params: KktParams
     pipeline: KktPipeline
     vocab: Tokenizer
-    store: KnowledgeStore | None
     history: list
     best: dict
     final_blob: bytes
@@ -256,15 +267,8 @@ class TrainResult:
         """Pipeline over the weights in `blob` that reuses this run's vocab,
         knowledge store and key-turn provider."""
         params, _ = restore_checkpoint(parse_checkpoint(blob), config, self.vocab)
-        return KktPipeline(params, self.vocab, self.store, self.pipeline.provider,
+        return KktPipeline(params, self.vocab, self.pipeline.store, self.pipeline.provider,
                            k=config.k, p=config.p, max_len=config.max_length)
-
-
-def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
-    named = named_parameters(params)
-    if nli_head is not None:
-        named.update(named_parameters(nli_head, "nli"))
-    return named
 
 
 def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: Dataset | None = None,
@@ -284,15 +288,12 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
         check_output_dir(out)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
     vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold, graph.surfaces)
-    store = load_store(graph, config.weight_threshold, vocab)
-    init_rng = np.random.default_rng([seed, 1])
-    params = KktParams.init(*_dims(config, vocab), config.ablation, init_rng, dtype=config.np_dtype)
-    nli_head = nli_report = None
-    if nli_corpus and config.key_turn_provider in ("auto", "nli"):
-        nli_head = NliHead.init(*_dims(config, vocab), init_rng, dtype=config.np_dtype)
+    with_head = bool(nli_corpus) and config.key_turn_provider in ("auto", "nli")
+    params, nli_head = _draw(config, vocab, config.ablation, np.random.default_rng([seed, 1]), with_head)
+    nli_report = None
+    if with_head:
         nli_report = train_nli_head(nli_head, vocab, nli_corpus, epochs=config.nli_epochs, seed=seed + 1)
-    provider = key_turn_provider(config, vocab, nli_head, planted)
-    pipeline = KktPipeline(params, vocab, store, provider, k=config.k, p=config.p, max_len=config.max_length)
+    pipeline = _pipeline(config, vocab, params, nli_head, graph, planted)
     hashes = _input_hashes(train=train_dataset, dev=dev_dataset, nli=nli_corpus, planted=planted, **graph.raw)
     run_fp = fingerprint(config, seed, hashes)
 
@@ -362,10 +363,8 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
             report["nli"] = {k: v for k, v in nli_report.items() if k != "loss_curve"}
         write_output(out / "report.json", (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8"))
     return TrainResult(
-        params=params,
         pipeline=pipeline,
         vocab=vocab,
-        store=store,
         history=history,
         best=best,
         final_blob=blob,
@@ -380,14 +379,8 @@ def pipeline_from_checkpoint(blob_or_path, config: RunConfig, vocab: Tokenizer, 
     `restore_checkpoint`); NLI scorer tensors, when present, restore the NLI
     provider."""
     _, ckpt = read_checkpoint(blob_or_path)
-    return _restored_pipeline(ckpt, config, vocab, read_graph(kg_path, surfaces_path, lexicon_path), planted)
-
-
-def _restored_pipeline(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer, graph: GraphInputs, planted):
-    params, nli_head = restore_checkpoint(ckpt, config, vocab)
-    provider = key_turn_provider(config, vocab, nli_head, planted)
-    return KktPipeline(params, vocab, load_store(graph, config.weight_threshold, vocab), provider,
-                       k=config.k, p=config.p, max_len=config.max_length)
+    graph = read_graph(kg_path, surfaces_path, lexicon_path)
+    return _pipeline(config, vocab, *restore_checkpoint(ckpt, config, vocab), graph, planted)
 
 
 def evaluate(blob_or_path, config: RunConfig, vocab: Tokenizer, dataset: Dataset, kg_path=None,
@@ -396,7 +389,7 @@ def evaluate(blob_or_path, config: RunConfig, vocab: Tokenizer, dataset: Dataset
     once, and the fingerprint hashes those bytes plus the vocabulary."""
     blob, ckpt = read_checkpoint(blob_or_path)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
-    pipeline = _restored_pipeline(ckpt, config, vocab, graph, planted)
+    pipeline = _pipeline(config, vocab, *restore_checkpoint(ckpt, config, vocab), graph, planted)
     hashes = _input_hashes(eval=dataset, planted=planted, checkpoint=blob, vocab=vocab.tokens, **graph.raw)
     return evaluate_pipeline(pipeline, dataset, fingerprint(config, effective_seed(config), hashes))
 

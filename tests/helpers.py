@@ -231,8 +231,7 @@ def per_option_predict(pipe, example):
         logit, refined = model.forward(pipe.params, enc, [selected], ck, [fact_rows([example.qa_text(j)])])
         logits.append(logit)
         truncated = truncated or enc.truncated
-        flags.append({"kt_identity": refined.kt_identity[0], "ck_identity": refined.ck_identity[0],
-                      "qak_identity": refined.qak_identity[0]})
+        flags += refined.flags
     vec = T.concat_last_axis(logits)
     return model.PredictResult(predicted=int(np.argmax(vec.data)), logits=vec.data.copy(),
                                loss=T.cross_entropy_from_logits(vec, example.gold), truncated=truncated, flags=flags)

@@ -56,8 +56,8 @@ def _extra_fd_cases(seed):
     e = r(5, 4)
     v1, v2 = r(1, 4), r(1, 4)
     logits = r(3)
-    p = MhaParams.init(4, 2, rng, dtype=np.float64)
-    p2 = MhaParams.init(4, 2, rng, dtype=np.float64)
+    p = MhaParams.init(4, 2, rng)
+    p2 = MhaParams.init(4, 2, rng)
     h_c, h_qa = r(4, 4), r(2, 4)
     mha_leaves = [h_c, h_qa, p.wq, p.wk, p.wv]
     duma_leaves = mha_leaves + [p2.wq, p2.wk, p2.wv]
@@ -92,7 +92,7 @@ def _fd_pipeline(tmp_path):
     texts = ex.turns + [ex.qa_text(j) for j in range(3)]
     vocab = Tokenizer.build(texts + ["bike street wheel book library atlocation relatedto"])
     rng = np.random.default_rng(17)
-    params = KktParams.init(len(vocab), 8, 2, 1, 32, 64, "full", rng, dtype=np.float64)
+    params = KktParams.init(len(vocab), 8, 2, 1, 32, 64, "full", rng)
     store = load_kg(read_graph(kg).triples, 1.0, vocab, {}, PosTagger())
     pipeline = KktPipeline(params, vocab, store, LeadingProvider(), k=2, p=2, max_len=64)
     return pipeline, ex
@@ -143,7 +143,7 @@ def test_criterion_2_oracle_equivalence(capsys):
     count = 0
 
     def rand_mha(d, h):
-        return MhaParams.init(d, h, rng, dtype=np.float64)
+        return MhaParams.init(d, h, rng)
 
     def shapes():
         h = int(rng.choice([1, 2]))
@@ -182,7 +182,7 @@ def test_criterion_2_oracle_equivalence(capsys):
 
     for _ in range(25):
         d, h = shapes()
-        params = KktParams.init(16, d, h, 1, 4 * d, 32, "full", rng, dtype=np.float64)
+        params = KktParams.init(16, d, h, 1, 4 * d, 32, "full", rng)
         nc = int(rng.integers(2, 9))
         cut = int(rng.integers(1, nc))
         spans = [(0, cut), (cut, nc)]

@@ -62,8 +62,18 @@ def test_gen_data_reports_bundle(ws):
 
 
 def test_gen_data_rejects_unknown_mode(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli(["gen-data", "--seed", "1", "--n", "4", "--mode", "telepathy", "--out", str(tmp_path)])
+    out = tmp_path / "bundle"
+    rc, stdout, err = run_cli(["gen-data", "--seed", "1", "--n", "4", "--mode", "telepathy", "--out", str(out)])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: kkt gen-data: argument --mode: invalid choice: 'telepathy'")
+    assert not out.exists()
+
+
+def test_help_exits_0_past_the_error_contract(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kkt gen-data")
 
 
 def test_gen_data_of_no_examples_exits_2(tmp_path):

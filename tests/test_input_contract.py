@@ -182,23 +182,25 @@ def test_a_mutated_input_exits_0_or_2_with_a_named_error(originals, kind, comman
     _check_outcome(argv)
 
 
-# Values at and around the bounds of the numeric flags. argparse refuses a
-# value that is not an integer for an integer flag before `main` runs, so
-# `nan` and the infinities go to `--threshold` alone. `--n` stays at most 4,
-# which keeps a `gen-data` run short.
-AROUND = ["-2", "-1", "0", "1", "2"]
+# Values at and around the bounds of the numeric flags, each passed as
+# `--flag=value` or as a separate argument, where argparse reads `-inf` as
+# an option. `--n` stays at most 4, which keeps a `gen-data` run short.
+AROUND = ["-2", "-1", "0", "1", "2", "0.5", "1.5", "nan", "inf", "-inf"]
 NUMERIC_FLAGS = {
-    "gen-data": {"--seed": AROUND + ["12345678901234567890"], "--n": ["-1", "0", "1", "4"]},
-    "retrieve": {"--threshold": AROUND + ["0.5", "1.5", "nan", "inf", "-inf"], "--top-p": AROUND + ["1000"]},
+    "gen-data": {"--seed": AROUND + ["12345678901234567890"], "--n": ["-1", "0", "1", "4", "nan", "1.5"]},
+    "retrieve": {"--threshold": AROUND, "--top-p": AROUND + ["1000"]},
     "score-turns": {"--k": AROUND + ["1000"]},
 }
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@example(command="gen-data", picks=(1, 3))  # --seed -1
-@example(command="retrieve", picks=(7, 3))  # --threshold nan
-@given(command=st.sampled_from(sorted(NUMERIC_FLAGS)), picks=st.tuples(st.integers(0, 99), st.integers(0, 99)))
-def test_a_numeric_flag_around_its_bounds_exits_0_or_2_with_a_named_error(originals, command, picks):
+@example(command="gen-data", picks=(1, 3), separate=False)  # --seed -1
+@example(command="gen-data", picks=(7, 3), separate=False)  # --seed nan
+@example(command="retrieve", picks=(7, 3), separate=False)  # --threshold nan
+@example(command="retrieve", picks=(9, 3), separate=True)  # --threshold -inf
+@given(command=st.sampled_from(sorted(NUMERIC_FLAGS)), picks=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+       separate=st.booleans())
+def test_a_numeric_flag_around_its_bounds_exits_0_or_2_with_a_named_error(originals, command, picks, separate):
     root, _ = originals
     values = {flag: choices[pick % len(choices)] for (flag, choices), pick in zip(NUMERIC_FLAGS[command].items(), picks)}
     out = Path(tempfile.mkdtemp(dir=root)) / "bundle"
@@ -207,7 +209,9 @@ def test_a_numeric_flag_around_its_bounds_exits_0_or_2_with_a_named_error(origin
         "retrieve": ["--kg", str(root / "bundle" / "kg.tsv"), "--text", "where is the bike"],
         "score-turns": ["--ckpt", str(root / "run" / "model.kkt"), "--data", str(root / "bundle"),
                         "--example-id", "mixed-train-00000"],
-    }[command] + [f"{flag}={value}" for flag, value in values.items()]
+    }[command]
+    for flag, value in values.items():
+        argv += [flag, value] if separate else [f"{flag}={value}"]
     rc, stdout, err = run_cli(argv)
     assert rc == 0 or (rc == 2 and err.startswith("error:")), (argv, rc, err)
     if command == "gen-data":

@@ -110,7 +110,9 @@ def test_batched_scores_equal_one_pair_scores(data):
     turn, qa = pairs[0]
     ids = [tk.bos_id] + tk.encode(turn) + [tk.sep_id] + tk.encode(qa) + [tk.eos_id]
     for dtype in (np.float64, np.float32):
-        head = NliHead.init(len(tk), 8, 2, 1, 32, 32, np.random.default_rng(7), dtype=dtype)
+        head = NliHead.init(len(tk), 8, 2, 1, 32, 32, np.random.default_rng(7))
+        for tensor in named_parameters(head).values():
+            tensor.data = tensor.data.astype(dtype)
         batched = score_turn(head, tk, pairs)
         alone = [score_turn(head, tk, [pair])[0] for pair in pairs]
         assert len(batched) == len(pairs)

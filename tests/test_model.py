@@ -215,7 +215,7 @@ def test_refine_empty_inputs_fall_back_to_identity():
     tk, params = small_setup()
     enc = random_pair(rng)
     out = refine(params, enc, [()], [], [[]])
-    assert out.kt_identity == out.ck_identity == out.qak_identity == (True,)
+    assert out.flags == [{"kt_identity": True, "ck_identity": True, "qak_identity": True}]
     assert out.h_kt is None
     assert out.h_c_kt is enc.h_c
     assert out.h_c_k is enc.h_c
@@ -327,7 +327,7 @@ def test_forward_empty_knowledge_equals_baseline_path():
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
     enc = encode_pair(params.enc, tk, helpers.one_option(ex, 0), 64)
     refined = refine(params, enc, [(0, 1)], [], [[]])
-    assert refined.ck_identity == refined.qak_identity == (True,)
+    assert refined.flags[0]["ck_identity"] and refined.flags[0]["qak_identity"]
     lengths = (enc.c_lengths, enc.qa_lengths)
     o_k = dual_coattention(params.duma1, params.duma2, refined.h_c_k, refined.h_qa_k, *lengths)
     o_o = dual_coattention(params.duma1, params.duma2, enc.h_c, enc.h_qa, *lengths)
@@ -423,8 +423,8 @@ def test_missing_path_ignores_its_inputs():
     for ablation in ABLATIONS:
         paths = PATHS[ablation]
         out = refine(small_setup(ablation=ablation)[1], enc, [(0,)], [fact], [[fact]])
-        assert out.kt_identity == ("kt" not in paths,)
-        assert out.ck_identity == out.qak_identity == ("k" not in paths,)
+        assert out.flags == [{"kt_identity": "kt" not in paths, "ck_identity": "k" not in paths,
+                              "qak_identity": "k" not in paths}]
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +508,10 @@ def permuted_cases(draw):
 def _random_pipeline(ablation, seed, nli, triples, k, p, max_len):
     tk = Tokenizer.build([" ".join(_WORDS), "atlocation"])
     rng = np.random.default_rng(seed)
-    params = KktParams.init(len(tk), 8, 2, 1, 32, max_len, ablation, rng, dtype=np.float64)
+    params = KktParams.init(len(tk), 8, 2, 1, 32, max_len, ablation, rng)
     provider = LeadingProvider()
     if nli:
-        provider = NliProvider(NliHead.init(len(tk), 8, 2, 1, 32, 2 * max_len, rng, dtype=np.float64), tk)
+        provider = NliProvider(NliHead.init(len(tk), 8, 2, 1, 32, 2 * max_len, rng), tk)
     store = KnowledgeStore()
     for head, tail, weight in triples:
         store.add(KnowledgeTriple("atlocation", head, tail, weight))
@@ -637,7 +637,7 @@ def test_stacked_coattention_equals_one_call_per_path(case):
     for name in ("h_kt", "h_c_kt", "h_c_k", "h_qa_k"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes()
-    assert (got.kt_identity, got.ck_identity, got.qak_identity) == (want.kt_identity, want.ck_identity, want.qak_identity)
+    assert got.flags == want.flags
     assert [name for name, g in got_grads.items() if g is None] == [name for name, g in want_grads.items() if g is None]
     for name, g in want_grads.items():
         assert g is None or np.allclose(got_grads[name], g, rtol=1e-9, atol=1e-12), name

@@ -417,7 +417,7 @@ def test_checkpoint_adopts_tag_when_unspecified(run):
 
 def test_checkpoint_restores_trained_weights(run):
     pipe = pipeline_from_checkpoint(run["result"].best_blob(), run["cfg"], run["result"].vocab)
-    trained = named_parameters(run["result"].params)
+    trained = named_parameters(run["result"].pipeline.params)
     rebuilt = named_parameters(pipe.params)
     assert sorted(rebuilt) == sorted(trained)
     # The shared fixture has best == final, so live weights match the blob.
@@ -432,12 +432,30 @@ def test_every_ablation_restores_its_checkpoint(corpus, ablation):
     result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"])
     params, head = restore_checkpoint(parse_checkpoint(result.final_blob), cfg, result.vocab)
     assert params.ablation == ablation and head is None
-    trained = named_parameters(result.params)
+    trained = named_parameters(result.pipeline.params)
     rebuilt = named_parameters(params)
     assert sorted(rebuilt) == sorted(trained)
     for name, p in rebuilt.items():
         np.testing.assert_array_equal(p.data, trained[name].data)
     assert checkpoint_bytes(rebuilt, ablation) == result.final_blob
+
+
+@pytest.mark.parametrize("with_head", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_every_parameter_holds_the_run_dtype(corpus, dtype, with_head):
+    # Initialisers draw float64; a fresh run, a restore and an eval pipeline
+    # all hold the run's dtype, the NLI head's tensors included.
+    cfg = _small_cfg(epochs=1, dtype=dtype, key_turn_provider="auto", nli_epochs=1)
+    nli = corpus["bundle"].nli_records if with_head else None
+    result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"], nli_corpus=nli)
+    restored = pipeline_from_checkpoint(result.final_blob, cfg, result.vocab, corpus["paths"]["kg"])
+    for pipe in (result.pipeline, restored, result.eval_pipeline(result.final_blob, cfg)):
+        named = named_parameters(pipe.params)
+        assert isinstance(pipe.provider, NliProvider) == with_head
+        if with_head:
+            named.update(named_parameters(pipe.provider.head, "nli"))
+        wrong = {name: t.dtype for name, t in named.items() if t.dtype != cfg.np_dtype}
+        assert not wrong, wrong
 
 
 def test_oracle_provider_from_config(run, corpus):
