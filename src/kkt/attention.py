@@ -46,7 +46,7 @@ class MhaParams:
     wv: Tensor
 
     @classmethod
-    def init(cls, d_model: int, h: int, rng: np.random.Generator) -> "MhaParams":
+    def init(cls, d_model: int, h: int, rng: np.random.Generator | None) -> "MhaParams":
         if h <= 0 or d_model % h != 0:
             raise ConfigurationError(f"d_model {d_model} is not divisible by head count {h}")
         shape = (h, d_model, d_model // h)

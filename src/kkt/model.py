@@ -150,9 +150,11 @@ class KktParams:
         # decoder; absent groups draw nothing. Formats up to 3 drew an unread
         # encoder pooler in the discarded values' place; drawing them keeps
         # every later tensor, and the NLI head that `train` draws next from
-        # the same generator, bit for bit as it was.
+        # the same generator, bit for bit as it was. With no generator
+        # (`rng=None`, a restore) every tensor is zeros and nothing is drawn.
         enc = EncoderParams.init(vocab_size, d_model, h, layers, d_ff, max_len, rng)
-        rng.random(d_model * d_model + d_model)
+        if rng is not None:
+            rng.random(d_model * d_model + d_model)
         fact_sa, refine_kt, refine_ck, refine_qak = group("k"), group("kt"), group("k"), group("k")
         duma1 = MhaParams.init(d_model, h, rng)
         duma2 = MhaParams.init(d_model, h, rng)

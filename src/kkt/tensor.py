@@ -632,8 +632,8 @@ def cross_entropy_from_logits(logits: Tensor, gold: int) -> Tensor:
     return _result(data, (logits,), backward)
 
 
-def uniform_param(shape, rng: np.random.Generator, fan_in=None) -> Tensor:
-    """Trainable float64 tensor initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
+def uniform_param(shape, rng: np.random.Generator | None, fan_in=None) -> Tensor:
+    """Trainable float64 tensor drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), or zeros with no `rng`.
 
     ``fan_in`` defaults to the first dimension (the input width of a weight
     matrix); embedding tables should pass their embedding width instead.
@@ -641,7 +641,7 @@ def uniform_param(shape, rng: np.random.Generator, fan_in=None) -> Tensor:
     shape = tuple(shape)
     fan = fan_in if fan_in is not None else shape[0]
     bound = 1.0 / math.sqrt(fan)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+    return Tensor(np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def const_param(value, shape) -> Tensor:

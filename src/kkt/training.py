@@ -202,10 +202,10 @@ def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
     return named
 
 
-def _draw(config: RunConfig, vocab: Tokenizer, ablation: str, rng: np.random.Generator,
+def _draw(config: RunConfig, vocab: Tokenizer, ablation: str, rng: np.random.Generator | None,
           with_head: bool) -> tuple[KktParams, NliHead | None]:
-    """A fresh model of `ablation` and, with `with_head`, an NLI head, drawn
-    in that order from `rng` in float64, then cast to the run's dtype."""
+    """A model of `ablation` and, with `with_head`, an NLI head, drawn in that order
+    from `rng` in float64 (zeros with no `rng`), then cast to the run's dtype."""
     dims = (len(vocab), config.d_model, config.h, config.layers, config.d_ff, config.max_length)
     params = KktParams.init(*dims, ablation, rng)
     nli_head = NliHead.init(*dims, rng) if with_head else None
@@ -240,10 +240,10 @@ def read_checkpoint(blob_or_path) -> tuple[bytes, Checkpoint]:
 
 
 def restore_checkpoint(ckpt: Checkpoint, config: RunConfig, vocab: Tokenizer) -> tuple[KktParams, NliHead | None]:
-    """Model parameters of the checkpoint's ablation tag (whatever
-    `config.ablation` says) and, when it holds `nli.` tensors, the NLI head."""
+    """The model of the checkpoint's ablation tag (whatever `config.ablation` says) and, when it holds
+    `nli.` tensors, the NLI head: zero tensors of the config's shapes, filled at the run's dtype."""
     nli_arrays = {k: v for k, v in ckpt.tensors.items() if k.startswith("nli.")}
-    params, nli_head = _draw(config, vocab, ckpt.ablation, np.random.default_rng(0), bool(nli_arrays))
+    params, nli_head = _draw(config, vocab, ckpt.ablation, None, bool(nli_arrays))
     assign_named(named_parameters(params), {k: v for k, v in ckpt.tensors.items() if k not in nli_arrays})
     if nli_head is not None:
         assign_named(named_parameters(nli_head, "nli"), nli_arrays)
@@ -264,9 +264,11 @@ class TrainResult:
         return self.best["blob"]
 
     def eval_pipeline(self, blob: bytes, config: RunConfig) -> KktPipeline:
-        """Pipeline over the weights in `blob` that reuses this run's vocab,
-        knowledge store and key-turn provider."""
-        params, _ = restore_checkpoint(parse_checkpoint(blob), config, self.vocab)
+        """Pipeline over the model weights in `blob` that reuses this run's vocab,
+        knowledge store and key-turn provider, so the blob's NLI head is not restored."""
+        ckpt = parse_checkpoint(blob)
+        model_only = Checkpoint(ckpt.ablation, {k: v for k, v in ckpt.tensors.items() if not k.startswith("nli.")})
+        params, _ = restore_checkpoint(model_only, config, self.vocab)
         return KktPipeline(params, self.vocab, self.pipeline.store, self.pipeline.provider,
                            k=config.k, p=config.p, max_len=config.max_length)
 

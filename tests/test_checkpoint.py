@@ -2,10 +2,11 @@
 
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from kkt import tensor as T
@@ -191,6 +192,32 @@ def test_the_tag_alone_sets_the_restored_ablation(tag):
     params, head = restore_checkpoint(parse_checkpoint(blob), config, vocab)
     assert params.ablation == tag and head is not None
     restored = {**named_parameters(params), **named_parameters(head, "nli")}
+    assert checkpoint_bytes(restored, tag) == blob
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(h=st.integers(1, 3), d_head=st.integers(1, 4), layers=st.integers(1, 2), max_length=st.integers(1, 12),
+       n_words=st.integers(0, 20), tag=st.sampled_from(sorted(ABLATION_TAGS)), with_head=st.booleans(),
+       dtype=st.sampled_from(["float32", "float64"]))
+def test_a_restore_draws_nothing_and_rewrites_its_blob(h, d_head, layers, max_length, n_words, tag, with_head, dtype):
+    # A restore builds zero tensors of the config's shapes and fills them:
+    # with every generator refused it still gives back the written bytes,
+    # each tensor at the run's dtype.
+    vocab = Tokenizer.build([" ".join(f"w{i}" for i in range(n_words))])
+    config = RunConfig(d_model=h * d_head, h=h, layers=layers, max_length=max_length, dtype=dtype)
+    dims = (len(vocab), config.d_model, h, layers, config.d_ff, max_length)
+    rng = np.random.default_rng(n_words)
+    named = named_parameters(KktParams.init(*dims, tag, rng))
+    if with_head:
+        named.update(named_parameters(NliHead.init(*dims, rng), "nli"))
+    blob = checkpoint_bytes(named, tag)
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("a restore drew")):
+        params, head = restore_checkpoint(parse_checkpoint(blob), config, vocab)
+    restored = named_parameters(params)
+    assert (head is not None) == with_head
+    if with_head:
+        restored.update(named_parameters(head, "nli"))
+    assert {t.dtype for t in restored.values()} == {np.dtype(config.np_dtype)}
     assert checkpoint_bytes(restored, tag) == blob
 
 

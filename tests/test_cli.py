@@ -374,6 +374,21 @@ def test_score_turns_reports_selection(ws):
         assert all(0 <= i < n_turns for i in selected)
 
 
+def test_checkpoint_commands_draw_no_random_number(ws, monkeypatch):
+    # `eval` and `score-turns` print the same JSON with every generator refused.
+    ckpt = str(ws["run"] / "model.kkt")
+    argvs = [["eval", "--ckpt", ckpt, "--data", str(ws["bundle"])],
+             ["score-turns", "--ckpt", ckpt, "--data", str(ws["bundle"]), "--example-id", "mixed-train-00000"]]
+    expected = [run_cli(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint reader drew")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert [run_cli(argv) for argv in argvs] == expected
+    assert all(rc == 0 for rc, _, _ in expected)
+
+
 def test_score_turns_unknown_example(ws):
     rc, _, err = run_cli([
         "score-turns", "--ckpt", str(ws["run"] / "model.kkt"), "--data", str(ws["bundle"]),

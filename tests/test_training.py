@@ -15,9 +15,9 @@ from kkt import tensor as T
 from kkt.attention import encode
 from kkt.checkpoint import checkpoint_bytes, named_parameters, parse_checkpoint
 from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
-from kkt.keyturns import LeadingProvider, NliProvider, OracleProvider
+from kkt.keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider
 from kkt.knowledge import read_graph
-from kkt.model import ABLATIONS
+from kkt.model import ABLATIONS, KktPipeline
 from kkt.optim import Adam
 from kkt.tensor import Tensor
 from kkt.tokenizer import Tokenizer
@@ -458,6 +458,25 @@ def test_every_parameter_holds_the_run_dtype(corpus, dtype, with_head):
         assert not wrong, wrong
 
 
+def test_no_checkpoint_reader_draws_a_random_number(corpus, monkeypatch):
+    # A restore builds zero tensors and fills them from the checkpoint, so
+    # every reader completes with every generator refused.
+    cfg = _small_cfg(epochs=1, key_turn_provider="auto", nli_epochs=1)
+    result = train(cfg, corpus["bundle"].dataset, kg_path=corpus["paths"]["kg"], nli_corpus=corpus["bundle"].nli_records)
+    blob = result.final_blob
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint reader drew")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert restore_checkpoint(parse_checkpoint(blob), cfg, result.vocab)[1] is not None
+    restored = pipeline_from_checkpoint(blob, cfg, result.vocab, corpus["paths"]["kg"])
+    assert isinstance(restored.provider, NliProvider)
+    report = evaluate(blob, cfg, result.vocab, corpus["dev"], corpus["paths"]["kg"])
+    reused = evaluate_pipeline(result.eval_pipeline(blob, cfg), corpus["dev"], report.fingerprint)
+    assert reused.to_json() == report.to_json()
+
+
 def test_oracle_provider_from_config(run, corpus):
     cfg = _small_cfg(key_turn_provider="oracle")
     planted = planted_turns_from_meta(corpus["bundle"].meta)
@@ -682,6 +701,38 @@ def test_sweep_reports_grid_cells(corpus, monkeypatch):
         assert row["n"] == len(corpus["dev"].examples)
         assert row["accuracy"] == row["n_plus"] / row["n"]
     assert rows[0]["fingerprint"] != rows[1]["fingerprint"]
+
+
+def test_a_sweep_restores_no_nli_head_per_cell(corpus, monkeypatch):
+    # Cells reuse the run's NLI provider, so they restore the model alone;
+    # their rows are those of a restore that also builds the blob's head.
+    results, heads = [], []
+    original_train, original_init = training.train, NliHead.init
+
+    def keeping(*args, **kwargs):
+        results.append(original_train(*args, **kwargs))
+        return results[-1]
+
+    def counting(cls, *args):
+        heads.append(1)
+        return original_init(*args)
+
+    monkeypatch.setattr(training, "train", keeping)
+    monkeypatch.setattr(NliHead, "init", classmethod(counting))
+    cfg = _small_cfg(epochs=1, key_turn_provider="nli", nli_epochs=1)
+    rows = ablation_sweep(cfg, corpus["bundle"].dataset, corpus["dev"], kg_path=corpus["paths"]["kg"],
+                          grid={"k": [1, 2], "p": [1, 30]}, nli_corpus=corpus["bundle"].nli_records)
+    assert len(heads) == 1 and len(rows) == 4
+    (result,) = results
+    for row in rows:
+        cell = RunConfig.from_dict({**cfg.to_dict(), "k": row["k"], "p": row["p"]})
+        params, head = restore_checkpoint(parse_checkpoint(result.best_blob()), cell, result.vocab)
+        assert head is not None
+        pipe = KktPipeline(params, result.vocab, result.pipeline.store, result.pipeline.provider,
+                           k=cell.k, p=cell.p, max_len=cell.max_length)
+        report = evaluate_pipeline(pipe, corpus["dev"], row["fingerprint"])
+        assert row == {"k": cell.k, "p": cell.p, "n": report.n, "n_plus": report.n_plus,
+                       "accuracy": report.accuracy, "fingerprint": report.fingerprint}
 
 
 def test_sweep_can_retrain_per_cell(corpus, monkeypatch):
