@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """From weighted triple TSV text to ranked facts for a dialogue turn.
 
-Walks the whole knowledge path: POS-based content words, triple loading
-with a weight threshold, surface rewriting, and deterministic ranking.
+Walks the whole knowledge path: POS-based content words, parsing each
+triple with its fact sentence (relation surfaces applied once, here),
+loading with a weight threshold, and deterministic ranking.
 """
 
-from kkt.knowledge import PosTagger, content_words, iter_kg_triples, load_kg, rank_triples, rewrite_triple
+from kkt.knowledge import GraphInputs, PosTagger, content_words, iter_kg_triples, load_kg, rank_triples
 from kkt.tokenizer import Tokenizer
 
 KG = """\
@@ -26,15 +27,17 @@ print("content words:", content_words(turn, tagger))
 print()
 
 vocab = Tokenizer.build(["bike street book shelf wheel garage exercise my is broken can you help"])
-store = load_kg(iter_kg_triples(KG, "kg.tsv"), 1.0, vocab, SURFACES, tagger)
+# `read_graph` builds the same from files; each triple carries its fact.
+graph = GraphInputs(list(iter_kg_triples(KG, "kg.tsv", SURFACES)), tagger, raw={})
+store = load_kg(graph, 1.0, vocab)
 # usedfor/bike/exercise sits below the 1.0 weight threshold and is gone.
 print(f"loaded {len(store)} of 5 triples (threshold 1.0)")
 for tid, triple in enumerate(store.triples):
-    print(f"  [{tid}] w={triple.weight:.1f}  {rewrite_triple(triple, SURFACES)!r}")
+    print(f"  [{tid}] w={triple.weight:.1f}  {triple.fact!r}")
 print()
 
 # Ranking: weight first, then how many distinct query words matched,
 # then fact text, then id. Same inputs, same order, every time.
 for p in (1, 3):
     ids = rank_triples(store, [turn], p)
-    print(f"top-{p} for the turn: {[(i, store.facts[i]) for i in ids]}")
+    print(f"top-{p} for the turn: {[(i, store.triples[i].fact) for i in ids]}")

@@ -153,7 +153,9 @@ def parse_checkpoint(blob: bytes, label: str = "checkpoint") -> Checkpoint:
 
 
 def assign_named(named: dict, arrays: dict):
-    """Copy checkpoint arrays into live tensors by name, checking shapes, each cast to its tensor's dtype."""
+    """Copy checkpoint arrays by name into the live tensors' own arrays, checking shapes,
+    each cast to its tensor's dtype. It writes in place, so pass only tensors that no
+    graph has read: a graph node holding one of those arrays would see the new values."""
     missing = sorted(set(named) - set(arrays))
     extra = sorted(set(arrays) - set(named))
     if missing or extra:
@@ -162,4 +164,4 @@ def assign_named(named: dict, arrays: dict):
         arr = arrays[name]
         if tuple(arr.shape) != tuple(tensor.shape):
             raise CheckpointError(f"tensor {name}: checkpoint shape {arr.shape} != model shape {tensor.shape}")
-        tensor.data = arr.astype(tensor.dtype)
+        np.copyto(tensor.data, arr)

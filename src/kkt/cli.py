@@ -20,14 +20,13 @@ from pathlib import Path
 from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset, load_nli_corpus, parse_json,
                    planted_turns_from_meta, read_json, write_bundle)
 from .keyturns import NliProvider
-from .knowledge import rank_triples, read_graph, rewrite_triple
+from .knowledge import load_kg, rank_triples, read_graph
 from .tokenizer import InputError, Tokenizer, write_output
 from .training import (
     ConfigurationError,
     RunConfig,
     ablation_sweep,
     evaluate,
-    load_store,
     read_checkpoint,
     restore_checkpoint,
     train,
@@ -142,15 +141,15 @@ def _cmd_retrieve(args):
         vocab = Tokenizer.load(args.vocab)
     else:
         # Without a model vocabulary, admit every graph word so nothing is dropped.
-        vocab = Tokenizer.build([rewrite_triple(t, graph.surfaces) for t in graph.triples] + texts)
-    store = load_store(graph, args.threshold, vocab)
+        vocab = Tokenizer.build([t.fact for t in graph.triples] + texts)
+    store = load_kg(graph, args.threshold, vocab)
     ids = rank_triples(store, texts, args.top_p)
     _emit(
         {
             "query": texts,
             "store_size": len(store),
             "results": [
-                {**asdict(store.triples[tid]), "rank": rank, "triple_id": tid, "fact": store.facts[tid]}
+                {**asdict(store.triples[tid]), "rank": rank, "triple_id": tid}
                 for rank, tid in enumerate(ids)
             ],
         }

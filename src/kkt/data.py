@@ -24,7 +24,6 @@ byte-identical bundles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,11 +182,6 @@ def dataset_from_obj(obj, label="dataset") -> Dataset:
 
 def load_dataset(path) -> Dataset:
     return dataset_from_obj(read_json(path), label=str(path))
-
-
-def dataset_hash(dataset: Dataset) -> str:
-    blob = json.dumps(dataset.dialogues, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass

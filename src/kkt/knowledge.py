@@ -1,11 +1,11 @@
-"""Weighted knowledge-graph ingestion, fact rewriting, encoding and retrieval.
+"""Weighted knowledge-graph ingestion, fact encoding and retrieval.
 
 A knowledge item is a {relation, head, tail} triple with a non-negative
-weight. Loading filters by weight threshold (boundary kept) and drops any
-triple whose head or tail contains a word outside the encoder vocabulary.
-Retained triples are rewritten to plain sentences ("virus causes disease"),
-encoded by self-attending their hidden states and mean-pooling, and served
-through a deterministic top-p ranking:
+weight, parsed with its fact, the sentence `head <surface> tail` ("virus
+causes disease"). Loading filters by weight threshold (boundary kept) and
+drops any triple whose head or tail contains a word outside the encoder
+vocabulary. Retained facts are encoded by self-attending their hidden
+states and mean-pooling, and served through a deterministic top-p ranking:
 
     weight (desc), then number of distinct query content words matched
     (desc), then fact text (asc), then original file order (asc).
@@ -76,9 +76,10 @@ _SUFFIX_RULES = (
 
 
 def _read_pairs(text: str, label, layout: str, values=None) -> dict:
-    """Two-column TSV text as a dict; blank and `#` lines are skipped. With
-    `values`, the second column must be one of them."""
-    pairs = {}
+    """Two-column TSV text as a dict; blank and `#` lines are skipped, a repeated key is
+    refused. With `values` (a lexicon's tags) the second column must be one of them, and
+    keys compare lowercased, as `PosTagger` stores them."""
+    pairs, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -88,6 +89,9 @@ def _read_pairs(text: str, label, layout: str, values=None) -> dict:
             raise KgFormatError(f"{label}:{lineno}: expected `{layout}`, got {raw!r}")
         if values is not None and parts[1] not in values:
             raise KgFormatError(f"{label}:{lineno}: tag for {parts[0]!r} must be one of {values}, got {parts[1]!r}")
+        key = parts[0] if values is None else parts[0].lower()
+        if first.setdefault(key, lineno) != lineno:
+            raise KgFormatError(f"{label}:{lineno}: {parts[0]!r} repeats line {first[key]}")
         pairs[parts[0]] = parts[1]
     return pairs
 
@@ -140,48 +144,40 @@ def content_words(text: str, tagger: PosTagger | None = None) -> list[str]:
 
 @dataclass(frozen=True)
 class KnowledgeTriple:
+    """A parsed KG line; `fact` is its sentence, `head <surface or relation> tail`."""
+
     relation: str
     head: str
     tail: str
     weight: float
-
-
-def rewrite_triple(t: KnowledgeTriple, surface_table=None) -> str:
-    """The triple's fact sentence, `head <surface(relation)> tail`.
-
-    Unknown relations fall back to the raw relation id as the infix.
-    """
-    infix = (surface_table or {}).get(t.relation, t.relation)
-    return f"{t.head} {infix} {t.tail}"
+    fact: str
 
 
 @dataclass
 class KnowledgeStore:
     """Filtered triples plus an inverted index from surface word to triple ids.
 
-    Triple ids are positions in the retained `triples` list (load order),
-    and `facts[tid]` is the fact sentence of triple `tid`.
+    Triple ids are positions in the retained `triples` list (load order).
     """
 
     triples: list = field(default_factory=list)
-    facts: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
     tagger: PosTagger = field(default_factory=PosTagger)
 
     def __len__(self):
         return len(self.triples)
 
-    def add(self, triple: KnowledgeTriple, surface_table=None):
+    def add(self, triple: KnowledgeTriple):
         tid = len(self.triples)
         self.triples.append(triple)
-        self.facts.append(rewrite_triple(triple, surface_table))
         for word in set(tokenize(triple.head) + tokenize(triple.tail)):
             self.index.setdefault(word, []).append(tid)
         return tid
 
 
-def iter_kg_triples(text: str, label="kg"):
-    """Parse every triple of KG text, before any filtering; errors name `label:lineno`."""
+def iter_kg_triples(text: str, label="kg", surfaces=None):
+    """Parse every triple of KG text with its fact, before any filtering; a relation in
+    `surfaces` reads as its phrase there. Errors name `label:lineno`."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
@@ -197,51 +193,53 @@ def iter_kg_triples(text: str, label="kg"):
             raise KgFormatError(f"{label}:{lineno}: weight {weight_s!r} is not a number") from exc
         if not 0 <= weight < np.inf:  # NaN would rank by file order, and JSON has no infinity
             raise KgFormatError(f"{label}:{lineno}: weight {weight_s!r} must be a finite number >= 0")
-        yield KnowledgeTriple(relation=relation, head=head, tail=tail, weight=weight)
-
-
-def load_kg(triples, threshold: float, vocab: Tokenizer, surfaces=None, tagger=None) -> KnowledgeStore:
-    """The store over parsed triples (see `iter_kg_triples`).
-
-    Triples below the weight threshold are dropped (the boundary is kept),
-    as is any triple whose head or tail contains a word the vocabulary does
-    not know.
-    """
-    store = KnowledgeStore(tagger=tagger or PosTagger())
-    for triple in triples:
-        if triple.weight < threshold:
-            continue
-        words = tokenize(triple.head) + tokenize(triple.tail)
-        if not all(vocab.has(w) for w in words):
-            continue
-        store.add(triple, surfaces)
-    return store
+        fact = f"{head} {(surfaces or {}).get(relation, relation)} {tail}"
+        yield KnowledgeTriple(relation=relation, head=head, tail=tail, weight=weight, fact=fact)
 
 
 @dataclass
 class GraphInputs:
-    """A run's graph files, each read once: `triples` is the one parse of the
-    KG (None without a graph), `raw` the bytes of each given file by name."""
+    """A run's graph files, each read once: `triples` is the one parse of the KG,
+    facts included (None without a graph), `raw` the bytes of each given file by name."""
 
     triples: list | None
-    surfaces: dict
     tagger: PosTagger
     raw: dict
 
 
 def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInputs:
-    """Read and parse the KG TSV `relation<TAB>head<TAB>tail<TAB>weight`, the
-    surface TSV `relation<TAB>surface phrase` and the lexicon TSV `word<TAB>tag`."""
+    """Read and parse the surface TSV `relation<TAB>surface phrase`, then the KG TSV
+    `relation<TAB>head<TAB>tail<TAB>weight` with them, and the lexicon TSV `word<TAB>tag`."""
     raw = {}
 
     def text(name, path):
         raw[name], decoded = read_text(path, KgFormatError)
         return decoded
 
-    triples = None if kg_path is None else list(iter_kg_triples(text("kg", kg_path), kg_path))
     surfaces = {} if surfaces_path is None else _read_pairs(text("surfaces", surfaces_path), surfaces_path, "relation<TAB>surface")
+    triples = None if kg_path is None else list(iter_kg_triples(text("kg", kg_path), kg_path, surfaces))
     lexicon = {} if lexicon_path is None else _read_pairs(text("lexicon", lexicon_path), lexicon_path, "word<TAB>tag", _POS_TAGS)
-    return GraphInputs(triples, surfaces, PosTagger(lexicon), raw)
+    return GraphInputs(triples, PosTagger(lexicon), raw)
+
+
+def load_kg(graph: GraphInputs, threshold: float, vocab: Tokenizer) -> KnowledgeStore | None:
+    """The store over the graph's parsed triples, or None without a KG.
+
+    Triples below the weight threshold are dropped (the boundary is kept),
+    as is any triple whose head or tail contains a word the vocabulary does
+    not know.
+    """
+    if graph.triples is None:
+        return None
+    store = KnowledgeStore(tagger=graph.tagger)
+    for triple in graph.triples:
+        if triple.weight < threshold:
+            continue
+        words = tokenize(triple.head) + tokenize(triple.tail)
+        if not all(vocab.has(w) for w in words):
+            continue
+        store.add(triple)
+    return store
 
 
 class FactEncoder:
@@ -350,6 +348,6 @@ def rank_triples(store: KnowledgeStore, texts, p: int) -> list[int]:
             matches[tid] = matches.get(tid, 0) + 1
     order = sorted(
         matches,
-        key=lambda tid: (-store.triples[tid].weight, -matches[tid], store.facts[tid], tid),
+        key=lambda tid: (-store.triples[tid].weight, -matches[tid], store.triples[tid].fact, tid),
     )
     return order[:p]

@@ -401,7 +401,7 @@ class KktPipeline:
     def _top_facts(self, texts) -> list:
         key = tuple(texts)
         if key not in self._ranked:
-            self._ranked[key] = [self.store.facts[tid] for tid in rank_triples(self.store, texts, self.p)]
+            self._ranked[key] = [self.store.triples[tid].fact for tid in rank_triples(self.store, texts, self.p)]
         return self._ranked[key]
 
     def predict(self, example: DialogueExample) -> PredictResult:

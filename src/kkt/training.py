@@ -25,9 +25,9 @@ import numpy as np
 from . import tensor as T
 from .attention import ConfigurationError
 from .checkpoint import Checkpoint, CheckpointError, assign_named, checkpoint_bytes, named_parameters, parse_checkpoint
-from .data import Dataset, dataset_hash
+from .data import Dataset
 from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, train_nli_head
-from .knowledge import GraphInputs, KnowledgeStore, load_kg, read_graph, rewrite_triple
+from .knowledge import GraphInputs, load_kg, read_graph
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
 from .tokenizer import Tokenizer, check_output_dir, read_input, write_output
@@ -107,10 +107,10 @@ def effective_seed(config: RunConfig) -> int:
 
 
 def _digest(value) -> str:
-    """SHA-256 of a run input: a dataset's dialogues, the bytes a file was parsed
-    from, or the canonical JSON of NLI records, planted turns or tokens."""
+    """SHA-256 of the bytes a file was parsed from, or of the canonical JSON of
+    any other value (a dataset's dialogues, NLI records, planted turns, tokens)."""
     if isinstance(value, Dataset):
-        return dataset_hash(value)
+        value = value.dialogues
     if not isinstance(value, (bytes, bytearray)):
         value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(value).hexdigest()
@@ -121,19 +121,17 @@ def _input_hashes(**inputs) -> dict:
 
 
 def fingerprint(config: RunConfig, seed: int, data_hashes: dict) -> str:
-    payload = {"config": config.to_dict(), "seed": seed, "data": data_hashes}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return _digest({"config": config.to_dict(), "seed": seed, "data": data_hashes})
 
 
-def build_vocab(dataset: Dataset, triples=None, weight_threshold: float = 0.0, surfaces=None) -> Tokenizer:
+def build_vocab(dataset: Dataset, triples=None, weight_threshold: float = 0.0) -> Tokenizer:
     """Vocabulary over the training texts plus the facts of the parsed triples.
 
     Graph words are included so retrieval-relevant tokens (including ones
     appearing only at evaluation time) have ids; their embeddings stay
     untrained unless the training text uses them.
     """
-    facts = [rewrite_triple(t, surfaces) for t in triples or () if t.weight >= weight_threshold]
+    facts = [t.fact for t in triples or () if t.weight >= weight_threshold]
     return Tokenizer.build(list(dataset.texts()) + facts)
 
 
@@ -188,13 +186,6 @@ def evaluate_pipeline(pipeline: KktPipeline, dataset: Dataset, fingerprint_str: 
     )
 
 
-def load_store(graph: GraphInputs, threshold: float, vocab: Tokenizer) -> KnowledgeStore | None:
-    """The run's knowledge store, or None without a graph."""
-    if graph.triples is None:
-        return None
-    return load_kg(graph.triples, threshold, vocab, graph.surfaces, graph.tagger)
-
-
 def _all_named(params: KktParams, nli_head: NliHead | None) -> dict:
     named = named_parameters(params)
     if nli_head is not None:
@@ -227,7 +218,7 @@ def _pipeline(config: RunConfig, vocab: Tokenizer, params: KktParams, nli_head: 
         provider = LeadingProvider()
     else:
         provider = NliProvider(nli_head, vocab)
-    return KktPipeline(params, vocab, load_store(graph, config.weight_threshold, vocab), provider,
+    return KktPipeline(params, vocab, load_kg(graph, config.weight_threshold, vocab), provider,
                        k=config.k, p=config.p, max_len=config.max_length)
 
 
@@ -289,7 +280,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     if out is not None:
         check_output_dir(out)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
-    vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold, graph.surfaces)
+    vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold)
     with_head = bool(nli_corpus) and config.key_turn_provider in ("auto", "nli")
     params, nli_head = _draw(config, vocab, config.ablation, np.random.default_rng([seed, 1]), with_head)
     nli_report = None

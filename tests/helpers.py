@@ -217,7 +217,7 @@ def per_option_predict(pipe, example):
 
     def fact_rows(texts):
         ids = rank_triples(pipe.store, texts, pipe.p) if knowledge else []
-        return [pipe.fact_encoder.encode_fact(pipe.store.facts[tid]) for tid in ids]
+        return [pipe.fact_encoder.encode_fact(pipe.store.triples[tid].fact) for tid in ids]
 
     ck = fact_rows(example.turns)
     logits, flags, truncated = [], [], False
@@ -322,7 +322,7 @@ def brute_retrieve_ids(store, texts, p):
     for tid, t in enumerate(store.triples):
         matched = query & set(tokenize(t.head) + tokenize(t.tail))
         if matched:
-            rows.append((-t.weight, -len(matched), store.facts[tid], tid))
+            rows.append((-t.weight, -len(matched), t.fact, tid))
     rows.sort()
     return [r[3] for r in rows[:p]]
 

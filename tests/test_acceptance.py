@@ -22,7 +22,7 @@ from kkt.attention import MhaParams, mha, self_attention
 from kkt.checkpoint import checkpoint_bytes, named_parameters, parse_checkpoint
 from kkt.data import gen_synthetic, planted_turns_from_meta, write_bundle
 from kkt.keyturns import LeadingProvider, select_key_turns
-from kkt.knowledge import PosTagger, load_kg, rank_triples, read_graph
+from kkt.knowledge import load_kg, rank_triples, read_graph
 from kkt.model import DialogueExample, EncodedPair, KktParams, KktPipeline, dual_coattention, refine
 from kkt.tokenizer import Tokenizer
 from kkt.training import (
@@ -93,7 +93,7 @@ def _fd_pipeline(tmp_path):
     vocab = Tokenizer.build(texts + ["bike street wheel book library atlocation relatedto"])
     rng = np.random.default_rng(17)
     params = KktParams.init(len(vocab), 8, 2, 1, 32, 64, "full", rng)
-    store = load_kg(read_graph(kg).triples, 1.0, vocab, {}, PosTagger())
+    store = load_kg(read_graph(kg), 1.0, vocab)
     pipeline = KktPipeline(params, vocab, store, LeadingProvider(), k=2, p=2, max_len=64)
     return pipeline, ex
 
@@ -245,7 +245,7 @@ def test_criterion_4_retrieval_contract(capsys, tmp_path):
     kg = tmp_path / "kg.tsv"
     kg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     vocab = Tokenizer.build([" ".join(nouns + relations)])
-    store = load_kg(read_graph(kg).triples, 1.0, vocab, {}, PosTagger())
+    store = load_kg(read_graph(kg), 1.0, vocab)
     assert len(store) > 10
 
     mismatches = 0
@@ -264,7 +264,7 @@ def test_criterion_4_retrieval_contract(capsys, tmp_path):
         encoding="utf-8",
     )
     fixture_vocab = Tokenizer.build(["bike street book shelf city my is broken"])
-    fixture_store = load_kg(read_graph(fixture).triples, 1.0, fixture_vocab, {}, PosTagger())
+    fixture_store = load_kg(read_graph(fixture), 1.0, fixture_vocab)
     ids = rank_triples(fixture_store, ["m : my bike is broken"], 2)
     heads = [(fixture_store.triples[t].relation, fixture_store.triples[t].head, fixture_store.triples[t].tail) for t in ids]
     fixture_ok = ("atlocation", "bike", "street") in heads

@@ -30,6 +30,8 @@ KEPT_FIELDS = {
     "PredictResult.logits",
     # the key-turn rows, which the refine oracle tests check
     "RefinedReprs.h_kt",
+    # printed by `kkt retrieve` through `asdict`; the fact is built from it at parse
+    "KnowledgeTriple.relation",
 }
 
 

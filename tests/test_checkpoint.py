@@ -260,6 +260,18 @@ def test_assign_named_round_trip():
     assert np.array_equal(live["a"].data, arrays["a"].astype(np.float64))
 
 
+def test_assign_named_writes_into_each_tensors_own_array():
+    # No new array per tensor: the values are copied into the one it holds, at its dtype.
+    live = {"a": T.Tensor(np.zeros((2, 3))), "b": T.Tensor(np.zeros(4, dtype=np.float32))}
+    held = {name: t.data for name, t in live.items()}
+    arrays = {"a": np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3), "b": np.arange(4, dtype=np.float32) / 3}
+    assign_named(live, arrays)
+    for name, t in live.items():
+        assert t.data is held[name]
+        assert t.dtype == (np.float64 if name == "a" else np.float32)
+        assert t.data.tobytes() == arrays[name].astype(t.dtype).tobytes()
+
+
 def test_assign_named_name_mismatch():
     live = {"a": T.Tensor(np.zeros(2))}
     with pytest.raises(CheckpointError) as err:

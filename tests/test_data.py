@@ -13,24 +13,23 @@ from kkt.data import (
     TRAIN_ENTITIES,
     SchemaError,
     dataset_from_obj,
-    dataset_hash,
     gen_synthetic,
     planted_turns_from_meta,
     load_dataset,
     load_nli_corpus,
     write_bundle,
 )
+from kkt.training import _digest
 
 
 def bundle_fingerprint(bundle):
-    return json.dumps(
+    return _digest(
         {
             "dialogues": bundle.dataset.dialogues,
             "kg": bundle.kg_text,
             "nli": bundle.nli_records,
             "meta": bundle.meta,
-        },
-        sort_keys=True,
+        }
     )
 
 
@@ -185,7 +184,7 @@ def test_write_bundle_round_trips(tmp_path):
         assert path.exists()
     data = load_dataset(paths["data"])
     assert len(data) == len(bundle.dataset)
-    assert dataset_hash(data) == dataset_hash(bundle.dataset)
+    assert _digest(data) == _digest(bundle.dataset)
     corpus = load_nli_corpus(paths["nli"])
     assert corpus == bundle.nli_records
     meta = json.loads(paths["meta"].read_text(encoding="utf-8"))
@@ -256,8 +255,8 @@ def test_dataset_hash_tracks_content():
     changed = dialogue_json_fixture()
     changed[0][0][0] = "m : i lost my hat ."
     b = dataset_from_obj(changed)
-    assert dataset_hash(a) != dataset_hash(b)
-    assert dataset_hash(a) == dataset_hash(dataset_from_obj(dialogue_json_fixture()))
+    assert _digest(a) != _digest(b)
+    assert _digest(a) == _digest(dataset_from_obj(dialogue_json_fixture())) == _digest(a.dialogues)
 
 
 @pytest.mark.parametrize("obj", [3, {}, "text", [[["m : hi"], {"question": "q"}, "d0"]], [[["m : hi"], ["qa"], "d0"]],

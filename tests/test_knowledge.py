@@ -1,4 +1,4 @@
-"""Knowledge graph loading, fact rewriting/encoding, POS tagging, retrieval."""
+"""Knowledge graph parsing and loading, fact encoding, POS tagging, retrieval."""
 
 import contextlib
 
@@ -10,6 +10,7 @@ import helpers
 from kkt import tensor as T
 from kkt.attention import ConfigurationError, MhaParams, encode
 from kkt.checkpoint import named_parameters
+from kkt.data import Dataset
 from kkt.knowledge import (
     FactEncoder,
     KgFormatError,
@@ -21,12 +22,12 @@ from kkt.knowledge import (
     load_kg,
     rank_triples,
     read_graph,
-    rewrite_triple,
     tag_content_words,
 )
 from kkt.keyturns import LeadingProvider
 from kkt.model import DialogueExample, KktParams, KktPipeline
 from kkt.tokenizer import Tokenizer
+from kkt.training import build_vocab
 from test_attention import tiny_encoder
 
 
@@ -114,10 +115,16 @@ def test_tag_content_words_pairs():
 
 
 # ---------------------------------------------------------------------------
-# loading and rewriting
+# parsing, rewriting each triple to its fact, and loading
 
 def vocab_over(*texts):
     return Tokenizer.build(texts)
+
+
+def parse_row(relation, head, tail, weight, surfaces=None):
+    """The parsed triple of one KG line."""
+    [triple] = iter_kg_triples(f"{relation}\t{head}\t{tail}\t{weight}\n", "kg", surfaces)
+    return triple
 
 
 def test_load_kg_threshold_boundary(tmp_path):
@@ -128,7 +135,7 @@ def test_load_kg_threshold_boundary(tmp_path):
         "atlocation\tdog\tyard\t2.0\n",
         encoding="utf-8",
     )
-    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street cat house dog yard"))
+    store = load_kg(read_graph(path), 1.0, vocab_over("bike street cat house dog yard"))
     assert len(store) == 2
     assert {t.head for t in store.triples} == {"cat", "dog"}
 
@@ -136,7 +143,7 @@ def test_load_kg_threshold_boundary(tmp_path):
 def test_load_kg_drops_out_of_vocabulary_words(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t2\nisa\tunicorn\tanimal\t2\n", encoding="utf-8")
-    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street animal"))
+    store = load_kg(read_graph(path), 1.0, vocab_over("bike street animal"))
     assert len(store) == 1
     assert store.triples[0].head == "bike"
 
@@ -144,13 +151,13 @@ def test_load_kg_drops_out_of_vocabulary_words(tmp_path):
 def test_load_kg_empty_file(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("", encoding="utf-8")
-    assert len(load_kg(read_graph(path).triples, 1.0, vocab_over("anything"))) == 0
+    assert len(load_kg(read_graph(path), 1.0, vocab_over("anything"))) == 0
 
 
 def test_load_kg_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("# header\n\natlocation\tbike\tstreet\t2\n", encoding="utf-8")
-    assert len(load_kg(read_graph(path).triples, 1.0, vocab_over("bike street"))) == 1
+    assert len(load_kg(read_graph(path), 1.0, vocab_over("bike street"))) == 1
 
 
 def test_load_kg_malformed_line_reports_position(tmp_path):
@@ -178,8 +185,8 @@ def test_read_graph_keeps_the_bytes_it_parsed(tmp_path):
     lexicon.write_bytes("bike\tNOUN\n".encode("utf-8"))
     graph = read_graph(kg, lexicon_path=lexicon)
     assert graph.raw == {"kg": kg.read_bytes(), "lexicon": lexicon.read_bytes()}
-    assert graph.triples == [KnowledgeTriple("atlocation", "bike", "street", 2.0)]
-    assert graph.surfaces == {} and graph.tagger.tag("bike") == "NOUN"
+    assert graph.triples == [KnowledgeTriple("atlocation", "bike", "street", 2.0, "bike atlocation street")]
+    assert graph.tagger.tag("bike") == "NOUN"
     assert read_graph().triples is None and read_graph().raw == {}
 
 
@@ -197,7 +204,7 @@ def test_load_kg_negative_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\t-1\n", encoding="utf-8")
     with pytest.raises(KgFormatError):
-        load_kg(read_graph(path).triples, 0.0, vocab_over("bike street"))
+        load_kg(read_graph(path), 0.0, vocab_over("bike street"))
 
 
 @pytest.mark.parametrize("weight", ["nan", "1e999", "inf"])
@@ -214,23 +221,21 @@ def test_load_kg_bad_weight_rejected(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("atlocation\tbike\tstreet\theavy\n", encoding="utf-8")
     with pytest.raises(KgFormatError):
-        load_kg(read_graph(path).triples, 0.0, vocab_over("bike street"))
+        load_kg(read_graph(path), 0.0, vocab_over("bike street"))
 
 
 def test_rewrite_triple_raw_relation_fallback():
-    assert rewrite_triple(KnowledgeTriple("causes", "virus", "disease", 1.0)) == "virus causes disease"
+    assert parse_row("causes", "virus", "disease", 1.0).fact == "virus causes disease"
+    assert parse_row("causes", "virus", "disease", 1.0, {"isa": "is a"}).fact == "virus causes disease"
 
 
 def test_rewrite_triple_with_surface():
-    fact = rewrite_triple(
-        KnowledgeTriple("atlocation", "bike", "street", 2.0),
-        {"atlocation": "is found on"},
-    )
+    fact = parse_row("atlocation", "bike", "street", 2.0, {"atlocation": "is found on"}).fact
     assert fact == "bike is found on street"
 
 
 def test_rewrite_triple_isa():
-    assert rewrite_triple(KnowledgeTriple("IsA", "cat", "animal", 1.0), {"IsA": "is a"}) == "cat is a animal"
+    assert parse_row("IsA", "cat", "animal", 1.0, {"IsA": "is a"}).fact == "cat is a animal"
 
 
 def test_rewrite_keeps_head_and_tail_substrings():
@@ -238,15 +243,30 @@ def test_rewrite_keeps_head_and_tail_substrings():
     words = ["alpha", "beta", "gamma", "delta", "left right"]
     for _ in range(20):
         head, tail = rng.choice(words, size=2)
-        fact = rewrite_triple(KnowledgeTriple("rel", head, tail, 1.0))
+        fact = parse_row("rel", head, tail, 1.0).fact
         assert head in fact and tail in fact
 
 
 def test_load_surfaces(tmp_path):
-    path = tmp_path / "surfaces.tsv"
+    kg, path = tmp_path / "kg.tsv", tmp_path / "surfaces.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2\nisa\tcat\tanimal\t1\ncauses\tvirus\tdisease\t1\n", encoding="utf-8")
     path.write_text("atlocation\tis found on\nisa\tis a\n", encoding="utf-8")
-    table = read_graph(surfaces_path=path).surfaces
-    assert table == {"atlocation": "is found on", "isa": "is a"}
+    facts = [t.fact for t in read_graph(kg, path).triples]
+    assert facts == ["bike is found on street", "cat is a animal", "virus causes disease"]
+
+
+@pytest.mark.parametrize("kind", ["surfaces", "lexicon"])
+def test_a_repeated_key_names_both_lines(tmp_path, kind):
+    # The lexicon compares words lowercased, as the tagger stores them.
+    rows = {"surfaces": "atlocation\tis found on\n# note\natlocation\tlives in\n",
+            "lexicon": "bike\tNOUN\n# note\nBike\tVERB\n"}[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(rows, encoding="utf-8")
+    paths = {"surfaces_path": path} if kind == "surfaces" else {"lexicon_path": path}
+    repeated = {"surfaces": "atlocation", "lexicon": "Bike"}[kind]
+    with pytest.raises(KgFormatError) as err:
+        read_graph(**paths)
+    assert str(err.value) == f"{path}:3: {repeated!r} repeats line 1"
 
 
 def test_load_surfaces_malformed_line_reports_position(tmp_path):
@@ -382,7 +402,7 @@ def build_store(rows, vocab_text, surfaces=None, tagger=None):
     vocab = vocab_over(vocab_text)
     for rel, head, tail, w in rows:
         assert all(vocab.has(t) for t in (head + " " + tail).split())
-        store.add(KnowledgeTriple(rel, head, tail, w), surfaces)
+        store.add(parse_row(rel, head, tail, w, surfaces))
     return store
 
 
@@ -394,7 +414,7 @@ def test_retrieve_bike_street_fixture():
     )
     ids = rank_triples(store, ["the girl rides a red bike"], 5)
     assert ids == [0]
-    assert store.facts[0] == "bike is found on street"
+    assert store.triples[0].fact == "bike is found on street"
 
 
 def test_retrieve_ranks_by_weight():
@@ -459,7 +479,7 @@ def test_retrieve_matches_brute_force_oracle():
 
 
 def _fact_text(row):
-    return rewrite_triple(KnowledgeTriple(*row))
+    return parse_row(*row).fact
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -479,9 +499,39 @@ def test_rank_triples_ignores_kg_line_order(rows, data):
     for _ in range(5):
         query = " ".join(data.draw(st.lists(st.sampled_from(KG_WORDS), min_size=1, max_size=3)))
         p = data.draw(st.integers(min_value=1, max_value=6))
-        # KnowledgeTriple compares by (relation, head, tail, weight).
+        # KnowledgeTriple compares by (relation, head, tail, weight, fact).
         ranked = [[store.triples[i] for i in rank_triples(store, [query], p)] for store in stores]
         assert ranked[0] == ranked[1]
+
+
+_PHRASE = st.text(alphabet="abcdAB'-.,é ", min_size=1, max_size=12).map(str.strip).filter(bool)
+_RELATIONS = ("atlocation", "isa", "partof", "causes")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_RELATIONS), _PHRASE, _PHRASE,
+                            st.floats(min_value=0, max_value=4, allow_nan=False)), max_size=12),
+    surfaces=st.dictionaries(st.sampled_from(_RELATIONS), _PHRASE),
+    data=st.data(),
+)
+def test_graph_vocabulary_and_store_agree(tmp_path_factory, rows, surfaces, data):
+    # The one parse gives every fact; the vocabulary built over the graph
+    # admits every triple at or above the threshold, and no kept fact has an
+    # unknown word.
+    threshold = data.draw(st.one_of(st.sampled_from([w for *_, w in rows] or [1.0]),
+                                    st.floats(min_value=0, max_value=4, allow_nan=False)))
+    root = tmp_path_factory.mktemp("graph")
+    kg, relations = root / "kg.tsv", root / "relations.tsv"
+    kg.write_text("".join(f"{r}\t{h}\t{t}\t{w!r}\n" for r, h, t, w in rows), encoding="utf-8")
+    relations.write_text("".join(f"{r}\t{phrase}\n" for r, phrase in surfaces.items()), encoding="utf-8")
+    graph = read_graph(kg, relations)
+    assert [(t.relation, t.head, t.tail, t.weight) for t in graph.triples] == rows
+    assert [t.fact for t in graph.triples] == [f"{h} {surfaces.get(r, r)} {t}" for r, h, t, _ in rows]
+    vocab = build_vocab(Dataset(dialogues=[]), graph.triples, threshold)
+    store = load_kg(graph, threshold, vocab)
+    assert store.triples == [t for t in graph.triples if t.weight >= threshold]
+    assert all(vocab.unk_id not in vocab.encode(t.fact) for t in store.triples)
 
 
 def test_prepare_knowledge_returns_the_fact_rows():
@@ -498,7 +548,7 @@ def test_prepare_knowledge_returns_the_fact_rows():
     [(ck, qak)] = pipeline.prepare_knowledge([ex])
     assert len(ck) == 1 and qak == [[], []]
     assert ck[0].shape == (1, 8)
-    assert np.array_equal(ck[0].data, pipeline.fact_encoder.encode_fact(store.facts[0]).data)
+    assert np.array_equal(ck[0].data, pipeline.fact_encoder.encode_fact(store.triples[0].fact).data)
 
 
 def test_store_invariants_after_load(tmp_path):
@@ -507,6 +557,6 @@ def test_store_invariants_after_load(tmp_path):
         "r\tbike\tstreet\t2\nr\tcat\tanimal\t0.2\nr\tbike\tmystery\t5\n",
         encoding="utf-8",
     )
-    store = load_kg(read_graph(path).triples, 1.0, vocab_over("bike street cat animal"))
+    store = load_kg(read_graph(path), 1.0, vocab_over("bike street cat animal"))
     assert all(t.weight >= 1.0 for t in store.triples)
     assert [t.tail for t in store.triples] == ["street"]

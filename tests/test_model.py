@@ -367,8 +367,8 @@ def test_every_parameter_gets_a_gradient(ablation):
     ex = make_example(["m : the bike is on the street .", "w : we could walk to the shed ."])
     tk, params = small_setup(seed=13, ablation=ablation, texts=["bike atlocation street shed"])
     store = KnowledgeStore()
-    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0))
-    store.add(KnowledgeTriple("atlocation", "bike", "shed", 1.0))
+    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0, "bike atlocation street"))
+    store.add(KnowledgeTriple("atlocation", "bike", "shed", 1.0, "bike atlocation shed"))
     pipe = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64)
     result = pipe.predict(ex)
     for flags in result.flags:
@@ -389,7 +389,7 @@ def test_predict_gradients_match_the_op_chain(monkeypatch, ablation):
     tk, params = small_setup(seed=15, h=2, ablation=ablation, texts=["bike atlocation street shed house"])
     store = KnowledgeStore()
     for tail, weight in (("street", 2.0), ("shed", 1.0), ("house", 1.5)):
-        store.add(KnowledgeTriple("atlocation", "bike", tail, weight))
+        store.add(KnowledgeTriple("atlocation", "bike", tail, weight, f"bike atlocation {tail}"))
 
     def leaf_grads():
         for t in named_parameters(params).values():
@@ -514,7 +514,7 @@ def _random_pipeline(ablation, seed, nli, triples, k, p, max_len):
         provider = NliProvider(NliHead.init(len(tk), 8, 2, 1, 32, 2 * max_len, rng), tk)
     store = KnowledgeStore()
     for head, tail, weight in triples:
-        store.add(KnowledgeTriple("atlocation", head, tail, weight))
+        store.add(KnowledgeTriple("atlocation", head, tail, weight, f"{head} atlocation {tail}"))
     return KktPipeline(params, tk, store, provider, k=k, p=p, max_len=max_len)
 
 
@@ -535,7 +535,7 @@ def test_knowledge_needs_the_knowledge_path(ablation):
     ex = make_example(["m : the bike is on the street ."])
     tk, params = small_setup(ablation=ablation, texts=["bike atlocation street"])
     store = KnowledgeStore()
-    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0))
+    store.add(KnowledgeTriple("atlocation", "bike", "street", 2.0, "bike atlocation street"))
     pipe = KktPipeline(params, tk, store, LeadingProvider(), k=1, p=2, max_len=64)
     assert pipe.fact_encoder is None
     # The fact rows are empty lists, one per option, and predict reads no facts.
@@ -705,7 +705,7 @@ def test_prepare_knowledge_of_a_batch_equals_each_example_alone(case):
         assert len(qak) == len(alone_qak) == len(ex.options)
         queries = [ex.turns] + [[ex.qa_text(j)] for j in range(len(ex.options))]
         for rows, alone, texts in zip([ck, *qak], [alone_ck, *alone_qak], queries):
-            ranked = [pipe.fact_encoder.encode_fact(pipe.store.facts[tid])
+            ranked = [pipe.fact_encoder.encode_fact(pipe.store.triples[tid].fact)
                       for tid in rank_triples(pipe.store, texts, pipe.p)]
             assert [r.data.tobytes() for r in rows] == [r.data.tobytes() for r in alone]
             assert [r.data.tobytes() for r in rows] == [r.data.tobytes() for r in ranked]
