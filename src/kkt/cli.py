@@ -21,7 +21,7 @@ from .data import (BUNDLE_FILES, MODES, SchemaError, gen_synthetic, load_dataset
                    planted_turns_from_meta, read_json, write_bundle)
 from .keyturns import NliProvider
 from .knowledge import load_kg, rank_triples, read_graph
-from .tokenizer import InputError, Tokenizer, write_output
+from .tokenizer import InputError, Tokenizer, check_output_path, write_output
 from .training import (
     ConfigurationError,
     RunConfig,
@@ -64,10 +64,12 @@ def _bundle_paths(args) -> dict:
     return paths
 
 
-def _planted_from_meta(meta_path):
-    if meta_path is None:
-        return None
-    return planted_turns_from_meta(read_json(meta_path), meta_path)
+def _run_inputs(paths) -> dict:
+    """The graph files and the oracle key turns of resolved bundle paths, as the
+    keyword arguments of `train`, `evaluate` and `ablation_sweep`."""
+    meta = paths["meta"]
+    return {"kg_path": paths["kg"], "surfaces_path": paths["surfaces"], "lexicon_path": paths["lexicon"],
+            "planted": None if meta is None else planted_turns_from_meta(read_json(meta), meta)}
 
 
 def _cmd_train(args):
@@ -75,17 +77,8 @@ def _cmd_train(args):
     config = _load_config(args.config)
     dataset = load_dataset(paths["data"])
     dev = load_dataset(args.dev) if args.dev else None
-    result = train(
-        config,
-        dataset,
-        kg_path=paths["kg"],
-        dev_dataset=dev,
-        out_dir=args.out,
-        nli_corpus=load_nli_corpus(paths["nli"]) if paths["nli"] else None,
-        surfaces_path=paths["surfaces"],
-        lexicon_path=paths["lexicon"],
-        planted=_planted_from_meta(paths["meta"]),
-    )
+    nli = load_nli_corpus(paths["nli"]) if paths["nli"] else None
+    result = train(config, dataset, dev_dataset=dev, out_dir=args.out, nli_corpus=nli, **_run_inputs(paths))
     _emit(
         {
             "out": str(args.out),
@@ -109,24 +102,13 @@ def _sidecar(ckpt: Path, name: str, override):
 
 
 def _cmd_eval(args):
+    if args.out:
+        check_output_path(args.out, is_file=True)
     ckpt = args.ckpt
     config = _load_config(_sidecar(ckpt, "config.json", args.config))
     vocab = Tokenizer.load(_sidecar(ckpt, "vocab.txt", args.vocab))
     paths = _bundle_paths(args)
-    dataset = load_dataset(paths["data"])
-    if args.out:
-        # Before any example runs; an existing report stays as it is until the new one is written.
-        write_output(args.out, b"", mode="ab")
-    report = evaluate(
-        ckpt,
-        config,
-        vocab,
-        dataset,
-        kg_path=paths["kg"],
-        surfaces_path=paths["surfaces"],
-        lexicon_path=paths["lexicon"],
-        planted=_planted_from_meta(paths["meta"]),
-    )
+    report = evaluate(ckpt, config, vocab, load_dataset(paths["data"]), **_run_inputs(paths))
     if args.out:
         write_output(args.out, report.to_json().encode("utf-8"))
     _emit(report.to_dict())
@@ -199,23 +181,16 @@ def _cmd_gen_data(args):
 
 
 def _cmd_sweep(args):
+    if args.out:
+        check_output_path(args.out, is_file=True)
     grid = read_json(args.grid[1:]) if args.grid.startswith("@") else parse_json(args.grid, "--grid")
     config = _load_config(args.config)
     paths = _bundle_paths(args)
     dataset = load_dataset(paths["data"])
     eval_dataset = load_dataset(args.dev) if args.dev else dataset
-    rows = ablation_sweep(
-        config,
-        dataset,
-        eval_dataset,
-        kg_path=paths["kg"],
-        grid=grid,
-        train_per_cell=args.train_per_cell,
-        nli_corpus=load_nli_corpus(paths["nli"]) if paths["nli"] else None,
-        surfaces_path=paths["surfaces"],
-        lexicon_path=paths["lexicon"],
-        planted=_planted_from_meta(paths["meta"]),
-    )
+    nli = load_nli_corpus(paths["nli"]) if paths["nli"] else None
+    rows = ablation_sweep(config, dataset, eval_dataset, grid=grid, train_per_cell=args.train_per_cell,
+                          nli_corpus=nli, **_run_inputs(paths))
     table = {"grid": grid, "ablation": config.ablation, "rows": rows}
     if args.out:
         write_output(args.out, (json.dumps(table, indent=1, sort_keys=True) + "\n").encode("utf-8"))

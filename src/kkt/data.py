@@ -133,15 +133,18 @@ def _check_strings(items, where, what):
 
 
 def dataset_from_obj(obj, label="dataset") -> Dataset:
-    """Examples of a parsed dataset file; another layout, no question, or a
-    question and option of no token is a `SchemaError` naming `label`."""
+    """Examples of a parsed dataset file; another layout, no question, a
+    question and option of no token, or a dialogue id (as a string) that
+    repeats an earlier one is a `SchemaError` naming `label`."""
     if not isinstance(obj, list):
         raise SchemaError(f"{label}: a dataset must be a JSON list of dialogues, got {type(obj).__name__}")
-    examples = []
-    for entry in obj:
+    examples, first = [], {}
+    for position, entry in enumerate(obj):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{label}: dialogue entry must be [turns, qas, id], got {type(entry)}")
         turns, qas, did = entry
+        if first.setdefault(str(did), position) != position:
+            raise SchemaError(f"{label}: dialogue {position}: id {did!r} repeats dialogue {first[str(did)]}")
         _check_strings(turns, f"{label}: {did}", "turns")
         if not turns or not all(t.strip() for t in turns):
             raise SchemaError(f"{label}: {did}: turns must be a non-empty list of non-blank strings, got {turns!r:.60}")

@@ -2,10 +2,12 @@
 
 A knowledge item is a {relation, head, tail} triple with a non-negative
 weight, parsed with its fact, the sentence `head <surface> tail` ("virus
-causes disease"). Loading filters by weight threshold (boundary kept) and
-drops any triple whose head or tail contains a word outside the encoder
-vocabulary. Retained facts are encoded by self-attending their hidden
-states and mean-pooling, and served through a deterministic top-p ranking:
+causes disease"). The KG, its relation surfaces and the tagger lexicon are
+TSV files, every line of which is read by one rule, `_tsv_rows`. Loading
+filters by weight threshold (boundary kept) and drops any triple whose head
+or tail contains a word outside the encoder vocabulary. Retained facts are
+encoded by self-attending their hidden states and mean-pooling, and served
+through a deterministic top-p ranking:
 
     weight (desc), then number of distinct query content words matched
     (desc), then fact text (asc), then original file order (asc).
@@ -75,24 +77,32 @@ _SUFFIX_RULES = (
 )
 
 
-def _read_pairs(text: str, label, layout: str, values=None) -> dict:
-    """Two-column TSV text as a dict; blank and `#` lines are skipped, a repeated key is
-    refused. With `values` (a lexicon's tags) the second column must be one of them, and
-    keys compare lowercased, as `PosTagger` stores them."""
-    pairs, first = {}, {}
+def _tsv_rows(text: str, label, width: int, expected: str):
+    """`(lineno, columns)` of every line of TSV text that is not blank or a `#` comment: the
+    line is stripped, split on tabs and each column stripped. A line of any other column
+    count raises `KgFormatError` as `label:lineno: expected <expected>, got <line>`."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise KgFormatError(f"{label}:{lineno}: expected `{layout}`, got {raw!r}")
-        if values is not None and parts[1] not in values:
-            raise KgFormatError(f"{label}:{lineno}: tag for {parts[0]!r} must be one of {values}, got {parts[1]!r}")
-        key = parts[0] if values is None else parts[0].lower()
-        if first.setdefault(key, lineno) != lineno:
-            raise KgFormatError(f"{label}:{lineno}: {parts[0]!r} repeats line {first[key]}")
-        pairs[parts[0]] = parts[1]
+        columns = [column.strip() for column in line.split("\t")]
+        if len(columns) != width:
+            raise KgFormatError(f"{label}:{lineno}: expected {expected}, got {raw!r}")
+        yield lineno, columns
+
+
+def _read_pairs(text: str, label, layout: str, values=None) -> dict:
+    """Two-column TSV text as a dict, read by `_tsv_rows`; a repeated key is refused. With
+    `values` (a lexicon's tags) the second column must be one of them, and keys compare
+    lowercased, as `PosTagger` stores them."""
+    pairs, first = {}, {}
+    for lineno, (key, value) in _tsv_rows(text, label, 2, f"`{layout}`"):
+        if values is not None and value not in values:
+            raise KgFormatError(f"{label}:{lineno}: tag for {key!r} must be one of {values}, got {value!r}")
+        folded = key if values is None else key.lower()
+        if first.setdefault(folded, lineno) != lineno:
+            raise KgFormatError(f"{label}:{lineno}: {key!r} repeats line {first[folded]}")
+        pairs[key] = value
     return pairs
 
 
@@ -176,15 +186,9 @@ class KnowledgeStore:
 
 
 def iter_kg_triples(text: str, label="kg", surfaces=None):
-    """Parse every triple of KG text with its fact, before any filtering; a relation in
-    `surfaces` reads as its phrase there. Errors name `label:lineno`."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise KgFormatError(f"{label}:{lineno}: expected 4 tab-separated columns, got {len(parts)}: {raw!r}")
-        relation, head, tail, weight_s = (p.strip() for p in parts)
+    """Parse every triple of KG text, read by `_tsv_rows`, with its fact, before any
+    filtering; a relation in `surfaces` reads as its phrase there. Errors name `label:lineno`."""
+    for lineno, (relation, head, tail, weight_s) in _tsv_rows(text, label, 4, "4 tab-separated columns"):
         if not head or not tail:
             raise KgFormatError(f"{label}:{lineno}: empty head or tail")
         try:
@@ -209,7 +213,8 @@ class GraphInputs:
 
 def read_graph(kg_path=None, surfaces_path=None, lexicon_path=None) -> GraphInputs:
     """Read and parse the surface TSV `relation<TAB>surface phrase`, then the KG TSV
-    `relation<TAB>head<TAB>tail<TAB>weight` with them, and the lexicon TSV `word<TAB>tag`."""
+    `relation<TAB>head<TAB>tail<TAB>weight` with them, and the lexicon TSV `word<TAB>tag`,
+    each by `_tsv_rows`, so whitespace around any column is dropped."""
     raw = {}
 
     def text(name, path):

@@ -39,31 +39,35 @@ class OutputPathError(InputError):
     """Raised for an output path (`--out`) that cannot be written."""
 
 
-def write_output(path, data: bytes, mode: str = "wb") -> None:
+def write_output(path, data: bytes) -> None:
     """Write an output file, making its directory first; an `OSError` of
-    the writing raises `OutputPathError` naming the path. Mode "ab" with
-    empty data checks that the path can be written and leaves a file
-    there as it is."""
+    the writing raises `OutputPathError` naming the path."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open(mode) as f:
-            f.write(data)
+        path.write_bytes(data)
     except OSError as exc:
         raise OutputPathError(f"{path}: cannot write: {exc}") from None
 
 
-def check_output_dir(path) -> None:
-    """Raise `OutputPathError` naming `path` when no directory can be made there
-    (a non-directory on the way, a name too long, a parent that cannot be searched)."""
-    for d in (Path(path), *Path(path).parents):
+def check_output_path(path, is_file=False) -> None:
+    """Raise `OutputPathError` naming `path` when no directory, or with `is_file` no
+    file, can be made there: a non-directory on the way, a directory where the file
+    goes, a name too long, a parent that cannot be searched. It creates nothing."""
+    path = Path(path)
+    for d in (path, *path.parents):
         try:
-            if stat.S_ISDIR(d.stat().st_mode):
-                return
+            is_dir = stat.S_ISDIR(d.stat().st_mode)
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
             raise OutputPathError(f"{path}: cannot write: {exc}") from None
+        if is_file and d == path:
+            if is_dir:
+                raise OutputPathError(f"{path}: cannot write: Is a directory")
+            continue  # an existing file is replaced
+        if is_dir:
+            return
         raise OutputPathError(f"{path}: cannot write: {d} is not a directory")
 
 

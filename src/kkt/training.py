@@ -30,7 +30,7 @@ from .keyturns import LeadingProvider, NliHead, NliProvider, OracleProvider, tra
 from .knowledge import GraphInputs, load_kg, read_graph
 from .model import ABLATIONS, KktParams, KktPipeline
 from .optim import Adam
-from .tokenizer import Tokenizer, check_output_dir, read_input, write_output
+from .tokenizer import Tokenizer, check_output_path, read_input, write_output
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _CHOICES = {"ablation": ABLATIONS, "dtype": tuple(_DTYPES), "key_turn_provider": ("auto", "nli", "leading", "oracle")}
@@ -278,7 +278,7 @@ def train(config: RunConfig, train_dataset: Dataset, kg_path=None, dev_dataset: 
     seed = effective_seed(config)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
-        check_output_dir(out)
+        check_output_path(out)
     graph = read_graph(kg_path, surfaces_path, lexicon_path)
     vocab = build_vocab(train_dataset, graph.triples, config.weight_threshold)
     with_head = bool(nli_corpus) and config.key_turn_provider in ("auto", "nli")

@@ -647,6 +647,34 @@ def test_eval_out_that_is_a_directory_fails_before_any_example(ws, tmp_path, mon
     assert "Is a directory" in err
 
 
+@pytest.mark.parametrize("out", ["absent", "kept", "nested"])
+def test_eval_out_is_left_as_found_when_the_checkpoint_is_refused(ws, tmp_path, out):
+    bad = tmp_path / "bad.kkt"
+    bad.write_bytes(b"not a checkpoint")
+    report = tmp_path / ("sub/rep.json" if out == "nested" else "rep.json")
+    if out == "kept":
+        report.write_text("keep\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    rc, stdout, err = run_cli(["eval", "--ckpt", str(bad), "--data", str(ws["bundle"]), "--out", str(report),
+                               "--config", str(ws["run"] / "config.json"), "--vocab", str(ws["run"] / "vocab.txt")])
+    assert rc == 2 and stdout == "" and err.startswith(f"error: {bad}")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out != "kept" or report.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_sweep_out_under_a_file_fails_before_any_cell_trains(ws, tmp_path, monkeypatch):
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: pytest.fail("a cell trained"))
+    taken = tmp_path / "afile"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / "table.json"
+    rc, stdout, err = run_cli(["sweep", "--grid", '{"k": [1, 2]}', "--data", str(ws["bundle"]),
+                               "--config", str(ws["config"]), "--out", str(out)])
+    assert rc == 2 and stdout == ""
+    assert err.strip() == f"error: {out}: cannot write: {taken} is not a directory"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 @pytest.mark.parametrize("record, key", [
     ({"premise": 7, "hypothesis": "b", "label": 0}, "premise and hypothesis"),
     ({"premise": "a", "hypothesis": ["b"], "label": 0}, "premise and hypothesis"),

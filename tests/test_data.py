@@ -242,6 +242,19 @@ def test_missing_fields_rejected():
         dataset_from_obj(bad)
 
 
+@pytest.mark.parametrize("second_id", ["fixture-0", "7"])
+def test_a_repeated_dialogue_id_names_both_dialogues(second_id):
+    # Example ids are `<dialogue id>#<question>`, so a repeated dialogue id
+    # would give two examples one id; ids compare as strings (7 and "7").
+    first = dialogue_json_fixture()[0]
+    obj = [[first[0], first[1], "fixture-0" if second_id == "fixture-0" else 7],
+           [["w : hello ."], [{"question": "who ?", "choice": ["m", "w"], "answer": "w"}], "other"],
+           [["m : bye ."], [{"question": "who ?", "choice": ["m", "w"], "answer": "m"}], second_id]]
+    with pytest.raises(SchemaError) as err:
+        dataset_from_obj(obj, "data.json")
+    assert str(err.value) == f"data.json: dialogue 2: id {second_id!r} repeats dialogue 0"
+
+
 def test_load_dataset_file(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(dialogue_json_fixture()), encoding="utf-8")

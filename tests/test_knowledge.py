@@ -276,6 +276,31 @@ def test_load_surfaces_malformed_line_reports_position(tmp_path):
         read_graph(surfaces_path=path)
 
 
+def test_whitespace_around_a_surfaces_or_lexicon_column_is_dropped(tmp_path):
+    kg, surfaces, lexicon = tmp_path / "kg.tsv", tmp_path / "surfaces.tsv", tmp_path / "lexicon.tsv"
+    kg.write_text("atlocation\tbike\tstreet\t2\n", encoding="utf-8")
+    surfaces.write_text("atlocation \t is found on\n", encoding="utf-8")
+    lexicon.write_text(" bike \t VERB \n", encoding="utf-8")
+    graph = read_graph(kg, surfaces, lexicon)
+    assert [t.fact for t in graph.triples] == ["bike is found on street"]
+    assert graph.tagger.lexicon == {"bike": "VERB"}
+
+
+@pytest.mark.parametrize("line", ["\tbike\tstreet\t2", " \tbike\tstreet\t2", "atlocation\tbike\tstreet\t"],
+                         ids=["blank-relation", "space-relation", "blank-weight"])
+def test_a_kg_line_with_a_blank_outer_column_is_refused_by_its_column_count(tmp_path, line):
+    path = tmp_path / "kg.tsv"
+    path.write_text(f"atlocation\tbike\tshed\t1\n{line}\n", encoding="utf-8")
+    with pytest.raises(KgFormatError) as err:
+        read_graph(path)
+    assert str(err.value) == f"{path}:2: expected 4 tab-separated columns, got {line!r}"
+
+
+def test_a_kg_line_that_ends_in_a_tab_parses():
+    [triple] = iter_kg_triples("atlocation\tbike\tstreet\t2\t\n", "kg")
+    assert triple == KnowledgeTriple("atlocation", "bike", "street", 2.0, "bike atlocation street")
+
+
 # ---------------------------------------------------------------------------
 # fact encoding
 
@@ -532,6 +557,40 @@ def test_graph_vocabulary_and_store_agree(tmp_path_factory, rows, surfaces, data
     store = load_kg(graph, threshold, vocab)
     assert store.triples == [t for t in graph.triples if t.weight >= threshold]
     assert all(vocab.unk_id not in vocab.encode(t.fact) for t in store.triples)
+
+
+def _padded(rows, data):
+    """TSV text of the rows with random spaces around every column, and spaces or
+    tabs around every line."""
+    pad, edge = st.text(alphabet=" ", max_size=2), st.text(alphabet=" \t", max_size=2)
+    return "".join(data.draw(edge) + "\t".join(data.draw(pad) + c + data.draw(pad) for c in row)
+                   + data.draw(edge) + "\n" for row in rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(_RELATIONS), _PHRASE, _PHRASE,
+                            st.floats(min_value=0, max_value=4, allow_nan=False).map(repr)), max_size=8),
+    surfaces=st.dictionaries(st.sampled_from(_RELATIONS), _PHRASE),
+    lexicon=st.dictionaries(st.text(alphabet="abcdAB", min_size=1, max_size=5), st.sampled_from(("NOUN", "VERB", "ADJ")),
+                            max_size=6).filter(lambda lex: len({w.lower() for w in lex}) == len(lex)),
+    data=st.data(),
+)
+def test_spaces_around_columns_and_lines_change_no_parse(tmp_path_factory, rows, surfaces, lexicon, data):
+    # Every graph TSV is read by one rule, so a padded copy of each file gives
+    # the same triples, facts included, and the same tagger lexicon.
+    tables = {"kg": rows, "surfaces": list(surfaces.items()), "lexicon": list(lexicon.items())}
+    graphs = []
+    for pad in (False, True):
+        root = tmp_path_factory.mktemp("padded" if pad else "plain")
+        for name, table in tables.items():
+            text = _padded(table, data) if pad else "".join("\t".join(row) + "\n" for row in table)
+            (root / f"{name}.tsv").write_text(text, encoding="utf-8")
+        graphs.append(read_graph(root / "kg.tsv", root / "surfaces.tsv", root / "lexicon.tsv"))
+    plain, padded = graphs
+    assert [t.fact for t in plain.triples] == [f"{h} {surfaces.get(r, r)} {t}" for r, h, t, _ in rows]
+    assert padded.triples == plain.triples
+    assert padded.tagger.lexicon == plain.tagger.lexicon == {w.lower(): tag for w, tag in lexicon.items()}
 
 
 def test_prepare_knowledge_returns_the_fact_rows():
